@@ -4,15 +4,16 @@
 //! cargo run -p gk-bench --release --bin figures -- all
 //! cargo run -p gk-bench --release --bin figures -- fig8a fig8c table2
 //! cargo run -p gk-bench --release --bin figures -- --quick all
-//! cargo run -p gk-bench --release --bin figures -- --quick --json BENCH_pr3.json all
+//! cargo run -p gk-bench --release --bin figures -- --quick --json /tmp/figures.json all
 //! ```
 //!
 //! Output is a series table per experiment (rows = algorithms, columns =
 //! the swept parameter), with a correctness flag: every run is validated
 //! against the generator's planted ground truth. `--json PATH`
 //! additionally writes every measurement plus per-experiment wall-times
-//! as machine-readable JSON, so the perf trajectory is diffable across
-//! PRs (`BENCH_pr<N>.json` at the repo root is the committed artifact).
+//! as machine-readable JSON. These are single-sample paper-figure runs;
+//! performance claims are made on `benchmark/` (`BENCHMARK.json`), which
+//! repeats, bounds and compares its metrics.
 
 use gk_bench::{run_experiment, Measurement, ALL_EXPERIMENTS};
 use std::collections::BTreeMap;

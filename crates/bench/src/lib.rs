@@ -13,8 +13,8 @@
 //!
 //! Run the full suite with `cargo run -p gk-bench --release --bin figures
 //! -- all`, or individual experiments by id (`fig8a` … `fig8l`, `table2`,
-//! `gp_ratio`, `opt_mr`, `opt_vc`). Criterion micro-benchmarks live under
-//! `benches/`.
+//! `gp_ratio`, `opt_mr`, `opt_vc`). The repo's performance benchmark is
+//! not here: see `benchmark/` and `BENCHMARK.json` at the repo root.
 
 #![warn(missing_docs)]
 

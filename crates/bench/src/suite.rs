@@ -166,7 +166,7 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 ];
 
 /// Dataset base config for an experiment family, at benchmark scale.
-/// `quick` shrinks populations so the suite finishes fast (CI/criterion).
+/// `quick` shrinks populations so the suite finishes fast (CI).
 fn dataset_cfg(which: char, quick: bool) -> GenConfig {
     let base = match which {
         'g' => GenConfig::google(),
@@ -538,7 +538,7 @@ fn ablation(quick: bool) -> Vec<Measurement> {
 /// chase (`chase_parallel`) across worker-thread counts, with the
 /// sequential reference chase as the baseline — wall-clock, real threads
 /// (not the simulated scheduler). `quick` uses the CI scale; the full run
-/// uses the 10k-entity workload of the vary_threads criterion bench.
+/// uses a 10k-entity workload.
 fn vary_threads(quick: bool) -> Vec<Measurement> {
     use gk_core::{chase_parallel, ParallelOpts};
     let cfg = dataset_cfg('g', quick)

@@ -2,9 +2,9 @@
 
 use gk_core::ShardRole;
 use gk_core::{
-    chase_parallel, chase_reference, em_mr, em_vc, key_violations, normalize_graph, normalize_keys,
-    prove, satisfies, verify, AlphaNum, CaseFold, ChaseEngine, ChaseOrder, CompiledKeySet, KeySet,
-    MatchOutcome, MrVariant, ParallelOpts, VcVariant,
+    chase_reference, em_mr, em_vc, key_violations, normalize_graph, normalize_keys, prove,
+    satisfies, verify, AlphaNum, CaseFold, ChaseEngine, ChaseOrder, CompiledKeySet, KeySet,
+    MatchOutcome, MrVariant, VcVariant,
 };
 use gk_datagen::{generate, GenConfig};
 use gk_graph::{parse_graph, write_graph, Graph, GraphStats, GraphView};
@@ -384,18 +384,7 @@ fn cmd_chase(args: &[String], out: &mut String) -> Result<(), String> {
     };
     let compiled = ks.compile(&g);
     let t0 = std::time::Instant::now();
-    let r = match engine {
-        ChaseEngine::Parallel { threads } => chase_parallel(
-            &g,
-            &compiled,
-            ParallelOpts {
-                threads,
-                order,
-                ..Default::default()
-            },
-        ),
-        _ => chase_reference(&g, &compiled, order),
-    };
+    let r = engine.full_chase(&g, &compiled, order);
     let _ = writeln!(
         out,
         "chase({}) engine={engine} threads={} rounds={} steps={} identified_pairs={} iso={} in {:?}",

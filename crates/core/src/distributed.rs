@@ -12,19 +12,17 @@
 //! converged cluster answers exactly like a standalone chase.
 //!
 //! [`chase_shard_slice`] is the whole shard-side contract: seed with
-//! everything known so far, advance the owned slice with the same
-//! dependency-wake-up discipline as [`crate::chase_parallel`], report only
-//! the *new* steps.
+//! everything known so far, advance the owned slice, report only the *new*
+//! steps. It is [`crate::chase_parallel`]'s kernel configuration with a
+//! seed, an ownership filter and one thread.
 
-use crate::candidates::{candidate_pairs, norm, CandidateMode};
-use crate::chase::{ChaseResult, ChaseStep};
+use crate::candidates::norm;
+use crate::chase::ChaseResult;
 use crate::eqrel::EqRel;
 use crate::keyset::CompiledKeySet;
-use crate::parallel::failure_dependencies;
+use crate::parallel::{chase_enumerated, ParallelOpts};
 use gk_graph::{entity_shard, EntityId, GraphView};
-use gk_isomorph::{eval_pair, MatchScope};
 use gk_metrics::trace::Span;
-use rustc_hash::{FxHashMap, FxHashSet};
 
 /// This process's position in a cluster: shard `shard_id` of `num_shards`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -102,108 +100,8 @@ pub fn chase_shard_slice<V: GraphView>(
     role: ShardRole,
     span: &Span,
 ) -> ChaseResult {
-    let enum_span = span.child("enumerate");
-    let mut eq = EqRel::identity(g.num_entities());
-    eq.absorb(seed.merges());
-    let mut open: Vec<(EntityId, EntityId)> = candidate_pairs(g, keys, CandidateMode::Blocked)
-        .into_iter()
-        .filter(|&(a, b)| role.owns(a, b) && !eq.same(a, b))
-        .collect();
-    open.sort_unstable();
-    enum_span.count("candidates", open.len() as u64);
-    enum_span.finish();
-
-    let candidates = open.len();
-    let mut wake_ups = 0u64;
-    let mut steps: Vec<ChaseStep> = Vec::new();
-    let mut rounds = 0usize;
-    let mut iso_checks = 0u64;
-    // Un-fired dependency pair -> dormant slice pairs waiting on it (the
-    // same wake-up discipline as the in-process parallel chase).
-    let mut watch: FxHashMap<(EntityId, EntityId), Vec<(EntityId, EntityId)>> =
-        FxHashMap::default();
-    let mut unfired: Vec<(EntityId, EntityId)> = Vec::new();
-    let mut fresh = true;
-
-    while !open.is_empty() {
-        rounds += 1;
-        let round_span = span.child("round");
-        round_span.count("candidates", open.len() as u64);
-        let applied_before = steps.len();
-        for (a, b) in std::mem::take(&mut open) {
-            if eq.same(a, b) {
-                continue; // subsumed by closure; drop from future rounds
-            }
-            let t = g.entity_type(a);
-            let mut hit = None;
-            for &ki in keys.keys_on(t) {
-                iso_checks += 1;
-                if eval_pair(
-                    g,
-                    &keys.keys[ki].pattern,
-                    a,
-                    b,
-                    &eq,
-                    MatchScope::whole_graph(),
-                ) {
-                    hit = Some(ki);
-                    break; // one certifying key suffices (§4.1)
-                }
-            }
-            match hit {
-                Some(ki) => {
-                    eq.union(a, b);
-                    steps.push(ChaseStep {
-                        pair: norm(a, b),
-                        key: ki,
-                    });
-                }
-                None if fresh => {
-                    if let Some(deps) = failure_dependencies(g, keys, a, b) {
-                        for dep in deps {
-                            watch.entry(dep).or_insert_with(|| {
-                                unfired.push(dep);
-                                Vec::new()
-                            });
-                            watch.get_mut(&dep).expect("just inserted").push(norm(a, b));
-                        }
-                    }
-                }
-                None => {} // woken pair failed again: its other watches remain
-            }
-        }
-        fresh = false;
-        round_span.count("merges", (steps.len() - applied_before) as u64);
-        if steps.len() == applied_before {
-            round_span.finish();
-            break; // no certification under the final local Eq: terminal
-        }
-        let mut woken: FxHashSet<(EntityId, EntityId)> = FxHashSet::default();
-        unfired.retain(|&(a, b)| {
-            if eq.same(a, b) {
-                if let Some(deps) = watch.remove(&(a, b)) {
-                    woken.extend(deps);
-                }
-                false
-            } else {
-                true
-            }
-        });
-        open = woken.into_iter().filter(|&(a, b)| !eq.same(a, b)).collect();
-        open.sort_unstable(); // deterministic evaluation order
-        wake_ups += open.len() as u64;
-        round_span.count("wake_ups", open.len() as u64);
-        round_span.finish();
-    }
-
-    ChaseResult {
-        eq,
-        steps,
-        rounds,
-        iso_checks,
-        candidates,
-        wake_ups,
-    }
+    let opts = ParallelOpts::with_threads(1);
+    chase_enumerated(g, keys, seed.merges(), Some(role), opts, span)
 }
 
 #[cfg(test)]

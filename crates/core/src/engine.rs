@@ -1,0 +1,476 @@
+//! Which chase runs for a change, and how: [`ChaseEngine`] and the one
+//! decision every resident caller goes through ([`ChaseEngine::advance`]).
+//!
+//! A change to `(G, Σ)` either keeps the previous relation valid (inserted
+//! triples and added keys are monotone: `chase` can only grow) or does not
+//! (deletions, dropped keys, a cold start). That fact ([`ChaseStart`]), the
+//! configured engine and the process's shard role pick the chase
+//! configuration, the [`AdvanceMode`] the caller reports and the span the
+//! chase is traced under — `ChaseEngine::plan` is the table.
+
+use crate::chase::{chase_reference_traced, ChaseOrder, ChaseResult};
+use crate::distributed::ShardRole;
+use crate::eqrel::EqRel;
+use crate::incremental::chase_delta;
+use crate::kernel::Pair;
+use crate::keyset::CompiledKeySet;
+use crate::parallel::{chase_enumerated, ParallelOpts};
+use gk_graph::{EntityId, GraphView};
+use gk_metrics::trace::Span;
+
+/// Which engine computes (and re-computes) the resident `chase(G, Σ)`.
+///
+/// * `Reference` — every advance is a full sequential re-chase (baseline).
+/// * `Incremental` — insert-only batches ride the monotone delta chase;
+///   full (re)chases are sequential. The serving default.
+/// * `Parallel` — like `Incremental` for inserts (the delta is strictly
+///   less work than any full chase), but full chases — startup and the
+///   deletion fallback — run [`chase_parallel`](crate::chase_parallel) on
+///   `threads` workers.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum ChaseEngine {
+    /// Full sequential re-chase on every advance.
+    Reference,
+    /// Monotone delta chase for inserts; sequential full chases.
+    #[default]
+    Incremental,
+    /// Monotone delta chase for inserts; partitioned multi-threaded full
+    /// chases on `threads` workers (0 = one per core).
+    Parallel {
+        /// Worker threads for the full chases.
+        threads: usize,
+    },
+}
+
+/// How an update advanced a resident relation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AdvanceMode {
+    /// Monotone change: a chase seeded from the previous `Eq`, whose steps
+    /// extend the previous step log.
+    Incremental,
+    /// Non-monotone change (or the reference engine): the whole chase was
+    /// recomputed and its steps replace the log.
+    FullRechase,
+    /// The change added nothing new (no chase ran).
+    NoOp,
+}
+
+impl AdvanceMode {
+    /// The protocol spelling (the `mode=` field of `OK` answers).
+    pub fn name(self) -> &'static str {
+        match self {
+            AdvanceMode::Incremental => "incremental",
+            AdvanceMode::FullRechase => "full-rechase",
+            AdvanceMode::NoOp => "noop",
+        }
+    }
+
+    /// Parses the protocol spelling back (inverse of [`AdvanceMode::name`]).
+    pub fn parse(name: &str) -> Result<Self, String> {
+        match name {
+            "incremental" => Ok(AdvanceMode::Incremental),
+            "full-rechase" => Ok(AdvanceMode::FullRechase),
+            "noop" => Ok(AdvanceMode::NoOp),
+            other => Err(format!("unknown advance mode {other:?}")),
+        }
+    }
+}
+
+impl std::fmt::Display for AdvanceMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Where a resident chase starts from — the one thing a caller knows that
+/// the engine and the shard role do not.
+#[derive(Clone, Copy, Debug)]
+pub enum ChaseStart<'a> {
+    /// The previous relation may no longer hold (deleted triples, a dropped
+    /// key) or there is none (cold start): chase from the identity.
+    Restart,
+    /// The change was monotone (inserted triples, added keys), so `prev`
+    /// still holds and only entities near `touched` can seed new steps.
+    Continue {
+        /// The terminal `Eq` before the change.
+        prev: &'a EqRel,
+        /// Entities incident to what the change added.
+        touched: &'a [EntityId],
+    },
+}
+
+/// The chase configurations the decision picks between.
+#[derive(Debug, PartialEq)]
+enum Config<'a> {
+    /// The sequential oracle, [`chase_reference`](crate::chase_reference).
+    Reference,
+    /// The enumerated kernel chase continuing `seed` over the candidates
+    /// `role` owns (`None`: all) on `threads` workers — the parallel chase
+    /// and the shard slice chase.
+    Enumerated {
+        seed: &'a [Pair],
+        role: Option<ShardRole>,
+        threads: usize,
+    },
+    /// The delta kernel chase around `touched`, continuing `prev`.
+    Delta {
+        prev: &'a [Pair],
+        touched: &'a [EntityId],
+    },
+}
+
+impl Config<'_> {
+    fn run<V: GraphView>(
+        &self,
+        g: &V,
+        keys: &CompiledKeySet,
+        order: ChaseOrder,
+        span: &Span,
+    ) -> ChaseResult {
+        match *self {
+            Config::Reference => chase_reference_traced(g, keys, order, span),
+            Config::Enumerated {
+                seed,
+                role,
+                threads,
+            } => {
+                let opts = ParallelOpts {
+                    threads,
+                    order,
+                    ..Default::default()
+                };
+                chase_enumerated(g, keys, seed, role, opts, span)
+            }
+            Config::Delta { prev, touched } => chase_delta(g, keys, prev, touched, span),
+        }
+    }
+}
+
+impl ChaseEngine {
+    /// The decision: which chase, reported as which mode, traced under
+    /// which phase span.
+    fn plan<'a>(
+        self,
+        start: ChaseStart<'a>,
+        shard: Option<ShardRole>,
+    ) -> (Config<'a>, AdvanceMode, &'static str) {
+        use AdvanceMode::{FullRechase, Incremental};
+        let enumerated = |seed, threads| Config::Enumerated {
+            seed,
+            role: shard,
+            threads,
+        };
+        match (shard, start, self) {
+            // A shard recomputes or continues only the slice it owns; the
+            // coordinator's exchange converges the cluster.
+            (Some(_), ChaseStart::Restart, _) => (enumerated(&[], 1), FullRechase, "slice_rechase"),
+            (Some(_), ChaseStart::Continue { prev, .. }, _) => {
+                (enumerated(prev.merges(), 1), Incremental, "slice_chase")
+            }
+            // The delta is valid under any engine but the baseline, and
+            // strictly less work than a full chase.
+            (
+                None,
+                ChaseStart::Continue { prev, touched },
+                ChaseEngine::Incremental | ChaseEngine::Parallel { .. },
+            ) => {
+                let prev = prev.merges();
+                (Config::Delta { prev, touched }, Incremental, "delta_chase")
+            }
+            (None, _, ChaseEngine::Parallel { threads }) => {
+                (enumerated(&[], threads), FullRechase, "full_rechase")
+            }
+            (None, _, ChaseEngine::Reference | ChaseEngine::Incremental) => {
+                (Config::Reference, FullRechase, "full_rechase")
+            }
+        }
+    }
+
+    /// Runs the chase this engine prescribes for a change to `(g, keys)` in
+    /// a process holding `shard` (`None`: standalone), and says how the
+    /// result relates to the previous relation: under
+    /// [`AdvanceMode::Incremental`] `steps` are the new ones only, to be
+    /// appended to the previous log; under [`AdvanceMode::FullRechase`]
+    /// they replace it. `eq` is always the full relation.
+    ///
+    /// Traced as one child of `parent` — `delta_chase`, `full_rechase`,
+    /// `slice_chase` or `slice_rechase` — carrying `rounds`, `iso_checks`
+    /// and `merges` and nesting the chase's own spans.
+    pub fn advance<V: GraphView>(
+        self,
+        g: &V,
+        keys: &CompiledKeySet,
+        start: ChaseStart<'_>,
+        shard: Option<ShardRole>,
+        parent: &Span,
+    ) -> (ChaseResult, AdvanceMode) {
+        let (config, mode, label) = self.plan(start, shard);
+        let span = parent.child(label);
+        let r = config.run(g, keys, ChaseOrder::Deterministic, &span);
+        span.count("rounds", r.rounds as u64);
+        span.count("iso_checks", r.iso_checks);
+        span.count("merges", r.steps.len() as u64);
+        span.finish();
+        (r, mode)
+    }
+
+    /// Runs a full standalone chase of `g` under this engine.
+    pub fn full_chase<V: GraphView>(
+        self,
+        g: &V,
+        keys: &CompiledKeySet,
+        order: ChaseOrder,
+    ) -> ChaseResult {
+        let (config, ..) = self.plan(ChaseStart::Restart, None);
+        config.run(g, keys, order, &Span::disabled())
+    }
+
+    /// Worker threads used for full chases (1 for the sequential engines;
+    /// resolves `Parallel { threads: 0 }` to the core count, the same
+    /// policy as [`ParallelOpts`]).
+    pub fn threads(self) -> usize {
+        match self {
+            ChaseEngine::Reference | ChaseEngine::Incremental => 1,
+            ChaseEngine::Parallel { threads } => {
+                ParallelOpts::with_threads(threads).effective_threads()
+            }
+        }
+    }
+
+    /// The protocol / CLI name (`reference`, `incremental`, `parallel`).
+    pub fn name(self) -> &'static str {
+        match self {
+            ChaseEngine::Reference => "reference",
+            ChaseEngine::Incremental => "incremental",
+            ChaseEngine::Parallel { .. } => "parallel",
+        }
+    }
+
+    /// Parses a protocol / CLI name; `threads` configures the parallel
+    /// engine (ignored by the sequential ones).
+    pub fn parse(name: &str, threads: usize) -> Result<Self, String> {
+        match name {
+            "reference" => Ok(ChaseEngine::Reference),
+            "incremental" => Ok(ChaseEngine::Incremental),
+            "parallel" => Ok(ChaseEngine::Parallel { threads }),
+            other => Err(format!(
+                "unknown engine {other:?} (expected reference|incremental|parallel)"
+            )),
+        }
+    }
+}
+
+impl std::fmt::Display for ChaseEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::keyset::KeySet;
+    use gk_graph::{parse_graph, Graph};
+
+    fn g1() -> Graph {
+        parse_graph(
+            r#"
+            alb1:album  name_of       "Anthology 2"
+            alb1:album  release_year  "1996"
+            alb1:album  recorded_by   art1:artist
+            art1:artist name_of       "The Beatles"
+            alb2:album  name_of       "Anthology 2"
+            alb2:album  release_year  "1996"
+            alb2:album  recorded_by   art2:artist
+            art2:artist name_of       "The Beatles"
+            "#,
+        )
+        .unwrap()
+    }
+
+    fn sigma1(g: &Graph) -> CompiledKeySet {
+        KeySet::parse(
+            r#"
+            key "Q2" album(x) { x -name_of-> n*; x -release_year-> y*; }
+            key "Q3" artist(x) { x -name_of-> n*; a:album -recorded_by-> x; }
+            "#,
+        )
+        .unwrap()
+        .compile(g)
+    }
+
+    #[test]
+    fn engine_parsing_round_trips() {
+        assert_eq!(
+            ChaseEngine::parse("parallel", 4).unwrap(),
+            ChaseEngine::Parallel { threads: 4 }
+        );
+        assert_eq!(
+            ChaseEngine::parse("reference", 4).unwrap(),
+            ChaseEngine::Reference
+        );
+        assert_eq!(
+            ChaseEngine::parse("incremental", 0).unwrap(),
+            ChaseEngine::default()
+        );
+        assert!(ChaseEngine::parse("warp", 1).is_err());
+        for e in [
+            ChaseEngine::Reference,
+            ChaseEngine::Incremental,
+            ChaseEngine::Parallel { threads: 2 },
+        ] {
+            assert_eq!(
+                ChaseEngine::parse(e.name(), e.threads()).unwrap().name(),
+                e.name()
+            );
+        }
+    }
+
+    #[test]
+    fn engine_dispatch_agrees() {
+        let g = g1();
+        let keys = sigma1(&g);
+        let expected = ChaseEngine::Reference
+            .full_chase(&g, &keys, ChaseOrder::Deterministic)
+            .eq
+            .classes();
+        for engine in [
+            ChaseEngine::Incremental,
+            ChaseEngine::Parallel { threads: 2 },
+            ChaseEngine::Parallel { threads: 0 },
+        ] {
+            let r = engine.full_chase(&g, &keys, ChaseOrder::Deterministic);
+            assert_eq!(r.eq.classes(), expected, "{engine}");
+        }
+        assert!(ChaseEngine::Parallel { threads: 0 }.threads() >= 1);
+    }
+
+    #[test]
+    fn decision_table_pins_configuration_mode_and_label() {
+        use AdvanceMode::{FullRechase, Incremental};
+        let mut prev = EqRel::identity(4);
+        prev.union(EntityId(0), EntityId(1));
+        let touched = [EntityId(2)];
+        let role = ShardRole::new(1, 2).unwrap();
+        let restart = ChaseStart::Restart;
+        let cont = ChaseStart::Continue {
+            prev: &prev,
+            touched: &touched,
+        };
+        let slice = |seed| Config::Enumerated {
+            seed,
+            role: Some(role),
+            threads: 1,
+        };
+        let delta = || Config::Delta {
+            prev: prev.merges(),
+            touched: &touched,
+        };
+        let par = ChaseEngine::Parallel { threads: 3 };
+        let par_full = || Config::Enumerated {
+            seed: &[],
+            role: None,
+            threads: 3,
+        };
+        use ChaseEngine::{Incremental as Inc, Reference as Ref};
+        let table = [
+            (
+                Ref,
+                None,
+                restart,
+                Config::Reference,
+                FullRechase,
+                "full_rechase",
+            ),
+            (
+                Ref,
+                None,
+                cont,
+                Config::Reference,
+                FullRechase,
+                "full_rechase",
+            ),
+            (
+                Inc,
+                None,
+                restart,
+                Config::Reference,
+                FullRechase,
+                "full_rechase",
+            ),
+            (Inc, None, cont, delta(), Incremental, "delta_chase"),
+            (par, None, restart, par_full(), FullRechase, "full_rechase"),
+            (par, None, cont, delta(), Incremental, "delta_chase"),
+            (
+                Ref,
+                Some(role),
+                restart,
+                slice(&[]),
+                FullRechase,
+                "slice_rechase",
+            ),
+            (
+                Ref,
+                Some(role),
+                cont,
+                slice(prev.merges()),
+                Incremental,
+                "slice_chase",
+            ),
+            (
+                Inc,
+                Some(role),
+                restart,
+                slice(&[]),
+                FullRechase,
+                "slice_rechase",
+            ),
+            (
+                Inc,
+                Some(role),
+                cont,
+                slice(prev.merges()),
+                Incremental,
+                "slice_chase",
+            ),
+            (
+                par,
+                Some(role),
+                restart,
+                slice(&[]),
+                FullRechase,
+                "slice_rechase",
+            ),
+            (
+                par,
+                Some(role),
+                cont,
+                slice(prev.merges()),
+                Incremental,
+                "slice_chase",
+            ),
+        ];
+        for (engine, shard, start, config, mode, label) in table {
+            let got = engine.plan(start, shard);
+            assert_eq!(got, (config, mode, label), "{engine} {shard:?} {start:?}");
+        }
+    }
+
+    #[test]
+    fn advance_traces_the_decided_label_with_the_chase_totals() {
+        let g = g1();
+        let keys = sigma1(&g);
+        let root = Span::root("update");
+        let (r, mode) = ChaseEngine::default().advance(&g, &keys, ChaseStart::Restart, None, &root);
+        assert_eq!(mode, AdvanceMode::FullRechase);
+        let node = root.to_node().unwrap();
+        let [chase] = node.children.as_slice() else {
+            panic!("one chase-phase child, got {node:?}");
+        };
+        assert_eq!(chase.name, "full_rechase");
+        assert_eq!(chase.counter("rounds"), Some(r.rounds as u64));
+        assert_eq!(chase.counter("iso_checks"), Some(r.iso_checks));
+        assert_eq!(chase.counter("merges"), Some(r.steps.len() as u64));
+        assert_eq!(chase.children[0].name, "enumerate");
+    }
+}

@@ -12,8 +12,8 @@
 //!   of a touched entity;
 //! * every **subsequent** step either does the same or uses a freshly
 //!   identified pair `(a, b)` in a recursive slot — in which case its
-//!   anchors lie within `d` of `a` and `b`; the worklist below wakes
-//!   exactly those pairs.
+//!   anchors lie within `d` of `a` and `b`; the frontier handed to the
+//!   worklist kernel ([`crate::kernel`]) wakes exactly those pairs.
 //!
 //! Deletions are *not* monotone (they can invalidate prior merges); for
 //! them, fall back to a full re-chase.
@@ -24,9 +24,9 @@
 use crate::candidates::norm;
 use crate::chase::{ChaseResult, ChaseStep};
 use crate::eqrel::EqRel;
+use crate::kernel::{self, Pair, Parked};
 use crate::keyset::CompiledKeySet;
 use gk_graph::{d_neighborhood, EntityId, GraphView, NodeId};
-use gk_isomorph::{eval_pair, MatchScope};
 use gk_metrics::trace::Span;
 use rustc_hash::FxHashSet;
 
@@ -46,125 +46,79 @@ pub fn chase_incremental<V: GraphView>(
     prev: &EqRel,
     touched: &[EntityId],
 ) -> ChaseResult {
-    chase_incremental_traced(g, keys, prev, touched, &Span::disabled())
+    chase_delta(g, keys, prev.merges(), touched, &Span::disabled())
 }
 
-/// [`chase_incremental`] with per-request tracing: records a `seed`
-/// child span for the initial frontier and one `round` child per
-/// worklist sweep (counters: pairs examined, iso checks, merges,
-/// wake-ups fired). With a disabled span this *is* `chase_incremental`.
-pub fn chase_incremental_traced<V: GraphView>(
+/// The delta chase as a kernel configuration: seed = the previous merge
+/// log; frontier = a failed pair stays open and every new identification
+/// `(a, b)` wakes the keyed-type pairs anchored within `d` of `a` on one
+/// side and of `b` on the other (module docs); one thread. Traced as a
+/// `seed` child of `span` for the initial frontier plus the kernel's
+/// `round` spans.
+pub(crate) fn chase_delta<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
-    prev: &EqRel,
+    prev: &[Pair],
     touched: &[EntityId],
     span: &Span,
 ) -> ChaseResult {
-    // Seed Eq with the previous result (monotonicity keeps it valid):
-    // replaying the merge log reproduces the closure.
     let seed_span = span.child("seed");
-    let mut eq = EqRel::identity(g.num_entities());
-    eq.absorb(prev.merges());
+    let eq = kernel::seeded(g.num_entities(), prev);
+    let d_max = keys
+        .keyed_types()
+        .map(|t| keys.radius_of_type(t))
+        .max()
+        .unwrap_or(0);
     // Initial frontier: keyed-type pairs with an endpoint near a touched
     // entity.
-    let mut pending: FxHashSet<(EntityId, EntityId)> = FxHashSet::default();
+    let mut pending: FxHashSet<Pair> = FxHashSet::default();
     for &t in touched {
-        extend_candidates_around(g, keys, t, None, &mut pending);
+        extend_candidates_around(g, keys, d_max, t, None, &mut pending);
     }
     seed_span.count("candidates", pending.len() as u64);
     seed_span.finish();
 
-    let candidates = pending.len();
-    let mut wake_ups = 0u64;
-    let mut steps = Vec::new();
-    let mut rounds = 0usize;
-    let mut iso_checks = 0u64;
-    loop {
-        rounds += 1;
-        let round_span = span.child("round");
-        let round_iso0 = iso_checks;
-        let round_merges0 = steps.len();
-        round_span.count("candidates", pending.len() as u64);
-        let mut newly: Vec<(EntityId, EntityId)> = Vec::new();
-        let mut still_open = FxHashSet::default();
-        for &(a, b) in &pending {
-            if eq.same(a, b) {
-                continue;
-            }
-            let ty = g.entity_type(a);
-            let mut hit = None;
-            for &ki in keys.keys_on(ty) {
-                iso_checks += 1;
-                if eval_pair(
-                    g,
-                    &keys.keys[ki].pattern,
-                    a,
-                    b,
-                    &eq,
-                    MatchScope::whole_graph(),
-                ) {
-                    hit = Some(ki);
-                    break;
-                }
-            }
-            match hit {
-                Some(ki) => {
-                    eq.union(a, b);
-                    steps.push(ChaseStep {
-                        pair: norm(a, b),
-                        key: ki,
-                    });
-                    newly.push((a, b));
-                }
-                None => {
-                    still_open.insert((a, b));
-                }
-            }
+    let wake = |_: &EqRel, parked: Vec<Parked>, merged: &[ChaseStep]| {
+        // The next sweep runs in this set's iteration order, which the
+        // reported `iso_checks` depend on (a pair merged transitively
+        // earlier in a sweep is skipped): insert one by one, as a bulk
+        // `collect` would size — and so order — the table differently.
+        let mut pending: FxHashSet<Pair> = FxHashSet::default();
+        for (pair, _) in parked {
+            pending.insert(pair);
         }
-        round_span.count("iso_checks", iso_checks - round_iso0);
-        round_span.count("merges", (steps.len() - round_merges0) as u64);
-        if newly.is_empty() {
-            round_span.finish();
-            break;
-        }
-        // Wake pairs whose witnesses could use the new identifications:
-        // anchors within d of each side of a new pair.
-        pending = still_open;
         let before_wake = pending.len();
-        for (a, b) in newly {
-            extend_candidates_around(g, keys, a, Some(b), &mut pending);
+        for step in merged {
+            let (a, b) = step.pair;
+            extend_candidates_around(g, keys, d_max, a, Some(b), &mut pending);
         }
         let fired = (pending.len() - before_wake) as u64;
-        wake_ups += fired;
-        round_span.count("wake_ups", fired);
-        round_span.finish();
+        (pending.iter().copied().collect(), fired)
+    };
+    let open = pending.iter().copied().collect();
+    let retry = |_, _, _| Some(Vec::new());
+    let mut r = kernel::run(g, keys, eq, open, 1, retry, wake, span);
+    if r.rounds == 0 {
+        // The delta chase always reports its closing sweep, even over an
+        // empty frontier (`rounds=1` on the wire for an irrelevant batch).
+        span.child("round").finish();
+        r.rounds = 1;
     }
-
-    ChaseResult {
-        eq,
-        steps,
-        rounds,
-        iso_checks,
-        candidates,
-        wake_ups,
-    }
+    r
 }
 
 /// Adds keyed-type pairs around `a` (and, when `other` is given, pairs
-/// pairing `ball(a)` with `ball(other)`) to the pending set.
+/// pairing `ball(a)` with `ball(other)`) to the pending set; a ball is the
+/// keyed entities within `d_max` hops, the largest radius of any key.
 fn extend_candidates_around<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
+    d_max: usize,
     a: EntityId,
     other: Option<EntityId>,
-    pending: &mut FxHashSet<(EntityId, EntityId)>,
+    pending: &mut FxHashSet<Pair>,
 ) {
     let ball = |e: EntityId| -> Vec<EntityId> {
-        let d_max = keys
-            .keyed_types()
-            .map(|t| keys.radius_of_type(t))
-            .max()
-            .unwrap_or(0);
         d_neighborhood(g, e, d_max)
             .iter()
             .filter_map(NodeId::as_entity)

@@ -43,8 +43,10 @@ mod distributed;
 mod dsl;
 mod em_mr;
 mod em_vc;
+mod engine;
 mod eqrel;
 mod incremental;
+mod kernel;
 mod keyset;
 mod metrics;
 mod parallel;
@@ -68,11 +70,12 @@ pub use distributed::{chase_shard_slice, ShardRole};
 pub use dsl::{parse_keys, write_keys, DslError};
 pub use em_mr::{em_mr, em_mr_sim, MatchOutcome, MrVariant};
 pub use em_vc::{em_vc, em_vc_sim, VcVariant};
+pub use engine::{AdvanceMode, ChaseEngine, ChaseStart};
 pub use eqrel::EqRel;
-pub use incremental::{chase_incremental, chase_incremental_traced};
+pub use incremental::chase_incremental;
 pub use keyset::{CompiledKey, CompiledKeySet, KeySet};
 pub use metrics::ChaseMetrics;
-pub use parallel::{chase_parallel, chase_parallel_traced, ChaseEngine, ParallelOpts};
+pub use parallel::{chase_parallel, ParallelOpts};
 pub use pattern::{Key, KeyBuilder, KeyError, KeyTriple, Term};
 pub use prep::{prepare_base, prepare_opt, BasePrep, NeighborhoodCache, OptPrep};
 pub use product::ProductGraph;

@@ -1,57 +1,31 @@
 //! The multi-threaded partitioned chase.
 //!
-//! [`chase_parallel`] computes exactly `chase(G, Σ)` on real OS threads:
-//! candidate pairs are partitioned into shards by the entity hash of their
-//! smaller endpoint ([`gk_graph::entity_shard`]), each worker advances a
-//! **shard-local** [`EqRel`] (seeded from the global relation at the start
-//! of the round), and the driver merges the shard logs back into the global
-//! relation (the attributed form of [`EqRel::merge_from`]), iterating
-//! rounds until a global fixpoint.
+//! [`chase_parallel`] computes exactly `chase(G, Σ)` on real OS threads: it
+//! enumerates the candidate set, then hands it to the worklist kernel
+//! ([`crate::kernel`]) with the identity seed, the dependency-watch
+//! frontier and `threads` workers. Candidate pairs are partitioned into
+//! shards by the entity hash of their smaller endpoint
+//! ([`gk_graph::entity_shard`]), each worker advances a **shard-local**
+//! [`EqRel`](crate::EqRel) seeded from the global relation at the start of
+//! the round, and the driver merges the shard logs back, iterating rounds
+//! until a global fixpoint. The property suite (`tests/properties.rs`) runs
+//! the Church–Rosser argument as an executable oracle against
+//! `chase_reference`, `em_mr` and `em_vc`.
 //!
-//! Correctness rests on the paper's Proposition 1 (Church–Rosser): every
-//! merge a worker applies is individually certified by a key under a valid
-//! chase relation (the snapshot plus the worker's own certified merges), so
-//! the interleaved execution is just *some* chasing sequence — and all
-//! terminal chasing sequences produce the same result. The property suite
-//! (`tests/properties.rs`) runs this argument as an executable oracle
-//! against `chase_reference`, `em_mr` and `em_vc`.
-//!
-//! Two further properties keep the work bounded:
-//!
-//! * **Candidate reduction.** The engine defaults to value blocking
-//!   (`CandidateMode::Blocked`): a key with a value attribute on its anchor
-//!   can only identify pairs *sharing* that value, and value equality is
-//!   independent of `Eq`, so blocked-out pairs can never be identified in
-//!   any round. Keys without a value anchor fall back to the full type
-//!   cross-product, so nothing is lost.
-//! * **Dependency wake-up instead of re-scans.** The sequential reference
-//!   chase re-evaluates every open pair each round. Here a pair that fails
-//!   is re-evaluated only when it might newly fire: a new firing must bind
-//!   a recursive `EqEntity` slot to a non-identity pair that `Eq` did not
-//!   hold at the last evaluation (with identity bindings only, the same
-//!   witness would already have matched), and by Proposition 9 any such
-//!   binding appears in the pair's *pairing relation*. Workers therefore
-//!   extract the concrete dependency pairs of each fresh failure
-//!   ([`Pairing::dependency_pairs`], scoped to the d-neighborhoods), and
-//!   the driver watches them against the global closure — firing a watch
-//!   wakes exactly its dependents, the entity-dependency frontier of §4.2
-//!   in resident form. Failures on types without a pairable recursive key
-//!   are dropped outright: no future `Eq` can change their verdict.
-//!
-//! Within a round, a worker evaluates later pairs under its *local*
-//! relation, so intra-shard cascades (e.g. an artist pair enabled by an
-//! album pair in the same shard) resolve without waiting for the round
-//! barrier; cross-shard cascades cost one extra round, resolved through the
-//! watch list exactly like the MapReduce driver's dependency rounds.
+//! **Candidate reduction.** The engine defaults to value blocking
+//! (`CandidateMode::Blocked`): a key with a value attribute on its anchor
+//! can only identify pairs *sharing* that value, and value equality is
+//! independent of `Eq`, so blocked-out pairs can never be identified in
+//! any round. Keys without a value anchor fall back to the full type
+//! cross-product, so nothing is lost.
 
-use crate::candidates::{candidate_pairs, norm, CandidateMode};
-use crate::chase::{chase_reference_traced, shuffle, ChaseOrder, ChaseResult, ChaseStep};
-use crate::eqrel::EqRel;
+use crate::candidates::{candidate_pairs, CandidateMode};
+use crate::chase::{shuffle, ChaseOrder, ChaseResult};
+use crate::distributed::ShardRole;
+use crate::kernel::{self, Pair};
 use crate::keyset::CompiledKeySet;
-use gk_graph::{entity_shard, EntityId, GraphView};
-use gk_isomorph::{eval_pair, pairing_at, MatchScope};
+use gk_graph::GraphView;
 use gk_metrics::trace::Span;
-use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Tuning knobs for [`chase_parallel`].
 #[derive(Clone, Copy, Debug)]
@@ -85,7 +59,7 @@ impl ParallelOpts {
         }
     }
 
-    fn effective_threads(&self) -> usize {
+    pub(crate) fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
@@ -94,398 +68,43 @@ impl ParallelOpts {
     }
 }
 
-/// A normalized candidate pair.
-type Pair = (EntityId, EntityId);
-
-/// What one worker produced in one round.
-struct ShardOut {
-    /// Steps for the merges beyond the snapshot, in application order.
-    steps: Vec<ChaseStep>,
-    /// Fresh failures with their dependency pairs: the pair can only newly
-    /// fire once one of the dependencies enters the closure.
-    watches: Vec<(Pair, Vec<Pair>)>,
-    /// Key evaluations performed.
-    iso_checks: u64,
-    /// True when the round ran inline on the global relation: its steps are
-    /// already applied and must not be replayed.
-    applied_globally: bool,
-}
-
-/// The relation a round evaluates against: worker shards clone an immutable
-/// snapshot; a small inline round mutates the global relation directly and
-/// skips the O(n) clone.
-enum RoundEq<'a> {
-    Snapshot(&'a EqRel),
-    Global(&'a mut EqRel),
-}
-
 /// Runs the partitioned multi-threaded chase to the global fixpoint.
 ///
-/// Produces the same terminal `Eq` as [`chase_reference`] (Church–Rosser);
-/// `steps` records the globally applied merges with their certifying keys,
-/// so proof generation and `EXPLAIN` work unchanged.
+/// Produces the same terminal `Eq` as [`chase_reference`](crate::chase_reference)
+/// (Church–Rosser); `steps` records the globally applied merges with their
+/// certifying keys, so proof generation and `EXPLAIN` work unchanged.
 pub fn chase_parallel<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
     opts: ParallelOpts,
 ) -> ChaseResult {
-    chase_parallel_traced(g, keys, opts, &Span::disabled())
+    chase_enumerated(g, keys, &[], None, opts, &Span::disabled())
 }
 
-/// [`chase_parallel`] with per-request tracing: records an `enumerate`
-/// child span plus one `round` child per barrier round, and under each
-/// round one `worker` child per shard (counters: pairs examined, iso
-/// checks, merges, watches registered) — the per-worker spans the driver
-/// merges back into the request tree. With a disabled span this *is*
-/// `chase_parallel`.
-pub fn chase_parallel_traced<V: GraphView>(
+/// The enumerated chase both [`chase_parallel`] and
+/// [`chase_shard_slice`](crate::chase_shard_slice) configure: continue from
+/// the `seed` merge log over the enumerated candidates `role` owns (all of
+/// them when `None`) that the seed has not already identified. Traced as
+/// an `enumerate` child of `span` plus the kernel's `round` / `worker`
+/// spans.
+pub(crate) fn chase_enumerated<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
+    seed: &[Pair],
+    role: Option<ShardRole>,
     opts: ParallelOpts,
     span: &Span,
 ) -> ChaseResult {
-    let threads = opts.effective_threads();
     let enum_span = span.child("enumerate");
+    let eq = kernel::seeded(g.num_entities(), seed);
     let mut open = candidate_pairs(g, keys, opts.mode);
+    open.retain(|&(a, b)| role.is_none_or(|r| r.owns(a, b)) && !eq.same(a, b));
     if let ChaseOrder::Shuffled(seed) = opts.order {
         shuffle(&mut open, seed);
     }
     enum_span.count("candidates", open.len() as u64);
     enum_span.finish();
-
-    let candidates = open.len();
-    let mut wake_ups = 0u64;
-    let mut eq = EqRel::identity(g.num_entities());
-    let mut steps: Vec<ChaseStep> = Vec::new();
-    let mut rounds = 0usize;
-    let mut iso_checks = 0u64;
-    // Un-fired dependency pair -> dormant pairs waiting on it.
-    let mut watch: FxHashMap<Pair, Vec<Pair>> = FxHashMap::default();
-    let mut unfired: Vec<Pair> = Vec::new();
-    // Round 1 extracts dependencies from failures; wake rounds re-evaluate
-    // already-registered pairs and must not re-extract.
-    let mut fresh = true;
-
-    // Below this many open pairs a round runs inline on the driver against
-    // the global relation: sharding would cost a thread spawn plus an O(n)
-    // snapshot clone per shard to evaluate a handful of woken pairs.
-    const INLINE_THRESHOLD: usize = 64;
-
-    while !open.is_empty() {
-        rounds += 1;
-        let round_span = span.child("round");
-        let applied_before = steps.len();
-        let outs: Vec<ShardOut> = if threads <= 1 || open.len() <= INLINE_THRESHOLD {
-            let pairs = std::mem::take(&mut open);
-            let wspan = round_span.child("worker");
-            vec![run_shard(
-                g,
-                keys,
-                RoundEq::Global(&mut eq),
-                pairs,
-                fresh,
-                wspan,
-            )]
-        } else {
-            // Partition by owner entity; pairs anchored at one entity stay
-            // on one worker. `drain` so the round consumes the open list.
-            let mut shards: Vec<Vec<(EntityId, EntityId)>> = vec![Vec::new(); threads];
-            for pr in open.drain(..) {
-                shards[entity_shard(pr.0, threads)].push(pr);
-            }
-            shards.retain(|s| !s.is_empty());
-            let snapshot = &eq;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .into_iter()
-                    .map(|shard| {
-                        // Per-worker child spans: opened on the driver,
-                        // filled on the worker thread, merged by Arc
-                        // sharing when the scope joins.
-                        let wspan = round_span.child("worker");
-                        scope.spawn(move || {
-                            run_shard(g, keys, RoundEq::Snapshot(snapshot), shard, fresh, wspan)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chase worker panicked"))
-                    .collect()
-            })
-        };
-
-        for out in outs {
-            iso_checks += out.iso_checks;
-            // Replay the shard's steps; a step subsumed by another shard's
-            // closure is dropped from the global log (its pair is already
-            // identified, so it is not a chase step of this sequence). The
-            // inline path already applied its steps to the global relation,
-            // so they are pushed as-is.
-            for step in out.steps {
-                if out.applied_globally || eq.union(step.pair.0, step.pair.1) {
-                    steps.push(step);
-                }
-            }
-            for (pair, deps) in out.watches {
-                for dep in deps {
-                    let slot = watch.entry(dep).or_insert_with(|| {
-                        unfired.push(dep);
-                        Vec::new()
-                    });
-                    slot.push(pair);
-                }
-            }
-        }
-        fresh = false;
-        if steps.len() == applied_before {
-            round_span.finish();
-            break; // no certification under the final Eq: terminal
-        }
-        // Fire watches now inside the closure and wake their dependents.
-        // Scanning the whole un-fired list (not just this round's step
-        // endpoints) keeps the wake-up closure-complete: a union makes
-        // (u, v) hold for *every* cross-class member pair.
-        let mut woken: FxHashSet<(EntityId, EntityId)> = FxHashSet::default();
-        unfired.retain(|&(a, b)| {
-            if eq.same(a, b) {
-                if let Some(deps) = watch.remove(&(a, b)) {
-                    woken.extend(deps);
-                }
-                false
-            } else {
-                true
-            }
-        });
-        open = woken.into_iter().filter(|&(a, b)| !eq.same(a, b)).collect();
-        open.sort_unstable(); // deterministic shard assignment
-        wake_ups += open.len() as u64;
-        round_span.count("wake_ups", open.len() as u64);
-        round_span.finish();
-    }
-
-    ChaseResult {
-        eq,
-        steps,
-        rounds,
-        iso_checks,
-        candidates,
-        wake_ups,
-    }
-}
-
-/// One worker's round: advance the round's relation (a local clone of the
-/// snapshot, or the global relation itself for inline rounds) over the
-/// shard's pairs; on fresh failures, extract dependency watches.
-fn run_shard<V: GraphView>(
-    g: &V,
-    keys: &CompiledKeySet,
-    round_eq: RoundEq<'_>,
-    shard: Vec<(EntityId, EntityId)>,
-    fresh: bool,
-    span: Span,
-) -> ShardOut {
-    span.count("candidates", shard.len() as u64);
-    let mut owned;
-    let (local, applied_globally): (&mut EqRel, bool) = match round_eq {
-        RoundEq::Snapshot(snapshot) => {
-            owned = snapshot.clone();
-            (&mut owned, false)
-        }
-        RoundEq::Global(eq) => (eq, true),
-    };
-    let mut steps = Vec::new();
-    let mut watches = Vec::new();
-    let mut iso_checks = 0u64;
-    for (a, b) in shard {
-        if local.same(a, b) {
-            continue; // subsumed by closure; drop from future rounds
-        }
-        let t = g.entity_type(a);
-        let mut hit = None;
-        for &ki in keys.keys_on(t) {
-            iso_checks += 1;
-            if eval_pair(
-                g,
-                &keys.keys[ki].pattern,
-                a,
-                b,
-                &*local,
-                MatchScope::whole_graph(),
-            ) {
-                hit = Some(ki);
-                break; // one certifying key suffices (§4.1)
-            }
-        }
-        match hit {
-            Some(ki) => {
-                local.union(a, b);
-                steps.push(ChaseStep {
-                    pair: norm(a, b),
-                    key: ki,
-                });
-            }
-            None if fresh => {
-                if let Some(deps) = failure_dependencies(g, keys, a, b) {
-                    watches.push((norm(a, b), deps));
-                }
-            }
-            None => {} // woken pair failed again: its other watches remain
-        }
-    }
-    span.count("iso_checks", iso_checks);
-    span.count("merges", steps.len() as u64);
-    span.count("watches", watches.len() as u64);
-    span.finish();
-    ShardOut {
-        steps,
-        watches,
-        iso_checks,
-        applied_globally,
-    }
-}
-
-/// The dependency pairs that could newly enable `(a, b)`, or `None` when no
-/// future `Eq` can (no recursive key, not pairable, or dependencies empty —
-/// then every recursive slot admits only identity bindings, so the verdict
-/// under any larger `Eq` equals the one just computed).
-pub(crate) fn failure_dependencies<V: GraphView>(
-    g: &V,
-    keys: &CompiledKeySet,
-    a: EntityId,
-    b: EntityId,
-) -> Option<Vec<(EntityId, EntityId)>> {
-    let t = g.entity_type(a);
-    let mut deps: Vec<(EntityId, EntityId)> = Vec::new();
-    for &ki in keys.keys_on(t) {
-        let ck = &keys.keys[ki];
-        if !ck.recursive {
-            continue; // value/wildcard-only keys never consult Eq
-        }
-        // Unscoped pairing: any superset of the true d-neighborhood scope
-        // is sound here (extra admissible pairs just add spurious watches),
-        // and the anchor-seeded propagation stays pattern-local — cheaper
-        // than materializing two value-hub-dense d-neighborhoods per pair.
-        let p = pairing_at(g, &ck.pattern, a, b, None, None);
-        if !p.pairable(&ck.pattern, a, b) {
-            continue; // Prop. 9: unpairable under any Eq
-        }
-        deps.extend(p.dependency_pairs(&ck.pattern));
-    }
-    deps.sort_unstable();
-    deps.dedup();
-    deps.retain(|&dep| dep != norm(a, b)); // self-dependency cannot fire first
-    if deps.is_empty() {
-        None
-    } else {
-        Some(deps)
-    }
-}
-
-/// Which engine computes (and re-computes) the resident `chase(G, Σ)`.
-///
-/// * `Reference` — every advance is a full sequential re-chase (baseline).
-/// * `Incremental` — insert-only batches ride the monotone delta chase;
-///   full (re)chases are sequential. The serving default.
-/// * `Parallel` — like `Incremental` for inserts (the delta is strictly
-///   less work than any full chase), but full chases — startup and the
-///   deletion fallback — run [`chase_parallel`] on `threads` workers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ChaseEngine {
-    /// Full sequential re-chase on every advance.
-    Reference,
-    /// Monotone delta chase for inserts; sequential full chases.
-    #[default]
-    Incremental,
-    /// Monotone delta chase for inserts; partitioned multi-threaded full
-    /// chases on `threads` workers (0 = one per core).
-    Parallel {
-        /// Worker threads for the full chases.
-        threads: usize,
-    },
-}
-
-impl ChaseEngine {
-    /// Runs a full chase of `g` under this engine.
-    pub fn full_chase<V: GraphView>(
-        self,
-        g: &V,
-        keys: &CompiledKeySet,
-        order: ChaseOrder,
-    ) -> ChaseResult {
-        self.full_chase_traced(g, keys, order, &Span::disabled())
-    }
-
-    /// [`full_chase`](Self::full_chase) recording child spans of `span`
-    /// (see the `_traced` chase entry points).
-    pub fn full_chase_traced<V: GraphView>(
-        self,
-        g: &V,
-        keys: &CompiledKeySet,
-        order: ChaseOrder,
-        span: &Span,
-    ) -> ChaseResult {
-        match self {
-            ChaseEngine::Reference | ChaseEngine::Incremental => {
-                chase_reference_traced(g, keys, order, span)
-            }
-            ChaseEngine::Parallel { threads } => chase_parallel_traced(
-                g,
-                keys,
-                ParallelOpts {
-                    threads,
-                    order,
-                    ..Default::default()
-                },
-                span,
-            ),
-        }
-    }
-
-    /// True iff insert-only batches may use the monotone delta chase.
-    pub fn inserts_incrementally(self) -> bool {
-        !matches!(self, ChaseEngine::Reference)
-    }
-
-    /// Worker threads used for full chases (1 for the sequential engines;
-    /// resolves `Parallel { threads: 0 }` to the core count, the same
-    /// policy as [`ParallelOpts`]).
-    pub fn threads(self) -> usize {
-        match self {
-            ChaseEngine::Reference | ChaseEngine::Incremental => 1,
-            ChaseEngine::Parallel { threads } => {
-                ParallelOpts::with_threads(threads).effective_threads()
-            }
-        }
-    }
-
-    /// The protocol / CLI name (`reference`, `incremental`, `parallel`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ChaseEngine::Reference => "reference",
-            ChaseEngine::Incremental => "incremental",
-            ChaseEngine::Parallel { .. } => "parallel",
-        }
-    }
-
-    /// Parses a protocol / CLI name; `threads` configures the parallel
-    /// engine (ignored by the sequential ones).
-    pub fn parse(name: &str, threads: usize) -> Result<Self, String> {
-        match name {
-            "reference" => Ok(ChaseEngine::Reference),
-            "incremental" => Ok(ChaseEngine::Incremental),
-            "parallel" => Ok(ChaseEngine::Parallel { threads }),
-            other => Err(format!(
-                "unknown engine {other:?} (expected reference|incremental|parallel)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ChaseEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
+    kernel::run_watched(g, keys, eq, open, opts.effective_threads(), span)
 }
 
 #[cfg(test)]
@@ -681,53 +300,5 @@ mod tests {
         let r = chase_parallel(&g, &keys, ParallelOpts::with_threads(4));
         assert!(r.eq.classes().is_empty());
         assert_eq!(r.iso_checks, 0);
-    }
-
-    #[test]
-    fn engine_parsing_round_trips() {
-        assert_eq!(
-            ChaseEngine::parse("parallel", 4).unwrap(),
-            ChaseEngine::Parallel { threads: 4 }
-        );
-        assert_eq!(
-            ChaseEngine::parse("reference", 4).unwrap(),
-            ChaseEngine::Reference
-        );
-        assert_eq!(
-            ChaseEngine::parse("incremental", 0).unwrap(),
-            ChaseEngine::default()
-        );
-        assert!(ChaseEngine::parse("warp", 1).is_err());
-        for e in [
-            ChaseEngine::Reference,
-            ChaseEngine::Incremental,
-            ChaseEngine::Parallel { threads: 2 },
-        ] {
-            assert_eq!(
-                ChaseEngine::parse(e.name(), e.threads()).unwrap().name(),
-                e.name()
-            );
-        }
-    }
-
-    #[test]
-    fn engine_dispatch_agrees() {
-        let g = g1();
-        let keys = sigma1(&g);
-        let expected = ChaseEngine::Reference
-            .full_chase(&g, &keys, ChaseOrder::Deterministic)
-            .eq
-            .classes();
-        for engine in [
-            ChaseEngine::Incremental,
-            ChaseEngine::Parallel { threads: 2 },
-            ChaseEngine::Parallel { threads: 0 },
-        ] {
-            let r = engine.full_chase(&g, &keys, ChaseOrder::Deterministic);
-            assert_eq!(r.eq.classes(), expected, "{engine}");
-        }
-        assert!(!ChaseEngine::Reference.inserts_incrementally());
-        assert!(ChaseEngine::default().inserts_incrementally());
-        assert!(ChaseEngine::Parallel { threads: 0 }.threads() >= 1);
     }
 }

@@ -6,7 +6,7 @@
 //! map, duplicate clusters — in one immutable [`IndexState`] behind an
 //! `Arc`, and queries clone the `Arc` out of a `parking_lot::RwLock` whose
 //! critical section is that clone. Updates build the *next* state off to
-//! the side (insert-only batches advance via [`chase_incremental`]; a
+//! the side (insert-only batches advance via [`gk_core::chase_incremental`]; a
 //! deletion batch falls back to **one** full re-chase, since deletions are
 //! not monotone) and swap it in under the write lock. A query therefore
 //! always sees either the complete pre-update or the complete post-update
@@ -39,10 +39,10 @@
 //! suffix deletes triples), turning restart cost from `O(chase)` into
 //! `O(load + replay)`.
 
+pub use gk_core::AdvanceMode;
 use gk_core::{
-    chase_incremental, chase_incremental_traced, chase_shard_slice, norm, parse_keys, prove,
-    verify, write_keys, ChaseEngine, ChaseMetrics, ChaseOrder, ChaseStep, CompiledKeySet, EqRel,
-    Key, KeySet, Proof, ShardRole,
+    norm, parse_keys, prove, verify, write_keys, ChaseEngine, ChaseMetrics, ChaseResult,
+    ChaseStart, ChaseStep, CompiledKeySet, EqRel, Key, KeySet, Proof, ShardRole,
 };
 use gk_graph::{
     DegreeBuckets, EntityId, Graph, GraphView, Obj, ObjSpec, OverlayGraph, Triple, TripleSpec,
@@ -55,44 +55,6 @@ use parking_lot::{Mutex, RwLock};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How an update advanced the index.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdvanceMode {
-    /// Insert-only batch: delta chase seeded from the previous `Eq`.
-    Incremental,
-    /// Deletion (non-monotone): the whole chase was recomputed.
-    FullRechase,
-    /// The batch added nothing new (all triples already present).
-    NoOp,
-}
-
-impl AdvanceMode {
-    /// The protocol spelling (the `mode=` field of `OK` answers).
-    pub fn name(self) -> &'static str {
-        match self {
-            AdvanceMode::Incremental => "incremental",
-            AdvanceMode::FullRechase => "full-rechase",
-            AdvanceMode::NoOp => "noop",
-        }
-    }
-
-    /// Parses the protocol spelling back (inverse of [`AdvanceMode::name`]).
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "incremental" => Ok(AdvanceMode::Incremental),
-            "full-rechase" => Ok(AdvanceMode::FullRechase),
-            "noop" => Ok(AdvanceMode::NoOp),
-            other => Err(format!("unknown advance mode {other:?}")),
-        }
-    }
-}
-
-impl std::fmt::Display for AdvanceMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// What one update did to the index.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -521,7 +483,15 @@ impl EmIndex {
         engine: ChaseEngine,
         registry: Arc<Registry>,
     ) -> Self {
-        Self::build_in_memory(graph, keys, engine, registry, None)
+        Self::bootstrap(
+            graph,
+            keys,
+            engine,
+            registry,
+            None,
+            None,
+            DEFAULT_COMPACT_THRESHOLD,
+        )
     }
 
     /// Builds an in-memory index serving one shard of a cluster: the
@@ -535,15 +505,20 @@ impl EmIndex {
         registry: Arc<Registry>,
         shard: ShardRole,
     ) -> Self {
-        Self::build_in_memory(graph, keys, engine, registry, Some(shard))
+        let threshold = DEFAULT_COMPACT_THRESHOLD;
+        Self::bootstrap(graph, keys, engine, registry, Some(shard), None, threshold)
     }
 
-    fn build_in_memory(
+    /// Bootstraps from a graph: runs the startup chase and assembles the
+    /// index around version 0 (in memory when `store` is `None`).
+    fn bootstrap(
         graph: Graph,
         keys: KeySet,
         engine: ChaseEngine,
         registry: Arc<Registry>,
         shard: Option<ShardRole>,
+        store: Option<Store>,
+        compact_threshold: usize,
     ) -> Self {
         let stats = IndexStats::register(&registry);
         let state = startup_chase(
@@ -557,8 +532,8 @@ impl EmIndex {
             engine,
             state: RwLock::new(Arc::new(state)),
             ingest: Mutex::new(()),
-            store: None,
-            compact_threshold: DEFAULT_COMPACT_THRESHOLD,
+            store,
+            compact_threshold,
             registry,
             shard,
             stats,
@@ -666,24 +641,16 @@ impl EmIndex {
                 Self::from_recovered(store, rec, engine, compact_threshold, registry, shard)
             }
             None => {
-                let stats = IndexStats::register(&registry);
-                let state = startup_chase(
-                    OverlayGraph::new(graph),
-                    Arc::new(keys),
+                let store = Some(store);
+                let index = Self::bootstrap(
+                    graph,
+                    keys,
                     engine,
-                    &stats,
-                    shard,
-                );
-                let index = EmIndex {
-                    engine,
-                    state: RwLock::new(Arc::new(state)),
-                    ingest: Mutex::new(()),
-                    store: Some(store),
-                    compact_threshold,
                     registry,
                     shard,
-                    stats,
-                };
+                    store,
+                    compact_threshold,
+                );
                 // Initial snapshot: the next start is load + replay.
                 index.snapshot_to_disk()?;
                 Ok((
@@ -845,16 +812,16 @@ impl EmIndex {
     /// persists them and recovery regenerates the same relation) but
     /// **not** WAL-logged — after a crash the coordinator re-ships them,
     /// and replay tolerates the resulting seq gap. Idempotent: entries
-    /// already in the relation change nothing, and a call that produces
-    /// no new identification leaves the version untouched.
+    /// already in the relation change nothing, and a call that absorbs
+    /// nothing new neither chases nor touches the version.
     pub fn absorb_merges(
         &self,
         entries: &[(String, String, String)],
         span: &Span,
     ) -> Result<AdvanceReport, String> {
-        let role = self
-            .shard
-            .ok_or("not a shard: this index was not started with a shard role")?;
+        if self.shard.is_none() {
+            return Err("not a shard: this index was not started with a shard role".into());
+        }
         let _writer = self.ingest.lock();
         let snap = self.snapshot();
         let resolve = span.child("resolve");
@@ -888,47 +855,39 @@ impl EmIndex {
         resolve.count("absorbed", ext_steps.len() as u64);
         resolve.finish();
 
-        let t0 = Instant::now();
-        let chase_span = span.child("slice_chase");
-        let result = chase_shard_slice(&snap.graph, &snap.compiled, &eq, role, &chase_span);
-        chase_span.count("rounds", result.rounds as u64);
-        chase_span.count("iso_checks", result.iso_checks);
-        chase_span.count("merges", result.steps.len() as u64);
-        chase_span.finish();
-        self.stats.delta_chase_micros.observe_micros(t0.elapsed());
-        self.stats.chase.record(&result);
-        let new_pairs = result.eq.num_identified_pairs() - snap.eq.num_identified_pairs();
+        if ext_steps.is_empty() {
+            // Nothing new to seed. Every path that installs a state ends in
+            // a chase of the owned slice, so the resident relation is
+            // already that slice's fixpoint: re-chasing it (the `SHARDCHASE`
+            // of a quiet sweep) could certify nothing.
+            return Ok(self.noop_report(0, 0));
+        }
+        let start = ChaseStart::Continue {
+            prev: &eq,
+            touched: &[],
+        };
+        let (mut result, mode) = self.chase(&snap.graph, &snap.compiled, start, span);
         let report = AdvanceReport {
-            mode: if ext_steps.is_empty() && result.steps.is_empty() {
-                AdvanceMode::NoOp
-            } else {
-                AdvanceMode::Incremental
-            },
+            mode,
             triples: 0,
             touched: ext_steps.len(),
             new_entities: 0,
-            new_pairs,
+            new_pairs: result.eq.num_identified_pairs() - snap.eq.num_identified_pairs(),
             rounds: result.rounds,
             iso_checks: result.iso_checks,
         };
-        if report.mode == AdvanceMode::NoOp {
-            self.stats.noops.inc();
-            return Ok(report);
-        }
-        let steps2 = snap.steps().appended(ext_steps).appended(result.steps);
-        let next = IndexState::build(
-            snap.graph.clone(),
-            Arc::clone(&snap.keys),
-            snap.compiled.clone(),
-            result.eq,
-            steps2,
-            snap.degrees.clone(),
-            snap.version + 1,
-            snap.key_epoch,
-        );
-        *self.state.write() = Arc::new(next);
-        self.stats.update_rounds.add(report.rounds as u64);
-        self.stats.incremental_advances.inc();
+        // The externals enter the log ahead of the steps they enabled.
+        ext_steps.append(&mut result.steps);
+        result.steps = ext_steps;
+        // Same graph and Σ, only the closure moved; nothing to WAL-log.
+        let staged = Staged {
+            graph: snap.graph.clone(),
+            keys: Arc::clone(&snap.keys),
+            compiled: snap.compiled.clone(),
+            degrees: snap.degrees.clone(),
+            key_epoch: snap.key_epoch,
+        };
+        self.commit(&snap, staged, result, mode, None, span)?;
         Ok(report)
     }
 
@@ -1067,7 +1026,7 @@ impl EmIndex {
     /// new version clones the previous overlay (sharing the frozen base
     /// CSR through an `Arc`) and appends into the delta segment — no
     /// rebuild — so the previous terminal `Eq` seeds a delta chase
-    /// ([`chase_incremental`]) woken only around the touched entities.
+    /// ([`gk_core::chase_incremental`]) woken only around the touched entities.
     /// Returns an error (and changes nothing) if a triple re-declares an
     /// existing entity with a different type, or if the write-ahead log
     /// cannot record the batch.
@@ -1141,120 +1100,9 @@ impl EmIndex {
         apply.finish();
 
         if added == 0 && g2.num_entities() == old_entities {
-            self.stats.noops.inc();
-            return Ok(AdvanceReport {
-                mode: AdvanceMode::NoOp,
-                triples: specs.len(),
-                touched: touched.len(),
-                new_entities: 0,
-                new_pairs: 0,
-                rounds: 0,
-                iso_checks: 0,
-            });
+            return Ok(self.noop_report(specs.len(), touched.len()));
         }
-        let g2 = self.maybe_compact_traced(g2, span);
-        // Degrees advance incrementally: recompute only the touched rows
-        // (new entities append their own).
-        let mut degrees2 = snap.degrees.clone();
-        degrees2.update_entities(&g2, &touched);
-
-        // The heavy part runs without the state lock: readers keep serving
-        // the previous snapshot.
-        let compile = span.child("compile");
-        let compiled2 = snap.keys.compile(&g2);
-        compile.finish();
-        let t0 = Instant::now();
-        let incremental = self.engine.inserts_incrementally();
-        let chase_span = span.child(if self.shard.is_some() {
-            "slice_chase"
-        } else if incremental {
-            "delta_chase"
-        } else {
-            "full_rechase"
-        });
-        let (result, mode) = if let Some(role) = self.shard {
-            // Shard mode: inserts are monotone, so the previous relation
-            // seeds a continuation restricted to the owned slice; other
-            // shards pick up their slices through the coordinator's
-            // exchange.
-            (
-                chase_shard_slice(&g2, &compiled2, &snap.eq, role, &chase_span),
-                AdvanceMode::Incremental,
-            )
-        } else if incremental {
-            // Monotone delta chase: valid for insert-only batches under any
-            // engine; strictly less work than a full chase.
-            (
-                chase_incremental_traced(&g2, &compiled2, &snap.eq, &touched, &chase_span),
-                AdvanceMode::Incremental,
-            )
-        } else {
-            (
-                self.engine.full_chase_traced(
-                    &g2,
-                    &compiled2,
-                    ChaseOrder::Deterministic,
-                    &chase_span,
-                ),
-                AdvanceMode::FullRechase,
-            )
-        };
-        chase_span.count("rounds", result.rounds as u64);
-        chase_span.count("iso_checks", result.iso_checks);
-        chase_span.count("merges", result.steps.len() as u64);
-        chase_span.finish();
-        match mode {
-            AdvanceMode::Incremental => self.stats.delta_chase_micros,
-            _ => self.stats.full_rechase_micros,
-        }
-        .observe_micros(t0.elapsed());
-        self.stats.chase.record(&result);
-        let new_pairs = result.eq.num_identified_pairs() - snap.eq.num_identified_pairs();
-        let report = AdvanceReport {
-            mode,
-            triples: specs.len(),
-            touched: touched.len(),
-            new_entities: g2.num_entities() - old_entities,
-            new_pairs,
-            rounds: result.rounds,
-            iso_checks: result.iso_checks,
-        };
-        let steps2 = match mode {
-            // The delta result reports only the new steps; the accumulated
-            // log shares its prefix with the previous state. When the
-            // recompile shifted active-key indices (a key activated on new
-            // vocabulary, or a compaction pruned one), the prefix is
-            // remapped through the stable source-key indices first.
-            AdvanceMode::Incremental => {
-                remap_step_log(&snap.compiled, &compiled2, &snap.steps).appended(result.steps)
-            }
-            _ => StepLog::from_steps(result.steps),
-        };
-        // Write-ahead: the accepted batch must be on the log before the
-        // new state becomes visible, or a crash could lose an
-        // acknowledged update.
-        let wal = span.child("wal_append");
-        let bytes = self.log_op(WalOp::Insert(specs.to_vec()), snap.version + 1)?;
-        wal.count("bytes", bytes);
-        wal.finish();
-        let next = IndexState::build(
-            g2,
-            Arc::clone(&snap.keys),
-            compiled2,
-            result.eq,
-            steps2,
-            degrees2,
-            snap.version + 1,
-            snap.key_epoch,
-        );
-        *self.state.write() = Arc::new(next);
-        self.stats.update_rounds.add(report.rounds as u64);
-        match mode {
-            AdvanceMode::Incremental => self.stats.incremental_advances,
-            _ => self.stats.full_rechases,
-        }
-        .inc();
-        Ok(report)
+        self.commit_triples(&snap, g2, &touched, specs, false, span)
     }
 
     /// Deletes a batch of triples — tombstones in the delta overlay, no
@@ -1299,16 +1147,7 @@ impl EmIndex {
         if doomed.is_empty() {
             // Nothing resolved to a live triple: short-circuit without
             // re-chasing or bumping the version.
-            self.stats.noops.inc();
-            return Ok(AdvanceReport {
-                mode: AdvanceMode::NoOp,
-                triples: specs.len(),
-                touched: 0,
-                new_entities: 0,
-                new_pairs: 0,
-                rounds: 0,
-                iso_checks: 0,
-            });
+            return Ok(self.noop_report(specs.len(), 0));
         }
 
         // Tombstone the triples in a cloned overlay — entity ids and names
@@ -1322,73 +1161,75 @@ impl EmIndex {
         }
         apply.count("tombstones", doomed.len() as u64);
         apply.finish();
+        let touched: Vec<EntityId> = endpoints.into_iter().collect();
+        self.commit_triples(&snap, g2, &touched, specs, true, span)
+    }
+
+    /// The shared tail of `INSERT`/`DELETE` once the batch is applied to
+    /// `g2`: fold an oversized delta, advance the degree rows of `touched`
+    /// (the only ones that changed; new entities append their own),
+    /// recompile Σ, chase and commit. Inserts are monotone, so the previous
+    /// relation seeds the chase; a deletion restarts it (a shard recomputes
+    /// its owned slice, and the coordinator resets its global view and
+    /// re-converges the cluster). All of it runs without the state lock:
+    /// readers keep serving the previous snapshot.
+    fn commit_triples(
+        &self,
+        snap: &IndexState,
+        g2: OverlayGraph,
+        touched: &[EntityId],
+        specs: &[TripleSpec],
+        deleting: bool,
+        span: &Span,
+    ) -> Result<AdvanceReport, String> {
         let g2 = self.maybe_compact_traced(g2, span);
-        // Only the tombstoned triples' endpoints changed degree.
         let mut degrees2 = snap.degrees.clone();
-        let touched_rows: Vec<EntityId> = endpoints.iter().copied().collect();
-        degrees2.update_entities(&g2, &touched_rows);
+        degrees2.update_entities(&g2, touched);
         let compile = span.child("compile");
         let compiled2 = snap.keys.compile(&g2);
         compile.finish();
-        let t0 = Instant::now();
-        let chase_span = span.child(if self.shard.is_some() {
-            "slice_rechase"
+        let (start, op) = if deleting {
+            (ChaseStart::Restart, WalOp::Delete(specs.to_vec()))
         } else {
-            "full_rechase"
-        });
-        // Deletion is non-monotone: restart from identity. In shard mode
-        // only the owned slice is recomputed; the coordinator resets its
-        // global view and re-converges the cluster.
-        let full = match self.shard {
-            Some(role) => chase_shard_slice(
-                &g2,
-                &compiled2,
-                &EqRel::identity(g2.num_entities()),
-                role,
-                &chase_span,
-            ),
-            None => self.engine.full_chase_traced(
-                &g2,
-                &compiled2,
-                ChaseOrder::Deterministic,
-                &chase_span,
-            ),
+            let prev = &snap.eq;
+            let start = ChaseStart::Continue { prev, touched };
+            (start, WalOp::Insert(specs.to_vec()))
         };
-        chase_span.count("rounds", full.rounds as u64);
-        chase_span.count("iso_checks", full.iso_checks);
-        chase_span.count("merges", full.steps.len() as u64);
-        chase_span.finish();
-        self.stats.full_rechase_micros.observe_micros(t0.elapsed());
-        self.stats.chase.record(&full);
+        let (result, mode) = self.chase(&g2, &compiled2, start, span);
         let old_pairs = snap.eq.num_identified_pairs();
-        let new_total = full.eq.num_identified_pairs();
         let report = AdvanceReport {
-            mode: AdvanceMode::FullRechase,
+            mode,
             triples: specs.len(),
-            touched: endpoints.len(),
-            new_entities: 0,
-            new_pairs: new_total.saturating_sub(old_pairs),
-            rounds: full.rounds,
-            iso_checks: full.iso_checks,
+            touched: touched.len(),
+            new_entities: g2.num_entities() - snap.graph.num_entities(),
+            new_pairs: result.eq.num_identified_pairs().saturating_sub(old_pairs),
+            rounds: result.rounds,
+            iso_checks: result.iso_checks,
         };
-        let wal = span.child("wal_append");
-        let bytes = self.log_op(WalOp::Delete(specs.to_vec()), snap.version + 1)?;
-        wal.count("bytes", bytes);
-        wal.finish();
-        let next = IndexState::build(
-            g2,
-            Arc::clone(&snap.keys),
-            compiled2,
-            full.eq,
-            StepLog::from_steps(full.steps),
-            degrees2,
-            snap.version + 1,
-            snap.key_epoch,
-        );
-        *self.state.write() = Arc::new(next);
-        self.stats.update_rounds.add(report.rounds as u64);
-        self.stats.full_rechases.inc();
+        let staged = Staged {
+            graph: g2,
+            keys: Arc::clone(&snap.keys),
+            compiled: compiled2,
+            degrees: degrees2,
+            key_epoch: snap.key_epoch,
+        };
+        self.commit(snap, staged, result, mode, Some(op), span)?;
         Ok(report)
+    }
+
+    /// The report of a batch that changed nothing: no chase, no version
+    /// bump.
+    fn noop_report(&self, triples: usize, touched: usize) -> AdvanceReport {
+        self.stats.noops.inc();
+        AdvanceReport {
+            mode: AdvanceMode::NoOp,
+            triples,
+            touched,
+            new_entities: 0,
+            new_pairs: 0,
+            rounds: 0,
+            iso_checks: 0,
+        }
     }
 
     /// Folds the overlay's delta into a fresh base CSR when it crossed the
@@ -1464,110 +1305,43 @@ impl EmIndex {
         let compiled2 = keys2.compile(&snap.graph);
         compile.finish();
 
-        let t0 = Instant::now();
-        let incremental = self.engine.inserts_incrementally();
-        let chase_span = span.child(if self.shard.is_some() {
-            "slice_chase"
-        } else if incremental {
-            "delta_chase"
-        } else {
-            "full_rechase"
-        });
-        let (result, mode) = if let Some(role) = self.shard {
-            // Adding keys is monotone, so the previous relation seeds the
-            // slice continuation just as it does for inserts.
-            (
-                chase_shard_slice(&snap.graph, &compiled2, &snap.eq, role, &chase_span),
-                AdvanceMode::Incremental,
-            )
-        } else if incremental {
-            // Wake the entities a new key could anchor on. The first
-            // genuinely new identification must be certified by a new key
-            // (the old Eq is terminal for the old Σ on this graph), and any
-            // pair it identifies embeds the key's pattern — so both
-            // endpoints are of the key's target type and meet its anchor
-            // slot's degree demand. One woken endpoint suffices: the delta
-            // chase pairs it with every same-type entity. Entities below
-            // the demand (and keys that did not compile, which cannot match
-            // at all) are skipped instead of seeding dead candidate pairs.
-            let prior_declared = snap.keys.cardinality();
-            let mut touched: Vec<EntityId> = Vec::new();
-            for ck in compiled2.keys.iter().filter(|k| k.source >= prior_declared) {
-                let req = ck.pattern.anchor_req();
-                touched.extend(
-                    snap.graph
-                        .entities_of_type(ck.target_type)
-                        .into_iter()
-                        .filter(|&e| snap.degrees.satisfies(e, req)),
-                );
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            (
-                chase_incremental_traced(&snap.graph, &compiled2, &snap.eq, &touched, &chase_span),
-                AdvanceMode::Incremental,
-            )
-        } else {
-            (
-                self.engine.full_chase_traced(
-                    &snap.graph,
-                    &compiled2,
-                    ChaseOrder::Deterministic,
-                    &chase_span,
-                ),
-                AdvanceMode::FullRechase,
-            )
-        };
-        chase_span.count("rounds", result.rounds as u64);
-        chase_span.count("iso_checks", result.iso_checks);
-        chase_span.count("merges", result.steps.len() as u64);
-        chase_span.finish();
-        match mode {
-            AdvanceMode::Incremental => self.stats.delta_chase_micros,
-            _ => self.stats.full_rechase_micros,
+        // Adding keys is monotone, so the previous relation seeds the
+        // chase, woken at the entities a new key could anchor on. The first
+        // genuinely new identification must be certified by a new key (the
+        // old Eq is terminal for the old Σ on this graph), and any pair it
+        // identifies embeds the key's pattern — so both endpoints are of
+        // the key's target type and meet its anchor slot's degree demand.
+        // One woken endpoint suffices: the delta chase pairs it with every
+        // same-type entity. Entities below the demand (and keys that did
+        // not compile, which cannot match at all) are skipped instead of
+        // seeding dead candidate pairs.
+        let prior_declared = snap.keys.cardinality();
+        let mut touched: Vec<EntityId> = Vec::new();
+        for ck in compiled2.keys.iter().filter(|k| k.source >= prior_declared) {
+            let req = ck.pattern.anchor_req();
+            touched.extend(
+                snap.graph
+                    .entities_of_type(ck.target_type)
+                    .into_iter()
+                    .filter(|&e| snap.degrees.satisfies(e, req)),
+            );
         }
-        .observe_micros(t0.elapsed());
-        self.stats.chase.record(&result);
-        let steps2 = match mode {
-            // New sources append at the end of Σ, so existing compiled
-            // indices keep their order; the remap is a shared-prefix no-op
-            // unless the new vocabulary shifted activation.
-            AdvanceMode::Incremental => {
-                remap_step_log(&snap.compiled, &compiled2, &snap.steps).appended(result.steps)
-            }
-            _ => StepLog::from_steps(result.steps),
+        touched.sort_unstable();
+        touched.dedup();
+        let start = ChaseStart::Continue {
+            prev: &snap.eq,
+            touched: &touched,
         };
-        let wal = span.child("wal_append");
-        let bytes = self.log_op(WalOp::AddKey(dsl), snap.version + 1)?;
-        wal.count("bytes", bytes);
-        wal.finish();
-        let change = KeyChange {
-            name: new.first().expect("non-empty").name.clone(),
-            keys: keys2.cardinality(),
-            active_keys: compiled2.len(),
-            key_epoch: snap.key_epoch + 1,
-            identified_pairs: result.eq.num_identified_pairs(),
-            rounds: result.rounds,
-            iso_checks: result.iso_checks,
-        };
-        let next = IndexState::build(
-            snap.graph.clone(),
+        let name = new.first().expect("non-empty").name.clone();
+        self.commit_keys(
+            &snap,
+            name,
             keys2,
             compiled2,
-            result.eq,
-            steps2,
-            snap.degrees.clone(),
-            snap.version + 1,
-            snap.key_epoch + 1,
-        );
-        *self.state.write() = Arc::new(next);
-        self.stats.update_rounds.add(change.rounds as u64);
-        match mode {
-            AdvanceMode::Incremental => self.stats.incremental_advances,
-            _ => self.stats.full_rechases,
-        }
-        .inc();
-        Ok(change)
+            start,
+            WalOp::AddKey(dsl),
+            span,
+        )
     }
 
     /// Removes the key named `name` from the live Σ at runtime.
@@ -1596,63 +1370,137 @@ impl EmIndex {
         let compile = span.child("compile");
         let compiled2 = keys2.compile(&snap.graph);
         compile.finish();
-        let t0 = Instant::now();
-        let chase_span = span.child(if self.shard.is_some() {
-            "slice_rechase"
-        } else {
-            "full_rechase"
-        });
-        // Non-monotone, like deletion: restart from identity (the owned
-        // slice only, in shard mode).
-        let full = match self.shard {
-            Some(role) => chase_shard_slice(
-                &snap.graph,
-                &compiled2,
-                &EqRel::identity(snap.graph.num_entities()),
-                role,
-                &chase_span,
-            ),
-            None => self.engine.full_chase_traced(
-                &snap.graph,
-                &compiled2,
-                ChaseOrder::Deterministic,
-                &chase_span,
-            ),
-        };
-        chase_span.count("rounds", full.rounds as u64);
-        chase_span.count("iso_checks", full.iso_checks);
-        chase_span.count("merges", full.steps.len() as u64);
-        chase_span.finish();
-        self.stats.full_rechase_micros.observe_micros(t0.elapsed());
-        self.stats.chase.record(&full);
-        let wal = span.child("wal_append");
-        let bytes = self.log_op(WalOp::DropKey(name.to_string()), snap.version + 1)?;
-        wal.count("bytes", bytes);
-        wal.finish();
-        let change = KeyChange {
-            name: name.to_string(),
-            keys: keys2.cardinality(),
-            active_keys: compiled2.len(),
-            key_epoch: snap.key_epoch + 1,
-            identified_pairs: full.eq.num_identified_pairs(),
-            rounds: full.rounds,
-            iso_checks: full.iso_checks,
-        };
-        let next = IndexState::build(
-            snap.graph.clone(),
+        // Non-monotone, like deletion: restart from identity.
+        let op = WalOp::DropKey(name.to_string());
+        self.commit_keys(
+            &snap,
+            name.to_string(),
             keys2,
             compiled2,
-            full.eq,
-            StepLog::from_steps(full.steps),
-            snap.degrees.clone(),
-            snap.version + 1,
-            snap.key_epoch + 1,
-        );
-        *self.state.write() = Arc::new(next);
-        self.stats.update_rounds.add(change.rounds as u64);
-        self.stats.full_rechases.inc();
+            ChaseStart::Restart,
+            op,
+            span,
+        )
+    }
+
+    /// The shared tail of `ADDKEY`/`DROPKEY`: chase the unchanged graph
+    /// under the new Σ and commit the result with a bumped key epoch.
+    #[allow(clippy::too_many_arguments)]
+    fn commit_keys(
+        &self,
+        snap: &IndexState,
+        name: String,
+        keys: Arc<KeySet>,
+        compiled: CompiledKeySet,
+        start: ChaseStart<'_>,
+        op: WalOp,
+        span: &Span,
+    ) -> Result<KeyChange, String> {
+        let (result, mode) = self.chase(&snap.graph, &compiled, start, span);
+        let change = KeyChange {
+            name,
+            keys: keys.cardinality(),
+            active_keys: compiled.len(),
+            key_epoch: snap.key_epoch + 1,
+            identified_pairs: result.eq.num_identified_pairs(),
+            rounds: result.rounds,
+            iso_checks: result.iso_checks,
+        };
+        let staged = Staged {
+            graph: snap.graph.clone(),
+            keys,
+            compiled,
+            degrees: snap.degrees.clone(),
+            key_epoch: change.key_epoch,
+        };
+        self.commit(snap, staged, result, mode, Some(op), span)?;
         Ok(change)
     }
+
+    /// The one chase call of the write path: [`ChaseEngine::advance`]
+    /// decides which chase a change needs under this index's engine and
+    /// shard role (and traces it under the matching phase span); the run is
+    /// timed into the delta or full-rechase histogram it belongs to.
+    fn chase(
+        &self,
+        g: &OverlayGraph,
+        compiled: &CompiledKeySet,
+        start: ChaseStart<'_>,
+        span: &Span,
+    ) -> (ChaseResult, AdvanceMode) {
+        let t0 = Instant::now();
+        let (result, mode) = self.engine.advance(g, compiled, start, self.shard, span);
+        match mode {
+            AdvanceMode::Incremental => self.stats.delta_chase_micros,
+            _ => self.stats.full_rechase_micros,
+        }
+        .observe_micros(t0.elapsed());
+        self.stats.chase.record(&result);
+        (result, mode)
+    }
+
+    /// The one commit path: makes `staged` plus the chased closure the
+    /// next version of `snap`.
+    ///
+    /// An incremental result reports only the new steps; the accumulated
+    /// log shares its prefix with the previous state. When the recompile
+    /// shifted active-key indices (a key activated on new vocabulary, or a
+    /// compaction pruned one), the prefix is remapped through the stable
+    /// source-key indices first. A full re-chase replaces the log.
+    ///
+    /// Write-ahead: `op` must be on the log before the new state becomes
+    /// visible, or a crash could lose an acknowledged update — so a failed
+    /// append returns the error and changes nothing.
+    fn commit(
+        &self,
+        snap: &IndexState,
+        staged: Staged,
+        result: ChaseResult,
+        mode: AdvanceMode,
+        op: Option<WalOp>,
+        span: &Span,
+    ) -> Result<(), String> {
+        let steps = match mode {
+            AdvanceMode::Incremental => {
+                remap_step_log(&snap.compiled, &staged.compiled, &snap.steps).appended(result.steps)
+            }
+            _ => StepLog::from_steps(result.steps),
+        };
+        if let Some(op) = op {
+            let wal = span.child("wal_append");
+            let bytes = self.log_op(op, snap.version + 1)?;
+            wal.count("bytes", bytes);
+            wal.finish();
+        }
+        let next = IndexState::build(
+            staged.graph,
+            staged.keys,
+            staged.compiled,
+            result.eq,
+            steps,
+            staged.degrees,
+            snap.version + 1,
+            staged.key_epoch,
+        );
+        *self.state.write() = Arc::new(next);
+        self.stats.update_rounds.add(result.rounds as u64);
+        match mode {
+            AdvanceMode::Incremental => self.stats.incremental_advances,
+            _ => self.stats.full_rechases,
+        }
+        .inc();
+        Ok(())
+    }
+}
+
+/// The next version a mutation prepared off to the side — everything but
+/// the closure, which the chase supplies.
+struct Staged {
+    graph: OverlayGraph,
+    keys: Arc<KeySet>,
+    compiled: CompiledKeySet,
+    degrees: DegreeBuckets,
+    key_epoch: u64,
 }
 
 /// What [`EmIndex::freeze_and`] captured: the snapshot it froze, the
@@ -1744,16 +1592,13 @@ fn startup_chase(
 ) -> IndexState {
     let t0 = Instant::now();
     let compiled = keys.compile(&graph);
-    let r = match shard {
-        Some(role) => chase_shard_slice(
-            &graph,
-            &compiled,
-            &EqRel::identity(graph.num_entities()),
-            role,
-            &Span::disabled(),
-        ),
-        None => engine.full_chase(&graph, &compiled, ChaseOrder::Deterministic),
-    };
+    let (r, _) = engine.advance(
+        &graph,
+        &compiled,
+        ChaseStart::Restart,
+        shard,
+        &Span::disabled(),
+    );
     stats.startup_rounds.set(r.rounds as u64);
     stats.startup_iso_checks.set(r.iso_checks);
     stats.startup_micros.set(t0.elapsed().as_micros() as u64);
@@ -1812,11 +1657,11 @@ fn resolve_triple<V: GraphView>(g: &V, spec: &TripleSpec) -> Result<Triple, Stri
 /// rebuilds the CSR, no matter how records interleave. Key-management
 /// records evolve Σ the same way: `ADDKEY` appends to the declared set,
 /// `DROPKEY` removes by name, and the final Σ is what the recovered state
-/// serves. The chase then runs once over the final `(G, Σ)`: through
-/// [`chase_incremental`] seeded by the persisted `Eq` when the suffix was
-/// monotone (inserts and added keys only — both can only grow the
-/// closure), or as one full chase under the configured engine when any
-/// record deleted triples or dropped a key.
+/// serves. The chase then runs once over the final `(G, Σ)`, decided by
+/// [`ChaseEngine::advance`] exactly like a live update: continuing from
+/// the persisted `Eq` when the suffix was monotone (inserts and added keys
+/// only — both can only grow the closure), restarting when any record
+/// deleted triples or dropped a key.
 fn replay(
     rec: Recovered,
     engine: ChaseEngine,
@@ -1914,42 +1759,45 @@ fn replay(
     for s in &snapshot_steps {
         base.union(s.pair.0, s.pair.1);
     }
-    let (eq, steps, mode) = if !monotone {
-        // Deletions and dropped keys are not monotone: one full chase
-        // over the final graph under the final Σ (the owned slice only,
-        // when recovering a shard — the coordinator re-syncs externals
-        // after the restart).
-        let r = match shard {
-            Some(role) => chase_shard_slice(
-                &g,
-                &compiled,
-                &EqRel::identity(g.num_entities()),
-                role,
-                &Span::disabled(),
-            ),
-            None => engine.full_chase(&g, &compiled, ChaseOrder::Deterministic),
-        };
-        stats.startup_rounds.set(r.rounds as u64);
-        stats.startup_iso_checks.set(r.iso_checks);
-        stats.chase.record(&r);
-        (r.eq, StepLog::from_steps(r.steps), AdvanceMode::FullRechase)
+    let start = if !monotone {
+        // Deletions and dropped keys are not monotone: one full chase over
+        // the final graph under the final Σ.
+        Some(ChaseStart::Restart)
     } else if !touched.is_empty() {
         // Monotone suffix (inserts and/or added keys): the persisted Eq
-        // seeds a delta chase woken around the inserted triples and the
-        // added keys' target-type entities. New vocabulary or new keys can
-        // have shifted compiled indices — remap the persisted prefix's
-        // attribution before appending.
-        let r = chase_incremental(&g, &compiled, &base, &touched);
-        stats.startup_rounds.set(r.rounds as u64);
-        stats.startup_iso_checks.set(r.iso_checks);
-        stats.chase.record(&r);
-        let prefix = remap_steps(&snapshot_compiled, &compiled, snapshot_steps);
-        let log = StepLog::from_steps(prefix).appended(r.steps);
-        (r.eq, log, AdvanceMode::Incremental)
+        // seeds a chase woken around the inserted triples and the added
+        // keys' target-type entities.
+        Some(ChaseStart::Continue {
+            prev: &base,
+            touched: &touched,
+        })
     } else {
-        // Nothing to replay: the snapshot is the state.
-        let prefix = remap_steps(&snapshot_compiled, &compiled, snapshot_steps);
-        (base, StepLog::from_steps(prefix), AdvanceMode::NoOp)
+        None // nothing to replay: the snapshot is the state
+    };
+    let (eq, steps, mode) = match start {
+        Some(start) => {
+            // A recovering shard chases only its owned slice either way;
+            // the coordinator re-syncs externals after the restart.
+            let (r, mode) = engine.advance(&g, &compiled, start, shard, &Span::disabled());
+            stats.startup_rounds.set(r.rounds as u64);
+            stats.startup_iso_checks.set(r.iso_checks);
+            stats.chase.record(&r);
+            let log = match mode {
+                // New vocabulary or new keys can have shifted compiled
+                // indices — remap the persisted prefix's attribution
+                // before appending.
+                AdvanceMode::Incremental => {
+                    StepLog::from_steps(remap_steps(&snapshot_compiled, &compiled, snapshot_steps))
+                        .appended(r.steps)
+                }
+                _ => StepLog::from_steps(r.steps),
+            };
+            (r.eq, log, mode)
+        }
+        None => {
+            let prefix = remap_steps(&snapshot_compiled, &compiled, snapshot_steps);
+            (base, StepLog::from_steps(prefix), AdvanceMode::NoOp)
+        }
     };
     let degrees = DegreeBuckets::build(&g);
     Ok((

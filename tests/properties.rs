@@ -3,10 +3,13 @@
 //! data locality, tour invariants, DSL/text round-trips.
 
 use gk_datagen::{generate, GenConfig};
-use keys_for_graphs::core::{candidate_pairs, write_keys, Tour};
+use keys_for_graphs::core::{
+    candidate_pairs, chase_shard_slice, write_keys, EqRel, ShardRole, Tour,
+};
 use keys_for_graphs::isomorph::{
     eval_pair, eval_pair_enumerate, pairing_at, IdentityEq, MatchScope,
 };
+use keys_for_graphs::metrics::Span;
 use keys_for_graphs::prelude::*;
 use proptest::prelude::*;
 
@@ -338,6 +341,18 @@ proptest! {
         prop_assert_eq!(
             em_vc(&w.graph, &keys, 2, VcVariant::Opt { k: 1 }).identified_pairs(),
             w.truth.clone()
+        );
+        // One kernel: the slice a lone shard owns, chased from the identity
+        // seed, *is* the one-thread parallel chase — step for step.
+        let par = chase_parallel(&w.graph, &keys, ParallelOpts::with_threads(1));
+        prop_assert_eq!(par.identified_pairs(), w.truth.clone());
+        let identity = EqRel::identity(w.graph.num_entities());
+        let whole = ShardRole::new(0, 1).unwrap();
+        let slice = chase_shard_slice(&w.graph, &keys, &identity, whole, &Span::disabled());
+        prop_assert_eq!(&slice.steps, &par.steps);
+        prop_assert_eq!(
+            (slice.rounds, slice.iso_checks, slice.wake_ups, slice.candidates),
+            (par.rounds, par.iso_checks, par.wake_ups, par.candidates)
         );
     }
 }

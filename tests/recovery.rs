@@ -298,3 +298,69 @@ fn restart_answers_are_byte_identical_across_engines() {
         let _ = std::fs::remove_dir_all(&dur.dir);
     }
 }
+
+/// A restarted shard replays an insert-only WAL suffix through its owned
+/// slice — the same chase the live `INSERT` ran — so it never certifies a
+/// pair another shard owns, and one merge exchange later both shards hold
+/// the standalone relation.
+#[test]
+fn sharded_replay_certifies_only_owned_pairs() {
+    use keys_for_graphs::core::ShardRole;
+    use keys_for_graphs::metrics::Span;
+    use keys_for_graphs::server::AdvanceMode;
+
+    // Completes three duplicate album pairs across both shards' slices.
+    let batch = parse_triple_specs(
+        "a3:album release_year \"y0\"\n\
+         a4:album name_of \"n1\"\na4:album release_year \"y1\"\n\
+         a5:album name_of \"n2\"\na2:album release_year \"y2\"\na5:album release_year \"y2\"",
+    )
+    .unwrap();
+    let mut shards = Vec::new();
+    for shard_id in 0..2 {
+        let role = ShardRole::new(shard_id, 2).unwrap();
+        let dur = Durability::in_dir(casedir("shard-replay"));
+        let keys = keys_for_graphs::core::KeySet::parse(KEYS).unwrap();
+        let base = parse_graph(BASE).unwrap();
+        let engine = ChaseEngine::default();
+        let (live, _) = EmIndex::open_durable_sharded(base, keys, engine, &dur, 0, role).unwrap();
+        live.insert(&batch).unwrap();
+        drop(live);
+
+        let (index, report) = EmIndex::recover_durable_sharded(&dur, engine, 0, role)
+            .unwrap()
+            .expect("bootstrap snapshot always exists");
+        assert_eq!(report.wal_replayed, 1);
+        assert_eq!(report.replay_mode, AdvanceMode::Incremental);
+        for s in index.snapshot().steps().to_vec() {
+            assert!(
+                role.owns(s.pair.0, s.pair.1),
+                "shard {role} certified {s:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dur.dir);
+        shards.push(index);
+    }
+    let total: usize = shards.iter().map(|s| s.snapshot().steps().len()).sum();
+    assert_eq!(total, 3, "each new pair is certified by exactly its owner");
+
+    let span = Span::disabled();
+    shards[0]
+        .absorb_merges(&shards[1].merge_log(0).0, &span)
+        .unwrap();
+    shards[1]
+        .absorb_merges(&shards[0].merge_log(0).0, &span)
+        .unwrap();
+    for index in &shards {
+        let snap = index.snapshot();
+        let full = chase_reference(&snap.graph, &snap.compiled, ChaseOrder::Deterministic);
+        assert_eq!(snap.eq.classes(), full.eq.classes());
+    }
+    // A repeated exchange absorbs nothing: no chase, no version bump.
+    let version = shards[0].snapshot().version;
+    let again = shards[0]
+        .absorb_merges(&shards[1].merge_log(0).0, &span)
+        .unwrap();
+    assert_eq!((again.mode, again.rounds), (AdvanceMode::NoOp, 0));
+    assert_eq!(shards[0].snapshot().version, version);
+}
