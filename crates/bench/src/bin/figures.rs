@@ -158,7 +158,7 @@ fn paper_note(id: &str) -> &'static str {
         "opt_mr" => "§6 in-text: EM_MR^opt optimization effects",
         "opt_vc" => "§6 in-text: EM_VC^opt (bounded k) vs EM_VC",
         "ablation" => "design ablation: candidate enumeration (type pairs vs value blocking)",
-        "vary_threads" => "beyond the paper: partitioned multi-threaded chase vs reference",
+        "vary_threads" => "beyond the paper: blocked kernel chase across threads (baseline: the unblocked oracle)",
         "startup_recovery" => {
             "beyond the paper: durable restart — snapshot+WAL replay vs cold reload+re-chase"
         }

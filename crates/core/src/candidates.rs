@@ -12,8 +12,8 @@
 //! 2. **pairing** (Prop. 9, §4.2): keep only pairs paired by some key.
 
 use crate::keyset::CompiledKeySet;
-use gk_graph::{DegreeBuckets, DegreeReq, EntityId, GraphView, NodeId, Obj, TypeId};
-use gk_isomorph::{pairing_at, SlotKind};
+use gk_graph::{DegreeBuckets, DegreeReq, EntityId, GraphView, NodeId, PredId, TypeId, ValueId};
+use gk_isomorph::{pairing_at, PairPattern, SlotKind};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Normalizes a pair to `(min, max)` order.
@@ -123,13 +123,44 @@ pub fn candidate_pairs_pruned<V: GraphView>(
     }
 }
 
-/// Candidates that could be identified by one key, using the most selective
-/// value attribute attached to `x` as a blocking predicate; entities that
-/// fail the key's anchor degree demand are skipped before bucketing.
+/// The blocking triple of a pattern: the first `(x, p, v)` on the anchor `x`
+/// whose object is a value variable or a constant, as its predicate plus —
+/// for a constant — the one value it admits. A pair the key identifies
+/// shares an admitted `p`-value, and value equality is independent of `Eq`,
+/// so an entity's possible partners under the key are its block-mates:
+/// the same-type subjects of `g.in_with(v, p)` for each admitted `v` in
+/// `g.out_with(e, p)`. `None`: no such triple, any same-type pair may match.
+pub(crate) fn block_triple(q: &PairPattern) -> Option<(PredId, Option<ValueId>)> {
+    let anchor = q.anchor();
+    q.triples()
+        .iter()
+        .filter(|t| t.s == anchor)
+        .find_map(|t| match q.slots()[t.o as usize] {
+            SlotKind::ValueVar => Some((t.p, None)),
+            SlotKind::Const(d) => Some((t.p, Some(d))),
+            _ => None,
+        })
+}
+
+/// The values `e` carries on a blocking triple `(p, only)`.
+pub(crate) fn block_values<V: GraphView>(
+    g: &V,
+    e: EntityId,
+    (p, only): (PredId, Option<ValueId>),
+) -> impl Iterator<Item = ValueId> + '_ {
+    g.out_with(e, p)
+        .iter()
+        .filter_map(|&(_, o)| o.as_value())
+        .filter(move |&v| only.is_none_or(|d| d == v))
+}
+
+/// Candidates that could be identified by one key, bucketed by its
+/// [`block_triple`]; entities that fail the key's anchor degree demand are
+/// skipped before bucketing.
 fn blocked_candidates_for_key<V: GraphView>(
     g: &V,
     target: TypeId,
-    q: &gk_isomorph::PairPattern,
+    q: &PairPattern,
     degrees: &DegreeBuckets,
     out: &mut FxHashSet<(EntityId, EntityId)>,
 ) {
@@ -137,33 +168,18 @@ fn blocked_candidates_for_key<V: GraphView>(
     if !degrees.possible(target, req) {
         return;
     }
-    // Find a triple (x, p, v) where v is a ValueVar or Const: pairs must
-    // share the p-value, so same-value buckets cover all candidates.
-    let anchor = q.anchor();
-    let block = q.triples().iter().find(|t| {
-        t.s == anchor
-            && matches!(
-                q.slots()[t.o as usize],
-                SlotKind::ValueVar | SlotKind::Const(_)
-            )
-    });
-    match block {
-        Some(t) => {
-            // Bucket entities of the target type by their p-values.
-            let mut buckets: FxHashMap<gk_graph::ValueId, Vec<EntityId>> = FxHashMap::default();
-            for e in g.entities_of_type(target) {
-                if !degrees.satisfies(e, req) {
-                    continue;
-                }
-                for &(_, o) in g.out_with(e, t.p) {
-                    if let Obj::Value(v) = o {
-                        if let SlotKind::Const(d) = q.slots()[t.o as usize] {
-                            if v != d {
-                                continue;
-                            }
-                        }
-                        buckets.entry(v).or_default().push(e);
-                    }
+    let admitted = g
+        .entities_of_type(target)
+        .iter()
+        .filter(|&e| degrees.satisfies(e, req));
+    match block_triple(q) {
+        Some(block) => {
+            // Pairs must share a block value, so same-value buckets cover
+            // all candidates.
+            let mut buckets: FxHashMap<ValueId, Vec<EntityId>> = FxHashMap::default();
+            for e in admitted {
+                for v in block_values(g, e, block) {
+                    buckets.entry(v).or_default().push(e);
                 }
             }
             for bucket in buckets.values() {
@@ -177,11 +193,7 @@ fn blocked_candidates_for_key<V: GraphView>(
         None => {
             // No value attribute on x: fall back to the cross-product of
             // the degree-admitted entities of the target type.
-            let admitted: Vec<EntityId> = g
-                .entities_of_type(target)
-                .iter()
-                .filter(|&e| degrees.satisfies(e, req))
-                .collect();
+            let admitted: Vec<EntityId> = admitted.collect();
             for (i, &a) in admitted.iter().enumerate() {
                 for &b in &admitted[i + 1..] {
                     out.insert(norm(a, b));

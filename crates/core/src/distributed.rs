@@ -5,16 +5,20 @@
 //! endpoint hashes to it ([`ShardRole::owns`], via
 //! [`gk_graph::entity_shard`]) and chases only that slice to a local
 //! fixpoint; the coordinator exchanges the resulting merge logs between
-//! shards and re-runs the slice chase seeded with the absorbed external
-//! merges until no shard produces a new identification. Church–Rosser
+//! shards, each continuing its slice from the external merges it absorbed,
+//! until no shard produces a new identification. Church–Rosser
 //! (§4.2) makes the interleaving irrelevant: any sequence of key-certified
 //! unions under a valid relation reaches the same terminal `Eq`, so the
 //! converged cluster answers exactly like a standalone chase.
 //!
-//! [`chase_shard_slice`] is the whole shard-side contract: seed with
-//! everything known so far, advance the owned slice, report only the *new*
-//! steps. It is [`crate::chase_parallel`]'s kernel configuration with a
-//! seed, an ownership filter and one thread.
+//! [`chase_shard_slice`] is the whole shard-side contract in its
+//! exhaustive form: seed with everything known so far, sweep the whole
+//! owned slice, report only the *new* steps. It is
+//! [`crate::chase_parallel`]'s kernel configuration with a seed, an
+//! ownership filter and one thread. A resident shard sweeps the slice like
+//! this only from the identity (startup, deletions); a monotone change or
+//! an absorbed merge continues it with the delta chase under the same
+//! ownership filter ([`ChaseEngine::advance`](crate::ChaseEngine::advance)).
 
 use crate::candidates::norm;
 use crate::chase::ChaseResult;

@@ -20,22 +20,23 @@ use gk_metrics::trace::Span;
 
 /// Which engine computes (and re-computes) the resident `chase(G, Σ)`.
 ///
-/// * `Reference` — every advance is a full sequential re-chase (baseline).
+/// * `Reference` — every advance is a full sequential re-chase through the
+///   oracle, [`chase_reference`](crate::chase_reference) (baseline).
 /// * `Incremental` — insert-only batches ride the monotone delta chase;
-///   full (re)chases are sequential. The serving default.
-/// * `Parallel` — like `Incremental` for inserts (the delta is strictly
-///   less work than any full chase), but full chases — startup and the
-///   deletion fallback — run [`chase_parallel`](crate::chase_parallel) on
-///   `threads` workers.
+///   full (re)chases — startup and the deletion fallback — are the
+///   enumerated kernel chase over value-blocked candidates on one thread.
+///   The serving default.
+/// * `Parallel` — `Incremental` with the full chases on `threads` workers
+///   ([`chase_parallel`](crate::chase_parallel)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ChaseEngine {
-    /// Full sequential re-chase on every advance.
+    /// Full sequential re-chase through the oracle on every advance.
     Reference,
-    /// Monotone delta chase for inserts; sequential full chases.
+    /// Monotone delta chase for inserts; blocked full chases on one thread.
     #[default]
     Incremental,
-    /// Monotone delta chase for inserts; partitioned multi-threaded full
-    /// chases on `threads` workers (0 = one per core).
+    /// Monotone delta chase for inserts; blocked full chases partitioned
+    /// over `threads` workers (0 = one per core).
     Parallel {
         /// Worker threads for the full chases.
         threads: usize,
@@ -104,18 +105,19 @@ pub enum ChaseStart<'a> {
 enum Config<'a> {
     /// The sequential oracle, [`chase_reference`](crate::chase_reference).
     Reference,
-    /// The enumerated kernel chase continuing `seed` over the candidates
-    /// `role` owns (`None`: all) on `threads` workers — the parallel chase
-    /// and the shard slice chase.
+    /// The enumerated kernel chase from the identity over the blocked
+    /// candidates `role` owns (`None`: all) on `threads` workers — every
+    /// full chase but the baseline's.
     Enumerated {
-        seed: &'a [Pair],
         role: Option<ShardRole>,
         threads: usize,
     },
-    /// The delta kernel chase around `touched`, continuing `prev`.
+    /// The delta kernel chase around `touched`, continuing `prev`, its
+    /// frontier kept to the pairs `role` owns (`None`: all).
     Delta {
         prev: &'a [Pair],
         touched: &'a [EntityId],
+        role: Option<ShardRole>,
     },
 }
 
@@ -129,19 +131,19 @@ impl Config<'_> {
     ) -> ChaseResult {
         match *self {
             Config::Reference => chase_reference_traced(g, keys, order, span),
-            Config::Enumerated {
-                seed,
-                role,
-                threads,
-            } => {
+            Config::Enumerated { role, threads } => {
                 let opts = ParallelOpts {
                     threads,
                     order,
                     ..Default::default()
                 };
-                chase_enumerated(g, keys, seed, role, opts, span)
+                chase_enumerated(g, keys, &[], role, opts, span)
             }
-            Config::Delta { prev, touched } => chase_delta(g, keys, prev, touched, span),
+            Config::Delta {
+                prev,
+                touched,
+                role,
+            } => chase_delta(g, keys, prev, touched, role, span),
         }
     }
 }
@@ -155,34 +157,30 @@ impl ChaseEngine {
         shard: Option<ShardRole>,
     ) -> (Config<'a>, AdvanceMode, &'static str) {
         use AdvanceMode::{FullRechase, Incremental};
-        let enumerated = |seed, threads| Config::Enumerated {
-            seed,
+        let full = |threads| Config::Enumerated {
             role: shard,
             threads,
+        };
+        let delta = |prev: &'a EqRel, touched| Config::Delta {
+            prev: prev.merges(),
+            touched,
+            role: shard,
         };
         match (shard, start, self) {
             // A shard recomputes or continues only the slice it owns; the
             // coordinator's exchange converges the cluster.
-            (Some(_), ChaseStart::Restart, _) => (enumerated(&[], 1), FullRechase, "slice_rechase"),
-            (Some(_), ChaseStart::Continue { prev, .. }, _) => {
-                (enumerated(prev.merges(), 1), Incremental, "slice_chase")
+            (Some(_), ChaseStart::Restart, _) => (full(1), FullRechase, "slice_rechase"),
+            (Some(_), ChaseStart::Continue { prev, touched }, _) => {
+                (delta(prev, touched), Incremental, "slice_chase")
             }
-            // The delta is valid under any engine but the baseline, and
-            // strictly less work than a full chase.
-            (
-                None,
-                ChaseStart::Continue { prev, touched },
-                ChaseEngine::Incremental | ChaseEngine::Parallel { .. },
-            ) => {
-                let prev = prev.merges();
-                (Config::Delta { prev, touched }, Incremental, "delta_chase")
+            // The baseline re-chases everything through the oracle.
+            (None, _, ChaseEngine::Reference) => (Config::Reference, FullRechase, "full_rechase"),
+            // The delta is valid under any other engine, and strictly less
+            // work than a full chase.
+            (None, ChaseStart::Continue { prev, touched }, _) => {
+                (delta(prev, touched), Incremental, "delta_chase")
             }
-            (None, _, ChaseEngine::Parallel { threads }) => {
-                (enumerated(&[], threads), FullRechase, "full_rechase")
-            }
-            (None, _, ChaseEngine::Reference | ChaseEngine::Incremental) => {
-                (Config::Reference, FullRechase, "full_rechase")
-            }
+            (None, ChaseStart::Restart, _) => (full(self.threads()), FullRechase, "full_rechase"),
         }
     }
 
@@ -357,102 +355,52 @@ mod tests {
             prev: &prev,
             touched: &touched,
         };
-        let slice = |seed| Config::Enumerated {
-            seed,
-            role: Some(role),
-            threads: 1,
-        };
-        let delta = || Config::Delta {
+        let full = |role, threads| Config::Enumerated { role, threads };
+        let delta = |role| Config::Delta {
             prev: prev.merges(),
             touched: &touched,
+            role,
         };
         let par = ChaseEngine::Parallel { threads: 3 };
-        let par_full = || Config::Enumerated {
-            seed: &[],
-            role: None,
-            threads: 3,
-        };
         use ChaseEngine::{Incremental as Inc, Reference as Ref};
+        let reference = || (Config::Reference, FullRechase, "full_rechase");
         let table = [
-            (
-                Ref,
-                None,
-                restart,
-                Config::Reference,
-                FullRechase,
-                "full_rechase",
-            ),
-            (
-                Ref,
-                None,
-                cont,
-                Config::Reference,
-                FullRechase,
-                "full_rechase",
-            ),
+            (Ref, None, restart, reference()),
+            (Ref, None, cont, reference()),
             (
                 Inc,
                 None,
                 restart,
-                Config::Reference,
-                FullRechase,
-                "full_rechase",
+                (full(None, 1), FullRechase, "full_rechase"),
             ),
-            (Inc, None, cont, delta(), Incremental, "delta_chase"),
-            (par, None, restart, par_full(), FullRechase, "full_rechase"),
-            (par, None, cont, delta(), Incremental, "delta_chase"),
-            (
-                Ref,
-                Some(role),
-                restart,
-                slice(&[]),
-                FullRechase,
-                "slice_rechase",
-            ),
-            (
-                Ref,
-                Some(role),
-                cont,
-                slice(prev.merges()),
-                Incremental,
-                "slice_chase",
-            ),
-            (
-                Inc,
-                Some(role),
-                restart,
-                slice(&[]),
-                FullRechase,
-                "slice_rechase",
-            ),
-            (
-                Inc,
-                Some(role),
-                cont,
-                slice(prev.merges()),
-                Incremental,
-                "slice_chase",
-            ),
+            (Inc, None, cont, (delta(None), Incremental, "delta_chase")),
             (
                 par,
-                Some(role),
+                None,
                 restart,
-                slice(&[]),
-                FullRechase,
-                "slice_rechase",
+                (full(None, 3), FullRechase, "full_rechase"),
             ),
-            (
-                par,
-                Some(role),
-                cont,
-                slice(prev.merges()),
-                Incremental,
-                "slice_chase",
-            ),
+            (par, None, cont, (delta(None), Incremental, "delta_chase")),
         ];
-        for (engine, shard, start, config, mode, label) in table {
-            let got = engine.plan(start, shard);
-            assert_eq!(got, (config, mode, label), "{engine} {shard:?} {start:?}");
+        for (engine, shard, start, expected) in table {
+            assert_eq!(
+                engine.plan(start, shard),
+                expected,
+                "{engine} {shard:?} {start:?}"
+            );
+        }
+        // A shard chases its slice the same way under every engine.
+        for engine in [Ref, Inc, par] {
+            assert_eq!(
+                engine.plan(restart, Some(role)),
+                (full(Some(role), 1), FullRechase, "slice_rechase"),
+                "{engine}"
+            );
+            assert_eq!(
+                engine.plan(cont, Some(role)),
+                (delta(Some(role)), Incremental, "slice_chase"),
+                "{engine}"
+            );
         }
     }
 

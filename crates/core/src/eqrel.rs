@@ -173,6 +173,21 @@ impl EqRel {
         out
     }
 
+    /// Every member of the classes of `of`, sorted — `of` itself included.
+    /// A union identifies *every* cross pair of the two classes it joins,
+    /// not only its two arguments, so whatever wakes around a merge must
+    /// wake around these. O(merges): scans the log's endpoints, like
+    /// [`EqRel::classes`].
+    pub fn class_members(&self, of: impl IntoIterator<Item = EntityId>) -> Vec<EntityId> {
+        let mut out: Vec<EntityId> = of.into_iter().collect();
+        let roots: rustc_hash::FxHashSet<EntityId> = out.iter().map(|&e| self.find(e)).collect();
+        let endpoints = self.merges.iter().flat_map(|&(a, b)| [a, b]);
+        out.extend(endpoints.filter(|&e| roots.contains(&self.find(e))));
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// All identified pairs `(a, b)` with `a < b` — the full closure, i.e.
     /// the pairs the paper's transitive-closure rule would emit.
     pub fn identified_pairs(&self) -> Vec<(EntityId, EntityId)> {

@@ -10,10 +10,19 @@
 //!   already have applied it), and a witness anchored at `e` stays within
 //!   `d` hops of `e` — so initial candidates have an endpoint within `d`
 //!   of a touched entity;
-//! * every **subsequent** step either does the same or uses a freshly
-//!   identified pair `(a, b)` in a recursive slot — in which case its
-//!   anchors lie within `d` of `a` and `b`; the frontier handed to the
-//!   worklist kernel ([`crate::kernel`]) wakes exactly those pairs.
+//! * every **subsequent** step either does the same or binds a recursive
+//!   slot to a freshly identified pair `(u, v)` — in which case its anchors
+//!   lie within `d` of `u` and of `v`. A union identifies every cross pair
+//!   of the two classes it joins, so `u` and `v` range over *all* members
+//!   of a class a round grew ([`EqRel::class_members`]); the frontier
+//!   handed to the worklist kernel ([`crate::kernel`]) wakes exactly the
+//!   pairs anchored near them, and a pair that fails is dropped until then.
+//!
+//! Either way the partner of an anchor is one of its *block-mates*
+//! ([`block_triple`]): a key with a value on its anchor identifies only
+//! pairs sharing that value, whatever `Eq` holds — the value blocking of
+//! the enumerated chase (§4.2), read off the graph's in-adjacency instead
+//! of a bucket pass over the type.
 //!
 //! Deletions are *not* monotone (they can invalidate prior merges); for
 //! them, fall back to a full re-chase.
@@ -21,8 +30,9 @@
 //! Entity ids must be stable across the update — extend graphs with
 //! [`GraphBuilder::from_graph`](gk_graph::GraphBuilder::from_graph).
 
-use crate::candidates::norm;
+use crate::candidates::{block_triple, block_values, norm};
 use crate::chase::{ChaseResult, ChaseStep};
+use crate::distributed::ShardRole;
 use crate::eqrel::EqRel;
 use crate::kernel::{self, Pair, Parked};
 use crate::keyset::CompiledKeySet;
@@ -46,20 +56,24 @@ pub fn chase_incremental<V: GraphView>(
     prev: &EqRel,
     touched: &[EntityId],
 ) -> ChaseResult {
-    chase_delta(g, keys, prev.merges(), touched, &Span::disabled())
+    chase_delta(g, keys, prev.merges(), touched, None, &Span::disabled())
 }
 
 /// The delta chase as a kernel configuration: seed = the previous merge
-/// log; frontier = a failed pair stays open and every new identification
-/// `(a, b)` wakes the keyed-type pairs anchored within `d` of `a` on one
-/// side and of `b` on the other (module docs); one thread. Traced as a
-/// `seed` child of `span` for the initial frontier plus the kernel's
-/// `round` spans.
+/// log; first open list = the block-mate pairs anchored within `d` of a
+/// `touched` entity; frontier = a failed pair is dropped, and a round's
+/// unions wake the block-mate pairs anchored, on both sides, within `d` of
+/// a member of a class the round grew (module docs); one thread. With a
+/// `role` the frontier keeps only the pairs that shard owns — the rest are
+/// another shard's to certify, and what they enable here arrives as
+/// `touched` through the merge exchange. Traced as a `seed` child of `span`
+/// for the initial frontier plus the kernel's `round` spans.
 pub(crate) fn chase_delta<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
     prev: &[Pair],
     touched: &[EntityId],
+    role: Option<ShardRole>,
     span: &Span,
 ) -> ChaseResult {
     let seed_span = span.child("seed");
@@ -69,35 +83,17 @@ pub(crate) fn chase_delta<V: GraphView>(
         .map(|t| keys.radius_of_type(t))
         .max()
         .unwrap_or(0);
-    // Initial frontier: keyed-type pairs with an endpoint near a touched
-    // entity.
-    let mut pending: FxHashSet<Pair> = FxHashSet::default();
-    for &t in touched {
-        extend_candidates_around(g, keys, d_max, t, None, &mut pending);
-    }
-    seed_span.count("candidates", pending.len() as u64);
+    let open = frontier_around(g, keys, d_max, role, &eq, touched, false);
+    seed_span.count("candidates", open.len() as u64);
     seed_span.finish();
 
-    let wake = |_: &EqRel, parked: Vec<Parked>, merged: &[ChaseStep]| {
-        // The next sweep runs in this set's iteration order, which the
-        // reported `iso_checks` depend on (a pair merged transitively
-        // earlier in a sweep is skipped): insert one by one, as a bulk
-        // `collect` would size — and so order — the table differently.
-        let mut pending: FxHashSet<Pair> = FxHashSet::default();
-        for (pair, _) in parked {
-            pending.insert(pair);
-        }
-        let before_wake = pending.len();
-        for step in merged {
-            let (a, b) = step.pair;
-            extend_candidates_around(g, keys, d_max, a, Some(b), &mut pending);
-        }
-        let fired = (pending.len() - before_wake) as u64;
-        (pending.iter().copied().collect(), fired)
+    let wake = |eq: &EqRel, _: Vec<Parked>, merged: &[ChaseStep]| {
+        let grown = eq.class_members(merged.iter().flat_map(|s| [s.pair.0, s.pair.1]));
+        let open = frontier_around(g, keys, d_max, role, eq, &grown, true);
+        let woken = open.len() as u64;
+        (open, woken)
     };
-    let open = pending.iter().copied().collect();
-    let retry = |_, _, _| Some(Vec::new());
-    let mut r = kernel::run(g, keys, eq, open, 1, retry, wake, span);
+    let mut r = kernel::run(g, keys, eq, open, 1, wake, span);
     if r.rounds == 0 {
         // The delta chase always reports its closing sweep, even over an
         // empty frontier (`rounds=1` on the wire for an irrelevant batch).
@@ -107,50 +103,57 @@ pub(crate) fn chase_delta<V: GraphView>(
     r
 }
 
-/// Adds keyed-type pairs around `a` (and, when `other` is given, pairs
-/// pairing `ball(a)` with `ball(other)`) to the pending set; a ball is the
-/// keyed entities within `d_max` hops, the largest radius of any key.
-fn extend_candidates_around<V: GraphView>(
+/// The not yet identified pairs `role` owns (`None`: all) that a key could
+/// match with one anchor — both, under `both_sides` — among the keyed
+/// entities within `d_max` hops (the largest radius of any key) of
+/// `centers`, sorted. The other anchor is a block-mate under some key on
+/// the type, or any same-type entity for a key without a [`block_triple`].
+fn frontier_around<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
     d_max: usize,
-    a: EntityId,
-    other: Option<EntityId>,
-    pending: &mut FxHashSet<Pair>,
-) {
-    let ball = |e: EntityId| -> Vec<EntityId> {
-        d_neighborhood(g, e, d_max)
-            .iter()
-            .filter_map(NodeId::as_entity)
-            .filter(|&e| !keys.keys_on(g.entity_type(e)).is_empty())
-            .collect()
-    };
-    match other {
-        None => {
-            // Pair every keyed entity near `a` with every same-type entity
-            // of the graph (one side suffices: the witness near the new
-            // triple is anchored here).
-            for e1 in ball(a) {
-                for e2 in g.entities_of_type(g.entity_type(e1)) {
-                    if e1 != e2 {
-                        pending.insert(norm(e1, e2));
-                    }
-                }
+    role: Option<ShardRole>,
+    eq: &EqRel,
+    centers: &[EntityId],
+    both_sides: bool,
+) -> Vec<Pair> {
+    let keyed = |e: &EntityId| !keys.keys_on(g.entity_type(*e)).is_empty();
+    let mut near: FxHashSet<EntityId> = FxHashSet::default();
+    for &c in centers {
+        let ball = d_neighborhood(g, c, d_max);
+        near.extend(ball.iter().filter_map(NodeId::as_entity).filter(keyed));
+    }
+    let mut out: Vec<Pair> = Vec::new();
+    for &e1 in &near {
+        let t = g.entity_type(e1);
+        let mut pair_with = |e2: EntityId| {
+            if e1 != e2
+                && g.entity_type(e2) == t
+                && (!both_sides || near.contains(&e2))
+                && role.is_none_or(|r| r.owns(e1, e2))
+                && !eq.same(e1, e2)
+            {
+                out.push(norm(e1, e2));
             }
-        }
-        Some(b) => {
-            // A new identification (a, b): candidate anchors sit within d
-            // of a on one side and within d of b on the other.
-            let ball_b = ball(b);
-            for e1 in ball(a) {
-                for &e2 in &ball_b {
-                    if e1 != e2 && g.entity_type(e1) == g.entity_type(e2) {
-                        pending.insert(norm(e1, e2));
+        };
+        for &ki in keys.keys_on(t) {
+            match block_triple(&keys.keys[ki].pattern) {
+                Some(block) => {
+                    for v in block_values(g, e1, block) {
+                        let mates = g.in_with(NodeId::value(v), block.0);
+                        mates.iter().for_each(|&(_, e2)| pair_with(e2));
                     }
                 }
+                None if both_sides => near.iter().for_each(|&e2| pair_with(e2)),
+                None => g.entities_of_type(t).iter().for_each(&mut pair_with),
             }
         }
     }
+    // Sorted: the sweep order decides the reported `iso_checks` (a pair
+    // merged transitively earlier in a sweep is skipped).
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 #[cfg(test)]

@@ -9,10 +9,10 @@
 //! in what they hand it:
 //!
 //! * the **seed** relation ([`seeded`]) and the first open list;
-//! * the **frontier** (`park` / `wake`): what a failed pair waits on and
-//!   which pairs a round's unions wake — dependency watches
-//!   ([`run_watched`]) for the enumerated chases, the d-ball policy of
-//!   `incremental.rs` for the delta;
+//! * the **frontier** (`wake`): which pairs a round's unions re-open —
+//!   the failed pairs whose blocking `Eq` tests now hold ([`run_watched`])
+//!   for the enumerated chases, the d-ball policy of `incremental.rs` for
+//!   the delta;
 //! * the **thread count**: one thread sweeps inline on the global relation;
 //!   several shard each large round by [`gk_graph::entity_shard`], every
 //!   worker advancing a clone of the round's snapshot whose steps the
@@ -29,14 +29,16 @@ use crate::chase::{ChaseResult, ChaseStep};
 use crate::eqrel::EqRel;
 use crate::keyset::CompiledKeySet;
 use gk_graph::{entity_shard, EntityId, GraphView};
-use gk_isomorph::{eval_pair, pairing_at, MatchScope};
+use gk_isomorph::{eval_pair, EqOracle, MatchScope};
 use gk_metrics::trace::Span;
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::Mutex;
 
 /// A normalized candidate pair.
 pub(crate) type Pair = (EntityId, EntityId);
 
-/// A pair that failed certification, with the pairs it now waits on.
+/// A pair that failed certification with the (never empty) `Eq` tests that
+/// blocked it: it cannot be certified before one of them holds.
 pub(crate) type Parked = (Pair, Vec<Pair>);
 
 /// Below this many open pairs a round runs inline on the driver against
@@ -64,27 +66,22 @@ struct SweepOut {
 
 /// Chases `open` to the fixpoint from `eq` on `threads` workers.
 ///
-/// The frontier is the two hooks. `park(a, b, first_sweep)` runs on the
-/// sweeping thread when `(a, b)` failed every key: `Some(deps)` parks the
-/// pair until one of `deps` enters the closure (an empty list: until the
-/// next round), `None` drops it — no future `Eq` can change the verdict.
-/// `wake(eq, parked, merged)` runs after a round that applied `merged` and
-/// parked `parked`; it returns the next open list and how many of its
-/// pairs are wake-ups.
+/// The frontier is the `wake` hook: `wake(eq, parked, merged)` runs after a
+/// round that applied `merged` and parked `parked` (the failures some later
+/// `Eq` could still certify, see [`sweep`]); it returns the next open list
+/// and how many of its pairs are wake-ups.
 ///
 /// Records one `round` child of `span` per sweep. A single thread counts
 /// the sweep (`candidates`, `iso_checks`, `merges`, `watches`) on the round
 /// span itself; several open one `worker` child per shard instead — opened
 /// on the driver, filled on the worker thread, merged by `Arc` sharing when
 /// the scope joins. Rounds that wake pairs add `wake_ups`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
     mut eq: EqRel,
     mut open: Vec<Pair>,
     threads: usize,
-    park: impl Fn(EntityId, EntityId, bool) -> Option<Vec<Pair>> + Sync,
     mut wake: impl FnMut(&EqRel, Vec<Parked>, &[ChaseStep]) -> (Vec<Pair>, u64),
     span: &Span,
 ) -> ChaseResult {
@@ -96,7 +93,6 @@ pub(crate) fn run<V: GraphView>(
         rounds += 1;
         let round_span = span.child("round");
         let applied_before = steps.len();
-        let first = rounds == 1;
         let sweep_span = || {
             if threads <= 1 {
                 round_span.clone()
@@ -107,7 +103,7 @@ pub(crate) fn run<V: GraphView>(
         let pairs = std::mem::take(&mut open);
         let parked = if threads <= 1 || pairs.len() <= INLINE_THRESHOLD {
             // Inline on the global relation: no clone, nothing to replay.
-            let out = sweep(g, keys, &mut eq, pairs, &park, first, sweep_span());
+            let out = sweep(g, keys, &mut eq, pairs, sweep_span());
             iso_checks += out.iso_checks;
             steps.extend(out.steps);
             out.parked
@@ -119,15 +115,13 @@ pub(crate) fn run<V: GraphView>(
                 shards[entity_shard(pr.0, threads)].push(pr);
             }
             shards.retain(|s| !s.is_empty());
-            let (snapshot, park) = (&eq, &park);
+            let snapshot = &eq;
             let outs: Vec<SweepOut> = std::thread::scope(|scope| {
                 let handles: Vec<_> = shards
                     .into_iter()
                     .map(|shard| {
                         let wspan = sweep_span();
-                        scope.spawn(move || {
-                            sweep(g, keys, &mut snapshot.clone(), shard, park, first, wspan)
-                        })
+                        scope.spawn(move || sweep(g, keys, &mut snapshot.clone(), shard, wspan))
                     })
                     .collect();
                 handles
@@ -172,14 +166,38 @@ pub(crate) fn run<V: GraphView>(
     }
 }
 
+/// `eq` as a pair's evaluation sees it, recording every `Eq` test it fails.
+struct Blocking<'a> {
+    eq: &'a EqRel,
+    /// Behind a lock only because [`EqOracle`] is `Sync`; one thread
+    /// evaluates through it.
+    blocked: Mutex<Vec<Pair>>,
+}
+
+impl EqOracle for Blocking<'_> {
+    fn same(&self, a: EntityId, b: EntityId) -> bool {
+        let same = self.eq.same(a, b);
+        if !same {
+            let mut blocked = self.blocked.lock().expect("no panic under this lock");
+            blocked.push(norm(a, b));
+        }
+        same
+    }
+}
+
 /// One sweep: certify-and-union over `pairs`, advancing `eq` in place.
+///
+/// A pair that fails every key is parked with the `Eq` tests that blocked
+/// its evaluation. The matcher's search is exhaustive and consults `Eq`
+/// only through those tests, so a witness under a larger `Eq′` follows a
+/// path this search walked up to a test it recorded, and that test holds in
+/// `Eq′`: the pair cannot be certified before one of them does. A failure
+/// that blocked on none is dropped — no future `Eq` changes its verdict.
 fn sweep<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
     eq: &mut EqRel,
     pairs: Vec<Pair>,
-    park: &(impl Fn(EntityId, EntityId, bool) -> Option<Vec<Pair>> + Sync),
-    first: bool,
     span: Span,
 ) -> SweepOut {
     span.count("candidates", pairs.len() as u64);
@@ -190,34 +208,34 @@ fn sweep<V: GraphView>(
         if eq.same(a, b) {
             continue; // subsumed by closure; drop from future rounds
         }
-        let mut hit = None;
-        for &ki in keys.keys_on(g.entity_type(a)) {
+        let seen = Blocking {
+            eq,
+            blocked: Mutex::default(),
+        };
+        let hit = keys.keys_on(g.entity_type(a)).iter().find(|&&ki| {
             iso_checks += 1;
+            // One certifying key suffices (§4.1).
             let pattern = &keys.keys[ki].pattern;
-            if eval_pair(g, pattern, a, b, &*eq, MatchScope::whole_graph()) {
-                hit = Some(ki);
-                break; // one certifying key suffices (§4.1)
-            }
-        }
+            eval_pair(g, pattern, a, b, &seen, MatchScope::whole_graph())
+        });
+        let mut blocked = seen.blocked.into_inner().expect("no panic under this lock");
         match hit {
-            Some(ki) => {
+            Some(&key) => {
                 eq.union(a, b);
-                steps.push(ChaseStep {
-                    pair: norm(a, b),
-                    key: ki,
-                });
+                let pair = norm(a, b);
+                steps.push(ChaseStep { pair, key });
             }
+            None if blocked.is_empty() => {}
             None => {
-                if let Some(deps) = park(a, b, first) {
-                    parked.push((norm(a, b), deps));
-                }
+                blocked.sort_unstable();
+                blocked.dedup();
+                parked.push((norm(a, b), blocked));
             }
         }
     }
     span.count("iso_checks", iso_checks);
     span.count("merges", steps.len() as u64);
-    let watched = parked.iter().filter(|(_, deps)| !deps.is_empty()).count();
-    span.count("watches", watched as u64);
+    span.count("watches", parked.len() as u64);
     // On one thread this is the round span, which `run` finishes again
     // after the wake-up (the later finish wins).
     span.finish();
@@ -232,16 +250,10 @@ fn sweep<V: GraphView>(
 /// entity-dependency frontier of §4.2 in resident form.
 ///
 /// The reference chase re-evaluates every open pair each round. Here a
-/// failed pair is re-evaluated only when it might newly fire: a new firing
-/// must bind a recursive `EqEntity` slot to a non-identity pair that `Eq`
-/// did not hold at the last evaluation (with identity bindings only, the
-/// same witness would already have matched), and by Proposition 9 any such
-/// binding appears in the pair's *pairing relation*. The first sweep
-/// therefore extracts each failure's concrete dependency pairs
-/// ([`failure_dependencies`]) and every round watches them against the
-/// global closure — firing a watch wakes exactly its dependents. Failures
-/// without a pairable recursive key are dropped outright; a woken pair
-/// that fails again keeps its other watches and extracts nothing new.
+/// failed pair is re-evaluated only when it might newly fire: every round
+/// watches the `Eq` tests that blocked its failures ([`sweep`]) against the
+/// global closure, and a test that now holds wakes exactly its dependents.
+/// A woken pair that fails again waits on whatever blocked it this time.
 pub(crate) fn run_watched<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
@@ -253,13 +265,6 @@ pub(crate) fn run_watched<V: GraphView>(
     // Un-fired dependency pair -> dormant pairs waiting on it.
     let mut watch: FxHashMap<Pair, Vec<Pair>> = FxHashMap::default();
     let mut unfired: Vec<Pair> = Vec::new();
-    let park = |a, b, first| {
-        if first {
-            failure_dependencies(g, keys, a, b)
-        } else {
-            None
-        }
-    };
     let wake = |eq: &EqRel, parked: Vec<Parked>, _: &[ChaseStep]| {
         for (pair, deps) in parked {
             for dep in deps {
@@ -290,42 +295,5 @@ pub(crate) fn run_watched<V: GraphView>(
         let n = open.len() as u64;
         (open, n)
     };
-    run(g, keys, eq, open, threads, park, wake, span)
-}
-
-/// The dependency pairs that could newly enable `(a, b)`, or `None` when no
-/// future `Eq` can (no recursive key, not pairable, or dependencies empty —
-/// then every recursive slot admits only identity bindings, so the verdict
-/// under any larger `Eq` equals the one just computed).
-fn failure_dependencies<V: GraphView>(
-    g: &V,
-    keys: &CompiledKeySet,
-    a: EntityId,
-    b: EntityId,
-) -> Option<Vec<Pair>> {
-    let t = g.entity_type(a);
-    let mut deps: Vec<Pair> = Vec::new();
-    for &ki in keys.keys_on(t) {
-        let ck = &keys.keys[ki];
-        if !ck.recursive {
-            continue; // value/wildcard-only keys never consult Eq
-        }
-        // Unscoped pairing: any superset of the true d-neighborhood scope
-        // is sound here (extra admissible pairs just add spurious watches),
-        // and the anchor-seeded propagation stays pattern-local — cheaper
-        // than materializing two value-hub-dense d-neighborhoods per pair.
-        let p = pairing_at(g, &ck.pattern, a, b, None, None);
-        if !p.pairable(&ck.pattern, a, b) {
-            continue; // Prop. 9: unpairable under any Eq
-        }
-        deps.extend(p.dependency_pairs(&ck.pattern));
-    }
-    deps.sort_unstable();
-    deps.dedup();
-    deps.retain(|&dep| dep != norm(a, b)); // self-dependency cannot fire first
-    if deps.is_empty() {
-        None
-    } else {
-        Some(deps)
-    }
+    run(g, keys, eq, open, threads, wake, span)
 }

@@ -186,11 +186,10 @@ mod tests {
         assert!(!r.eq.same(e("alb1"), e("alb3")));
     }
 
-    #[test]
-    fn mutual_recursion_through_companies() {
-        // G2/Σ2 of Example 7: Q4/Q5 depend on wildcard parents and each
-        // other's identifications.
-        let g = parse_graph(
+    /// G2/Σ2 of Example 7: Q4/Q5 depend on wildcard parents and each
+    /// other's identifications.
+    fn g2() -> Graph {
+        parse_graph(
             r#"
             com0:company name_of   "AT&T"
             com1:company name_of   "AT&T"
@@ -207,8 +206,11 @@ mod tests {
             com3:company parent_of com5:company
             "#,
         )
-        .unwrap();
-        let keys = KeySet::parse(
+        .unwrap()
+    }
+
+    fn sigma2(g: &Graph) -> CompiledKeySet {
+        KeySet::parse(
             r#"
             key "Q4" company(x) {
                 x -name_of-> n*;
@@ -225,7 +227,13 @@ mod tests {
             "#,
         )
         .unwrap()
-        .compile(&g);
+        .compile(g)
+    }
+
+    #[test]
+    fn mutual_recursion_through_companies() {
+        let g = g2();
+        let keys = sigma2(&g);
         let expected = chase_reference(&g, &keys, ChaseOrder::Deterministic)
             .eq
             .classes();
@@ -235,6 +243,34 @@ mod tests {
                 assert_eq!(r.eq.classes(), expected, "threads={threads} {opts:?}");
             }
         }
+    }
+
+    #[test]
+    fn blocked_eq_tests_wake_every_dependent_in_any_order() {
+        // A failed pair waits on exactly the `Eq` tests that blocked its
+        // evaluation. Whatever order sweeps a dependent before its
+        // dependency, those watches must bring it back — on both of the
+        // paper's recursive fixtures, inline and sharded.
+        let mut wake_ups = 0;
+        for (g, keys) in [(g1(), sigma1 as fn(&Graph) -> _), (g2(), sigma2)] {
+            let keys = keys(&g);
+            let expected = chase_reference(&g, &keys, ChaseOrder::Deterministic)
+                .eq
+                .classes();
+            for seed in 0..32 {
+                for threads in [1usize, 3] {
+                    let opts = ParallelOpts {
+                        threads,
+                        order: ChaseOrder::Shuffled(seed),
+                        mode: CandidateMode::TypePairs,
+                    };
+                    let r = chase_parallel(&g, &keys, opts);
+                    assert_eq!(r.eq.classes(), expected, "seed={seed} threads={threads}");
+                    wake_ups += r.wake_ups;
+                }
+            }
+        }
+        assert!(wake_ups > 0, "no order exercised the watches");
     }
 
     #[test]

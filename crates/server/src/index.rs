@@ -444,8 +444,8 @@ pub struct EmIndex {
     /// against the same registry so one `METRICS` answer covers both.
     registry: Arc<Registry>,
     /// `Some` when this index is one shard of a cluster: every chase is
-    /// then restricted to the owned candidate slice
-    /// ([`gk_core::chase_shard_slice`]) and the `SHARDCHASE`/`MERGES`
+    /// then restricted to the candidate pairs the role owns
+    /// ([`ShardRole::owns`]) and the `SHARDCHASE`/`MERGES`
     /// exchange ([`EmIndex::merge_log`], [`EmIndex::absorb_merges`])
     /// closes the cross-shard gap. `None` is standalone: full chases.
     shard: Option<ShardRole>,
@@ -496,8 +496,8 @@ impl EmIndex {
 
     /// Builds an in-memory index serving one shard of a cluster: the
     /// startup chase and every update chase advance only the candidate
-    /// slice owned by `shard` ([`gk_core::chase_shard_slice`]); the
-    /// coordinator's `SHARDCHASE`/`MERGES` exchange supplies the rest.
+    /// pairs `shard` owns ([`ShardRole::owns`]); the coordinator's
+    /// `SHARDCHASE`/`MERGES` exchange supplies the rest.
     pub fn with_engine_sharded(
         graph: Graph,
         keys: KeySet,
@@ -803,8 +803,8 @@ impl EmIndex {
     }
 
     /// Absorbs external merges from the coordinator — identifications
-    /// certified by *other* shards' slices — and re-chases this shard's
-    /// slice seeded with them (`SHARDCHASE` is the `entries == []` case).
+    /// certified by *other* shards' slices — and delta-chases this shard's
+    /// slice around them (`SHARDCHASE` is the `entries == []` case).
     ///
     /// Externals are sound to adopt without re-proving: Church–Rosser
     /// guarantees any key-certified union sequence reaches the same
@@ -862,9 +862,12 @@ impl EmIndex {
             // of a quiet sweep) could certify nothing.
             return Ok(self.noop_report(0, 0));
         }
+        // What the externals can newly enable is anchored near a member of
+        // a class they grew: those seed the slice's delta chase.
+        let grown = eq.class_members(ext_steps.iter().flat_map(|s| [s.pair.0, s.pair.1]));
         let start = ChaseStart::Continue {
             prev: &eq,
-            touched: &[],
+            touched: &grown,
         };
         let (mut result, mode) = self.chase(&snap.graph, &snap.compiled, start, span);
         let report = AdvanceReport {
@@ -1311,8 +1314,8 @@ impl EmIndex {
         // old Eq is terminal for the old Σ on this graph), and any pair it
         // identifies embeds the key's pattern — so both endpoints are of
         // the key's target type and meet its anchor slot's degree demand.
-        // One woken endpoint suffices: the delta chase pairs it with every
-        // same-type entity. Entities below the demand (and keys that did
+        // One woken endpoint suffices: the delta chase pairs it with its
+        // block-mates. Entities below the demand (and keys that did
         // not compile, which cannot match at all) are skipped instead of
         // seeding dead candidate pairs.
         let prior_declared = snap.keys.cardinality();

@@ -3,12 +3,16 @@
 //! * insert-only delta chases must equal a from-scratch chase on the
 //!   extended graph (monotonicity), including on generated workloads with
 //!   recursive keys;
+//! * the delta's frontier — block-mates of the entities near a change, and
+//!   of the entities near *any* member of a class a merge grew — must not
+//!   lose a pair in any of the shapes a key can take (recursive, no value
+//!   on the anchor, a constant, a multi-valued blocking attribute);
 //! * deletions are **not** monotone — reusing a stale `Eq` after removing a
 //!   witness provably over-approximates, which is exactly why the serving
 //!   layer's delete path falls back to a full re-chase.
 
 use gk_datagen::{generate, GenConfig};
-use keys_for_graphs::core::{chase_incremental, chase_reference, ChaseOrder};
+use keys_for_graphs::core::{chase_incremental, chase_reference, ChaseOrder, EqRel};
 use keys_for_graphs::prelude::*;
 
 const KEYS: &str = r#"
@@ -136,6 +140,161 @@ fn incremental_matches_full_on_generated_workload() {
         w.truth,
         "and both equal the planted truth"
     );
+}
+
+/// Streams `batches` of triple text into an overlay over `base`,
+/// delta-chasing after each one, and requires the reference chase's
+/// relation of the graph so far every time. Returns the final relation.
+fn delta_tracks_reference(keys: &str, base: &str, batches: &[&str]) -> EqRel {
+    let ks = KeySet::parse(keys).unwrap();
+    let mut g = OverlayGraph::new(parse_graph(base).unwrap());
+    let mut prev = chase_reference(&g, &ks.compile(&g), ChaseOrder::Deterministic).eq;
+    for (i, batch) in batches.iter().enumerate() {
+        let mut touched = Vec::new();
+        for spec in parse_triple_specs(batch).unwrap() {
+            let (s, o, _) = spec.apply_overlay(&mut g);
+            touched.push(s);
+            touched.extend(o);
+        }
+        let compiled = ks.compile(&g);
+        let inc = chase_incremental(&g, &compiled, &prev, &touched);
+        let full = chase_reference(&g, &compiled, ChaseOrder::Deterministic);
+        assert_eq!(
+            inc.identified_pairs(),
+            full.identified_pairs(),
+            "delta chase diverged from scratch chase after batch {i}"
+        );
+        prev = inc.eq;
+    }
+    prev
+}
+
+#[test]
+fn recursive_block_mate_matches_only_after_a_later_batch() {
+    // The artists are block-mates under Q3 from the start, but their pair
+    // fails (and leaves the frontier) when batch 0 touches one of them: the
+    // albums are not identified yet. Batch 1 identifies the albums; the
+    // artists (lower ids) are swept before them and fail again, so only the
+    // wake-up around the album merge brings the pair back.
+    let eq = delta_tracks_reference(
+        KEYS,
+        r#"
+        art1:artist name_of     "The Beatles"
+        art2:artist name_of     "The Beatles"
+        alb1:album  name_of     "Anthology 2"
+        alb1:album  recorded_by art1:artist
+        alb2:album  name_of     "Anthology 2"
+        alb2:album  recorded_by art2:artist
+        "#,
+        &[
+            r#"art1:artist born_in "Liverpool""#,
+            r#"alb1:album release_year "1996"
+               alb2:album release_year "1996""#,
+        ],
+    );
+    assert_eq!(eq.num_identified_pairs(), 2, "albums, then artists");
+}
+
+#[test]
+fn a_merge_wakes_pairs_near_every_member_of_the_classes_it_joins() {
+    // a ~ a2 and b ~ b2 hold from the start. Naming a "B" certifies (a, b)
+    // — and thereby identifies a2 with b2, which no step names. The people
+    // work at a2 and b2, one hop from neither endpoint of the new step.
+    let eq = delta_tracks_reference(
+        r#"
+        key "KO" org(x)    { x -name_of-> n*; }
+        key "KP" person(x) { x -name_of-> n*; x -works_at-> y:org; }
+        "#,
+        r#"
+        a:org      name_of  "A"
+        a2:org     name_of  "A"
+        b:org      name_of  "B"
+        b2:org     name_of  "B"
+        p1:person  name_of  "P"
+        p1:person  works_at a2:org
+        p2:person  name_of  "P"
+        p2:person  works_at b2:org
+        "#,
+        &[r#"a:org name_of "B""#],
+    );
+    assert_eq!(eq.num_identified_pairs(), 6 + 1, "four orgs, two people");
+}
+
+#[test]
+fn key_without_a_value_on_its_anchor_falls_back_to_the_type() {
+    // KR has no blocking triple: any two artists may match, so the frontier
+    // pairs an artist with its whole type (seed) or with every artist near
+    // the merge (wake).
+    let eq = delta_tracks_reference(
+        r#"
+        key "Q2" album(x)  { x -name_of-> n*; x -release_year-> y*; }
+        key "KR" artist(x) { a:album -recorded_by-> x; }
+        "#,
+        r#"
+        art1:artist born_in     "Liverpool"
+        art2:artist born_in     "Hamburg"
+        alb1:album  name_of     "Anthology 2"
+        alb1:album  recorded_by art1:artist
+        alb2:album  name_of     "Anthology 2"
+        alb2:album  recorded_by art2:artist
+        alb3:album  name_of     "Abbey Road"
+        alb3:album  release_year "1969"
+        "#,
+        &[
+            // Wake side: the artists (lower ids) are swept, and fail, before
+            // the album merge that identifies them.
+            r#"alb1:album release_year "1996"
+               alb2:album release_year "1996""#,
+            // Seed side: a new artist recorded by an identified album joins.
+            r#"alb2:album recorded_by art9:artist"#,
+            // And one that is not stays apart.
+            r#"alb3:album recorded_by art7:artist"#,
+        ],
+    );
+    assert_eq!(
+        eq.num_identified_pairs(),
+        1 + 3,
+        "albums; art1 = art2 = art9"
+    );
+}
+
+#[test]
+fn constant_slot_blocks_on_the_constant_only() {
+    // KC's first anchor triple carries a constant: the block is the
+    // subjects of (format, "LP"), and other formats do not pair.
+    let eq = delta_tracks_reference(
+        r#"key "KC" album(x) { x -format-> "LP"; x -name_of-> n*; }"#,
+        r#"
+        alb1:album name_of "Anthology 2"
+        alb1:album format  "LP"
+        alb2:album name_of "Anthology 2"
+        alb2:album format  "CD"
+        alb3:album name_of "Anthology 2"
+        alb3:album format  "CD"
+        "#,
+        &[r#"alb2:album format "LP""#],
+    );
+    assert_eq!(eq.num_identified_pairs(), 1, "the two LPs only");
+}
+
+#[test]
+fn second_value_on_the_blocking_predicate_joins_both_blocks() {
+    // alb2 gains a second name (and a second year): it now sits in the "A"
+    // block and the "B" block, and matches a mate in each.
+    let eq = delta_tracks_reference(
+        r#"key "Q2" album(x) { x -name_of-> n*; x -release_year-> y*; }"#,
+        r#"
+        alb1:album name_of "A"
+        alb1:album release_year "1996"
+        alb2:album name_of "B"
+        alb2:album release_year "1996"
+        alb3:album name_of "B"
+        alb3:album release_year "1997"
+        "#,
+        &[r#"alb2:album name_of "A"
+             alb2:album release_year "1997""#],
+    );
+    assert_eq!(eq.num_identified_pairs(), 3, "alb1 = alb2 = alb3");
 }
 
 #[test]

@@ -35,26 +35,22 @@ const BASE: &str = r#"
 "#;
 
 /// The pool of keys an `ADDKEY` op can draw from — value-based and
-/// recursive shapes, over the same vocabulary the triple ops use.
+/// recursive shapes, one blocked on a constant and one with no value on
+/// its anchor at all, over the same vocabulary the triple ops use.
 fn addable_key(j: u8) -> &'static str {
-    match j % 4 {
+    match j % 6 {
         0 => r#"key "KA" album(x) { x -name_of-> n*; }"#,
         1 => r#"key "KB" artist(x) { x -name_of-> n*; }"#,
         2 => r#"key "KC" album(x) { x -release_year-> y*; }"#,
-        _ => r#"key "KD" album(x) { x -name_of-> n*; x -recorded_by-> a:artist; }"#,
+        3 => r#"key "KD" album(x) { x -name_of-> n*; x -recorded_by-> a:artist; }"#,
+        4 => r#"key "KE" album(x) { x -release_year-> "y0"; x -name_of-> n*; }"#,
+        _ => r#"key "KF" artist(x) { a:album -recorded_by-> x; }"#,
     }
 }
 
 /// Names that a `DROPKEY` op can target (the base Σ plus the pool).
 fn droppable_name(j: u8) -> &'static str {
-    match j % 6 {
-        0 => "Q2",
-        1 => "Q3",
-        2 => "KA",
-        3 => "KB",
-        4 => "KC",
-        _ => "KD",
-    }
+    ["Q2", "Q3", "KA", "KB", "KC", "KD", "KE", "KF"][j as usize % 8]
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -82,7 +78,7 @@ impl Op {
             2 => Op::Year(i, v),
             3 => Op::Link(i, v % 2),
             4 => Op::DelYear(i, v),
-            5 => Op::AddKey(v),
+            5 => Op::AddKey(i.wrapping_add(v)),
             6 => Op::DropKey(i.wrapping_add(v)),
             _ => Op::Snapshot,
         }

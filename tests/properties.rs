@@ -4,7 +4,8 @@
 
 use gk_datagen::{generate, GenConfig};
 use keys_for_graphs::core::{
-    candidate_pairs, chase_shard_slice, write_keys, EqRel, ShardRole, Tour,
+    candidate_pairs, chase_incremental, chase_shard_slice, write_keys, ChaseStart, ChaseStep,
+    EqRel, ShardRole, Tour,
 };
 use keys_for_graphs::isomorph::{
     eval_pair, eval_pair_enumerate, pairing_at, IdentityEq, MatchScope,
@@ -27,16 +28,18 @@ struct RawTriple {
     o: u8,
 }
 
+/// One random triple whose object, when a value, is one of `values`.
+fn raw_triple(values: u8) -> impl Strategy<Value = RawTriple> {
+    (0u8..10, 0u8..4, any::<bool>(), 0u8..10).prop_map(move |(s, p, obj_entity, o)| RawTriple {
+        s,
+        p,
+        obj_entity,
+        o: if obj_entity { o } else { o % values },
+    })
+}
+
 fn raw_triples() -> impl Strategy<Value = Vec<RawTriple>> {
-    prop::collection::vec(
-        (0u8..10, 0u8..4, any::<bool>(), 0u8..10).prop_map(|(s, p, obj_entity, o)| RawTriple {
-            s,
-            p,
-            obj_entity,
-            o,
-        }),
-        1..24,
-    )
+    prop::collection::vec(raw_triple(6), 1..24)
 }
 
 /// Builds a graph from raw triples: entity i has type `t{i % 3}`.
@@ -307,6 +310,258 @@ fn shrinker_produces_minimal_counterexamples() {
     assert_eq!(single, vec![49]);
     let all = proptest::shrink::minimize_vec(&[7u32], |v| !v.is_empty());
     assert_eq!(all, vec![7]);
+}
+
+// ---------------------------------------------------------------------------
+// The delta chase, standalone and sharded
+// ---------------------------------------------------------------------------
+
+/// Raw triples for the delta properties: the alphabet of [`raw_triples`]
+/// with two values instead of six and up to twice the triples, so value
+/// blocks fill, recursive keys fire and merges cascade across batches.
+fn dense_triples() -> impl Strategy<Value = Vec<RawTriple>> {
+    prop::collection::vec(raw_triple(2), 8..48)
+}
+
+/// The entities a batch of raw triples touches (`build_graph` numbers
+/// entity `i` as id `i`).
+fn touched_by(batch: &[RawTriple]) -> Vec<EntityId> {
+    let mut touched: Vec<EntityId> = batch
+        .iter()
+        .flat_map(|t| [Some(t.s), t.obj_entity.then_some(t.o)])
+        .flatten()
+        .map(|i| EntityId(i as u32))
+        .collect();
+    touched.sort_unstable();
+    touched.dedup();
+    touched
+}
+
+/// An in-process cluster: one relation per shard role plus the merge log
+/// the coordinator would carry between them.
+struct SimCluster {
+    roles: Vec<ShardRole>,
+    eqs: Vec<EqRel>,
+    /// `(producing shard, step)` in production order.
+    log: Vec<(usize, ChaseStep)>,
+    /// Per shard, how much of `log` it has absorbed.
+    cursors: Vec<usize>,
+}
+
+impl SimCluster {
+    fn new(shards: usize) -> Self {
+        SimCluster {
+            roles: (0..shards)
+                .map(|i| ShardRole::new(i, shards).unwrap())
+                .collect(),
+            eqs: Vec::new(),
+            log: Vec::new(),
+            cursors: vec![0; shards],
+        }
+    }
+
+    /// Every shard chases its slice for `start_of(its relation)`, then the
+    /// merge exchange runs until a sweep absorbs nothing — `absorb_merges`
+    /// in miniature: adopt the other shards' steps, seed the slice's delta
+    /// with the members of the classes they grew.
+    fn update(&mut self, g: &Graph, cks: &CompiledKeySet, touched: Option<&[EntityId]>) {
+        for i in 0..self.roles.len() {
+            let start = match touched {
+                None => ChaseStart::Restart,
+                Some(touched) => ChaseStart::Continue {
+                    prev: &self.eqs[i],
+                    touched,
+                },
+            };
+            let eq = slice_chase(g, cks, self.roles[i], start, &mut self.log);
+            if touched.is_none() {
+                self.eqs.push(eq);
+            } else {
+                self.eqs[i] = eq;
+            }
+        }
+        loop {
+            let mut absorbed_any = false;
+            for i in 0..self.roles.len() {
+                let mut eq = self.eqs[i].clone();
+                let externals: Vec<(EntityId, EntityId)> = self.log[self.cursors[i]..]
+                    .iter()
+                    .filter(|&&(from, _)| from != i)
+                    .map(|&(_, step)| step.pair)
+                    .filter(|&(a, b)| eq.union(a, b))
+                    .collect();
+                self.cursors[i] = self.log.len();
+                if externals.is_empty() {
+                    continue;
+                }
+                absorbed_any = true;
+                let grown = eq.class_members(externals.iter().flat_map(|&(a, b)| [a, b]));
+                let start = ChaseStart::Continue {
+                    prev: &eq,
+                    touched: &grown,
+                };
+                self.eqs[i] = slice_chase(g, cks, self.roles[i], start, &mut self.log);
+            }
+            if !absorbed_any {
+                return;
+            }
+        }
+    }
+}
+
+/// One slice chase of shard `role`, its steps appended to the merge `log`;
+/// every one of them must be a pair the role owns.
+fn slice_chase(
+    g: &Graph,
+    cks: &CompiledKeySet,
+    role: ShardRole,
+    start: ChaseStart<'_>,
+    log: &mut Vec<(usize, ChaseStep)>,
+) -> EqRel {
+    let (r, _) = ChaseEngine::default().advance(g, cks, start, Some(role), &Span::disabled());
+    for step in &r.steps {
+        assert!(
+            role.owns(step.pair.0, step.pair.1),
+            "{role} certified {step:?}"
+        );
+    }
+    log.extend(r.steps.iter().map(|&step| (role.shard_id, step)));
+    r.eq
+}
+
+/// One stage of a growing graph: the graph so far and the entities its
+/// newest triples touch.
+type Stage = (Graph, Vec<EntityId>);
+
+/// Follows a growing graph three ways — the standalone delta chase and the
+/// sharded one under 2 and 4 roles (a full chase at the first stage, deltas
+/// after; per-role results exchanged through absorbed merges) — and
+/// requires the reference relation after every stage, on every shard.
+fn delta_chases_track_reference(ks: &KeySet, stages: &[Stage]) {
+    let mut standalone: Option<EqRel> = None;
+    let mut clusters = [SimCluster::new(2), SimCluster::new(4)];
+    for (n, (g, touched)) in stages.iter().enumerate() {
+        let cks = ks.compile(g);
+        let expected = chase_reference(g, &cks, ChaseOrder::Deterministic)
+            .eq
+            .classes();
+        let eq = match &standalone {
+            None => {
+                ChaseEngine::default()
+                    .full_chase(g, &cks, ChaseOrder::Deterministic)
+                    .eq
+            }
+            Some(prev) => chase_incremental(g, &cks, prev, touched).eq,
+        };
+        assert_eq!(eq.classes(), expected, "standalone, stage {n}");
+        standalone = Some(eq);
+        for cluster in &mut clusters {
+            cluster.update(g, &cks, (n > 0).then_some(touched));
+            for (role, eq) in cluster.roles.iter().zip(&cluster.eqs) {
+                assert_eq!(eq.classes(), expected, "shard {role}, stage {n}");
+            }
+        }
+    }
+}
+
+/// `0..=len` cut into a first stage of `first` items and stages of `batch`.
+fn stage_ends(len: usize, first: usize, batch: usize) -> Vec<usize> {
+    let first = first.min(len);
+    let mut ends: Vec<usize> = (first..len).step_by(batch).collect();
+    ends.push(len);
+    ends
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random insert streams over every key shape in the pool: value and
+    /// constant blocks, no block at all, recursion in both directions.
+    #[test]
+    fn delta_chases_track_reference_on_random_streams(
+        raw in dense_triples(),
+        keys in key_subset(),
+        first in 0usize..48,
+        batch in 1usize..5,
+    ) {
+        let mut from = 0;
+        let stages: Vec<Stage> = stage_ends(raw.len(), first, batch)
+            .into_iter()
+            .map(|upto| {
+                let stage = (build_graph(&raw[..upto]), touched_by(&raw[from..upto]));
+                from = upto;
+                stage
+            })
+            .collect();
+        delta_chases_track_reference(&KeySet::new(keys).unwrap(), &stages);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Generated workloads with planted duplicates under recursive keys,
+    /// their triples arriving in a random order: a dependency's witness
+    /// often lands batches after its dependent's, so the merges cascade
+    /// through the wake-up rather than the seed.
+    #[test]
+    fn delta_chases_track_reference_on_generated_streams(
+        seed in any::<u64>(),
+        c in 0usize..3,
+        d in 1usize..3,
+        batches in 2usize..6,
+    ) {
+        let cfg = GenConfig::google()
+            .with_scale(0.02)
+            .with_keys(6)
+            .with_chain(c)
+            .with_radius(d)
+            .with_seed(seed);
+        let w = generate(&cfg);
+        let mut triples: Vec<_> = w.graph.triples().collect();
+        // A seeded permutation: order by a hash of the position.
+        let mut at = 0u64;
+        triples.sort_by_cached_key(|_| {
+            at += 1;
+            (at ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        let half = triples.len() / 2;
+        let mut from = 0;
+        let stages: Vec<Stage> = stage_ends(triples.len(), half, half.div_ceil(batches).max(1))
+            .into_iter()
+            .map(|upto| {
+                // Every entity up front, so ids match the full graph's.
+                let mut b = GraphBuilder::new();
+                for e in w.graph.entities() {
+                    let ty = b.intern_type(w.graph.type_str(w.graph.entity_type(e)));
+                    assert_eq!(b.fresh_entity(ty), e);
+                }
+                for t in &triples[..upto] {
+                    let p = b.intern_pred(w.graph.pred_str(t.p));
+                    match t.o {
+                        Obj::Entity(o) => b.link_ids(t.s, p, o),
+                        Obj::Value(v) => {
+                            let v = b.intern_value(w.graph.value_str(v));
+                            b.attr_ids(t.s, p, v);
+                        }
+                    }
+                }
+                let mut touched: Vec<EntityId> = triples[from..upto]
+                    .iter()
+                    .flat_map(|t| [Some(t.s), t.o.as_entity()])
+                    .flatten()
+                    .collect();
+                touched.sort_unstable();
+                touched.dedup();
+                from = upto;
+                (b.freeze(), touched)
+            })
+            .collect();
+        delta_chases_track_reference(&w.keys, &stages);
+        let last = &stages.last().expect("at least one stage").0;
+        let terminal = chase_reference(last, &w.keys.compile(last), ChaseOrder::Deterministic);
+        prop_assert_eq!(terminal.identified_pairs(), w.truth);
+    }
 }
 
 // ---------------------------------------------------------------------------
