@@ -30,7 +30,9 @@ pub struct ChaseStep {
 pub struct ChaseResult {
     /// The final equivalence relation — `chase(G, Σ)`.
     pub eq: EqRel,
-    /// The applied steps, in order.
+    /// The applied steps, in an order where each was certified under (a
+    /// subset of) the closure of the steps before it — the log-prefix
+    /// invariant [`proof::slice`](crate::proof::slice) reads proofs off.
     pub steps: Vec<ChaseStep>,
     /// Number of fixpoint sweeps over the candidate list.
     pub rounds: usize,

@@ -53,7 +53,7 @@ mod parallel;
 mod pattern;
 mod prep;
 mod product;
-mod proof;
+pub mod proof;
 mod report;
 mod satisfies;
 mod similarity;

@@ -2,23 +2,43 @@
 //!
 //! The NP upper bound of Theorem 2 rests on *proof graphs*: DAG-shaped
 //! witnesses with at most `N²` nodes that can be **verified in PTIME**.
-//! This module makes that constructive: [`prove`] runs an instrumented
-//! chase and emits a [`Proof`] — an ordered list of certified steps, each
-//! carrying the key applied and the full witness instantiation — and
-//! [`verify`] replays it with no search: every step is checked triple by
-//! triple against the graph and the equivalence relation accumulated from
-//! the previous steps. A valid proof ends with the target pair identified.
+//! This module makes that constructive. A [`Proof`] is an ordered list of
+//! certified steps, each carrying the key applied and the full witness
+//! instantiation, and [`verify`] replays it with no search: every step is
+//! checked triple by triple against the graph and the equivalence relation
+//! accumulated from the previous steps. A valid proof ends with the target
+//! pair identified.
+//!
+//! Proofs are **sliced out of a chase step log**, never chased for.
+//! [`slice`] relies on one contract every engine's log keeps — the
+//! *log-prefix invariant*: each step was certified under (a subset of) the
+//! closure of the steps before it. Patterns are positive, so a witness that
+//! existed under the certification-time `Eq` exists under the log-prefix
+//! `Eq`. [`slice`] replays the log into a timestamped union–find forest
+//! (which step made which link), walks back from the target to
+//! the steps that connect it, re-derives each such step's witness under its
+//! own prefix, and recurses on the identifications that witness used. The
+//! result holds only the steps the target depends on, and it is a function
+//! of the log's *history*: two logs of the same `(G, Σ)` — a shard's, a
+//! restarted server's — may yield different proofs, each valid, exactly as
+//! the paper's proof graphs are not unique.
+//!
+//! [`prove`] (the batch CLI's `match --explain`) slices the log of a blocked
+//! enumerated chase; the resident service slices the log it already holds.
 //!
 //! Applications: auditable entity resolution (each merge is explainable:
 //! *which* key, *which* witnesses), and cheap re-validation after graph
 //! updates.
 
 use crate::candidates::norm;
-use crate::chase::{chase_reference, ChaseOrder};
+use crate::chase::ChaseStep;
 use crate::eqrel::EqRel;
 use crate::keyset::CompiledKeySet;
+use crate::parallel::{chase_parallel, ParallelOpts};
 use gk_graph::{EntityId, GraphView, NodeId};
-use gk_isomorph::{eval_pair_witness, IdentityEq, MatchScope, SlotKind};
+use gk_isomorph::{eval_pair_witness, EqOracle, MatchScope, SlotKind};
+use gk_metrics::trace::Span;
+use std::collections::BTreeMap;
 
 /// One certified chase step.
 #[derive(Clone, Debug)]
@@ -78,6 +98,14 @@ pub enum ProofError {
     },
     /// The steps never identify the target pair.
     TargetNotReached,
+    /// A step log handed to [`slice`] breaks the log-prefix invariant (or
+    /// does not belong to this graph and key set).
+    LogDoesNotReplay {
+        /// The offending log index.
+        step: usize,
+        /// What does not hold there.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for ProofError {
@@ -89,6 +117,9 @@ impl std::fmt::Display for ProofError {
             }
             ProofError::BadWitness { step, reason } => write!(f, "step {step}: {reason}"),
             ProofError::TargetNotReached => write!(f, "steps do not identify the target"),
+            ProofError::LogDoesNotReplay { step, reason } => {
+                write!(f, "step log does not replay at entry {step}: {reason}")
+            }
         }
     }
 }
@@ -96,42 +127,266 @@ impl std::fmt::Display for ProofError {
 impl std::error::Error for ProofError {}
 
 /// Produces a proof that `(G, Σ) |= (e1, e2)`, or `None` if the chase does
-/// not identify the pair.
-///
-/// The proof contains every chase step up to and including the one whose
-/// closure identifies the target — a valid (if not always minimal)
-/// certificate; the paper only bounds certificate *size*, which `≤ N²`
-/// holds here since each step identifies a fresh pair.
+/// not identify the pair: [`slice`] over the log of a blocked enumerated
+/// chase of `g`. (A log that failed to replay would also read `None`; the
+/// kernel's logs keep the invariant [`slice`] needs, and the property suite
+/// checks that they do.)
 pub fn prove<V: GraphView>(
     g: &V,
     keys: &CompiledKeySet,
     e1: EntityId,
     e2: EntityId,
 ) -> Option<Proof> {
-    let target = norm(e1, e2);
-    let r = chase_reference(g, keys, ChaseOrder::Deterministic);
+    let r = chase_parallel(g, keys, ParallelOpts::with_threads(1));
     if !r.eq.same(e1, e2) {
         return None;
     }
-    // Replay the recorded steps, harvesting witnesses under the Eq built so
-    // far; stop once the target joins the closure.
+    slice(g, keys, &r.steps, e1, e2).ok()
+}
+
+/// "No link": the timestamp of a forest root, and the `t` of "under the
+/// whole log" (every real log index is smaller).
+const NEVER: usize = usize::MAX;
+
+/// A step log replayed into a union-by-rank forest *without* path
+/// compression, each link stamped with the log index of the step that made
+/// it. A link joins two roots and later links attach only at roots, so
+/// stamps grow towards the root: the class of `x` before step `t` is a
+/// climb over links older than `t`, and the step that first connected `u`
+/// and `v` is the youngest link on their tree path.
+struct History {
+    parent: Vec<EntityId>,
+    rank: Vec<u8>,
+    /// `linked[x]`: the step that hung `x` under `parent[x]`; [`NEVER`] for
+    /// a root.
+    linked: Vec<usize>,
+}
+
+impl History {
+    /// Replays `log` over `n` entities. Entries that join nothing (their
+    /// pair was already connected) leave no link.
+    fn replay(n: usize, log: &[ChaseStep]) -> Result<History, ProofError> {
+        let mut h = History {
+            parent: (0..n as u32).map(EntityId).collect(),
+            rank: vec![0; n],
+            linked: vec![NEVER; n],
+        };
+        for (i, step) in log.iter().enumerate() {
+            let (a, b) = step.pair;
+            if a.idx() >= n || b.idx() >= n {
+                return Err(ProofError::LogDoesNotReplay {
+                    step: i,
+                    reason: "entity outside the graph",
+                });
+            }
+            let (ra, rb) = (h.root_before(a, NEVER), h.root_before(b, NEVER));
+            if ra == rb {
+                continue;
+            }
+            let (child, root) = if h.rank[ra.idx()] < h.rank[rb.idx()] {
+                (ra, rb)
+            } else {
+                (rb, ra)
+            };
+            if h.rank[child.idx()] == h.rank[root.idx()] {
+                h.rank[root.idx()] += 1;
+            }
+            h.parent[child.idx()] = root;
+            h.linked[child.idx()] = i;
+        }
+        Ok(h)
+    }
+
+    /// The representative of `x`'s class under the steps before `t`.
+    fn root_before(&self, mut x: EntityId, t: usize) -> EntityId {
+        while self.linked[x.idx()] < t {
+            x = self.parent[x.idx()];
+        }
+        x
+    }
+
+    /// The step that first connected `u` and `v`, or `None` if the log
+    /// never does (or `u == v`).
+    fn joined_at(&self, mut u: EntityId, mut v: EntityId) -> Option<usize> {
+        let mut youngest = None;
+        while u != v {
+            // Climb the older link: the last one climbed is the youngest
+            // on the path.
+            let (tu, tv) = (self.linked[u.idx()], self.linked[v.idx()]);
+            let t = tu.min(tv);
+            if t == NEVER {
+                return None; // two distinct roots
+            }
+            if tu <= tv {
+                u = self.parent[u.idx()];
+            } else {
+                v = self.parent[v.idx()];
+            }
+            youngest = Some(t);
+        }
+        youngest
+    }
+}
+
+/// The `Eq` of a log prefix: "same class under the steps before `t`".
+struct Before<'a> {
+    history: &'a History,
+    t: usize,
+}
+
+impl EqOracle for Before<'_> {
+    fn same(&self, a: EntityId, b: EntityId) -> bool {
+        self.history.root_before(a, self.t) == self.history.root_before(b, self.t)
+    }
+}
+
+/// Slices a proof of `(a, b)` out of a chase step log: the steps the target
+/// depends on, in log order (a topological order of the proof DAG), each
+/// with a witness re-derived under the `Eq` of its own log prefix.
+///
+/// `log` must keep the log-prefix invariant (see the module docs); one that
+/// does not — or that cites keys or entities this `(g, keys)` does not have
+/// — is reported as [`ProofError::LogDoesNotReplay`], and a log that never
+/// connects the pair as [`ProofError::TargetNotReached`]. No chase runs: the
+/// cost is one pass over the log plus one witness search per proof step.
+pub fn slice<V: GraphView>(
+    g: &V,
+    keys: &CompiledKeySet,
+    log: &[ChaseStep],
+    a: EntityId,
+    b: EntityId,
+) -> Result<Proof, ProofError> {
+    slice_traced(g, keys, log, a, b, &Span::disabled())
+}
+
+/// [`slice`] with per-request tracing: a `history` child for the forest
+/// replay (count `log_steps`) and a `slice` child for the backward walk
+/// (counts `proof_steps`, and `iso_checks` for the witness searches).
+pub fn slice_traced<V: GraphView>(
+    g: &V,
+    keys: &CompiledKeySet,
+    log: &[ChaseStep],
+    a: EntityId,
+    b: EntityId,
+    span: &Span,
+) -> Result<Proof, ProofError> {
+    let history_span = span.child("history");
+    let history = History::replay(g.num_entities(), log)?;
+    history_span.count("log_steps", log.len() as u64);
+    history_span.finish();
+
+    let slice_span = span.child("slice");
+    // Needed log index -> its witness; iterates in log order.
+    let mut needed: BTreeMap<usize, Vec<(NodeId, NodeId)>> = BTreeMap::new();
+    // `(u, v, t)`: `u ~ v` must follow from the steps before `t`.
+    let mut work = vec![(a, b, NEVER)];
+    while let Some((u, v, t)) = work.pop() {
+        if u == v {
+            continue;
+        }
+        let s = match history.joined_at(u, v) {
+            Some(s) if s < t => s,
+            _ if t == NEVER => return Err(ProofError::TargetNotReached),
+            _ => {
+                return Err(ProofError::LogDoesNotReplay {
+                    step: t,
+                    reason: "a prerequisite is not established before the step that uses it",
+                })
+            }
+        };
+        let step = log[s];
+        // Step `s` joined the classes its pair's ends had before it; `u`
+        // sat in one and `v` in the other.
+        let before = Before {
+            history: &history,
+            t: s,
+        };
+        let (near, far) = if before.same(u, step.pair.0) {
+            step.pair
+        } else {
+            (step.pair.1, step.pair.0)
+        };
+        work.push((u, near, s));
+        work.push((far, v, s));
+        if needed.contains_key(&s) {
+            continue;
+        }
+        let no_replay = |reason| ProofError::LogDoesNotReplay { step: s, reason };
+        let pattern = &keys
+            .keys
+            .get(step.key)
+            .ok_or_else(|| no_replay("unknown key index"))?
+            .pattern;
+        let scope = MatchScope::whole_graph();
+        let witness = eval_pair_witness(g, pattern, step.pair.0, step.pair.1, &before, scope)
+            .ok_or_else(|| no_replay("no witness under the Eq of the steps before it"))?;
+        // Every identification the witness leaned on must itself follow
+        // from the steps before `s`.
+        for (kind, &(x, y)) in pattern.slots().iter().zip(&witness) {
+            if let (SlotKind::EqEntity(_), Some(x), Some(y)) = (kind, x.as_entity(), y.as_entity())
+            {
+                work.push((x, y, s));
+            }
+        }
+        needed.insert(s, witness);
+    }
+    slice_span.count("proof_steps", needed.len() as u64);
+    slice_span.count("iso_checks", needed.len() as u64);
+    slice_span.finish();
+
+    let steps = needed
+        .into_iter()
+        .map(|(s, witness)| ProofStep {
+            pair: log[s].pair,
+            key: log[s].key,
+            witness,
+        })
+        .collect();
+    Ok(Proof {
+        target: norm(a, b),
+        steps,
+    })
+}
+
+/// Rebuilds a proof from its bare lines — pair and certifying key, what
+/// `EXPLAIN` puts on the wire — by re-deriving each line's witness under
+/// the lines before it, then [`verify`]ing the result against `target`.
+/// Lets a test check a proof served by one process against another
+/// process's copy of the graph.
+pub fn replay<V: GraphView>(
+    g: &V,
+    keys: &CompiledKeySet,
+    lines: &[ChaseStep],
+    target: (EntityId, EntityId),
+) -> Result<Proof, ProofError> {
     let mut eq = EqRel::identity(g.num_entities());
-    let mut steps = Vec::new();
-    for s in &r.steps {
-        let q = &keys.keys[s.key].pattern;
-        let witness = eval_pair_witness(g, q, s.pair.0, s.pair.1, &eq, MatchScope::whole_graph())
-            .expect("recorded chase step must re-verify");
-        eq.union(s.pair.0, s.pair.1);
+    let mut steps = Vec::with_capacity(lines.len());
+    for (i, line) in lines.iter().enumerate() {
+        let ck = keys
+            .keys
+            .get(line.key)
+            .ok_or(ProofError::BadKey { step: i })?;
+        let (a, b) = line.pair;
+        let scope = MatchScope::whole_graph();
+        let witness = eval_pair_witness(g, &ck.pattern, a, b, &eq, scope).ok_or_else(|| {
+            ProofError::BadWitness {
+                step: i,
+                reason: "no witness under the lines before it".into(),
+            }
+        })?;
+        eq.union(a, b);
         steps.push(ProofStep {
-            pair: s.pair,
-            key: s.key,
+            pair: line.pair,
+            key: line.key,
             witness,
         });
-        if eq.same(e1, e2) {
-            break;
-        }
     }
-    Some(Proof { target, steps })
+    let proof = Proof {
+        target: norm(target.0, target.1),
+        steps,
+    };
+    verify(g, keys, &proof)?;
+    Ok(proof)
 }
 
 /// Verifies a proof in PTIME: no search, just witness checking.
@@ -247,7 +502,6 @@ fn check_witness<V: GraphView>(
             )));
         }
     }
-    let _ = IdentityEq; // (kept for symmetry with the matcher's API)
     Ok(())
 }
 
@@ -382,5 +636,149 @@ mod tests {
             verify(&g, &keys, &p).unwrap_err(),
             ProofError::BadWitnessShape { step: 0 }
         );
+    }
+
+    /// A hand-built log over entities `0..n`, all certified by key 0.
+    fn log_of(pairs: &[(u32, u32)]) -> Vec<ChaseStep> {
+        pairs
+            .iter()
+            .map(|&(a, b)| ChaseStep {
+                pair: norm(EntityId(a), EntityId(b)),
+                key: 0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn history_joining_step_is_the_first_connecting_step() {
+        // Two chains grown apart, then bridged; the bridge (step 4) first
+        // connects every cross pair, whatever shape union-by-rank gave the
+        // trees.
+        let log = log_of(&[(0, 1), (2, 3), (1, 4), (3, 5), (4, 5), (0, 6)]);
+        let h = History::replay(7, &log).unwrap();
+        for u in 0..7u32 {
+            for v in 0..7u32 {
+                // Oracle: the first prefix under which an EqRel joins them.
+                let mut eq = EqRel::identity(7);
+                let mut want = None;
+                for (i, s) in log.iter().enumerate() {
+                    eq.union(s.pair.0, s.pair.1);
+                    if u != v && want.is_none() && eq.same(EntityId(u), EntityId(v)) {
+                        want = Some(i);
+                    }
+                }
+                assert_eq!(h.joined_at(EntityId(u), EntityId(v)), want, "{u} {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn history_skips_log_entries_that_join_nothing() {
+        // Step 2 repeats a closure-implied pair: it leaves no link, so it
+        // is never anyone's joining step and later stamps are unaffected.
+        let log = log_of(&[(0, 1), (1, 2), (0, 2), (2, 3)]);
+        let h = History::replay(4, &log).unwrap();
+        assert!(!h.linked.contains(&2));
+        assert_eq!(h.joined_at(EntityId(0), EntityId(2)), Some(1));
+        assert_eq!(h.joined_at(EntityId(0), EntityId(3)), Some(3));
+    }
+
+    #[test]
+    fn history_classes_before_t_match_an_eqrel_replayed_to_t() {
+        let log = log_of(&[(5, 6), (0, 1), (2, 3), (1, 2), (6, 7), (3, 7), (4, 8)]);
+        let n = 9;
+        let h = History::replay(n, &log).unwrap();
+        for t in (0..=log.len()).chain([NEVER]) {
+            let mut eq = EqRel::identity(n);
+            for s in &log[..t.min(log.len())] {
+                eq.union(s.pair.0, s.pair.1);
+            }
+            let before = Before { history: &h, t };
+            for u in (0..n as u32).map(EntityId) {
+                for v in (0..n as u32).map(EntityId) {
+                    assert_eq!(before.same(u, v), eq.same(u, v), "t={t} {u:?} {v:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slice_keeps_only_the_steps_the_target_depends_on() {
+        // An unrelated album pair certified first does not enter the
+        // artists' proof; replaying the whole log to the target would
+        // carry it.
+        let g = parse_graph(
+            r#"
+            alb1:album  name_of "Anthology 2"
+            alb1:album  release_year "1996"
+            alb1:album  recorded_by art1:artist
+            art1:artist name_of "The Beatles"
+            alb2:album  name_of "Anthology 2"
+            alb2:album  release_year "1996"
+            alb2:album  recorded_by art2:artist
+            art2:artist name_of "The Beatles"
+            alb8:album  name_of "Help!"
+            alb8:album  release_year "1965"
+            alb9:album  name_of "Help!"
+            alb9:album  release_year "1965"
+            "#,
+        )
+        .unwrap();
+        let keys = sigma(&g);
+        let step = |a: &str, b: &str, key: &str| ChaseStep {
+            pair: norm(e(&g, a), e(&g, b)),
+            key: keys.keys.iter().position(|k| k.name == key).unwrap(),
+        };
+        let log = [
+            step("alb8", "alb9", "Q2"),
+            step("alb1", "alb2", "Q2"),
+            step("art1", "art2", "Q3"),
+        ];
+        let p = slice(&g, &keys, &log, e(&g, "art1"), e(&g, "art2")).unwrap();
+        verify(&g, &keys, &p).unwrap();
+        let pairs: Vec<_> = p.steps.iter().map(|s| s.pair).collect();
+        assert_eq!(pairs, [log[1].pair, log[2].pair]);
+        let whole = replay(&g, &keys, &log, (e(&g, "art1"), e(&g, "art2"))).unwrap();
+        assert_eq!(whole.len(), 3);
+    }
+
+    #[test]
+    fn slice_reports_a_log_that_does_not_replay() {
+        let g = g1();
+        let keys = sigma(&g);
+        let (alb1, alb2) = (e(&g, "alb1"), e(&g, "alb2"));
+        let (art1, art2) = (e(&g, "art1"), e(&g, "art2"));
+        let q2 = ChaseStep {
+            pair: norm(alb1, alb2),
+            key: 0,
+        };
+        let q3 = ChaseStep {
+            pair: norm(art1, art2),
+            key: 1,
+        };
+        let failure = |log: &[ChaseStep], a, b| slice(&g, &keys, log, a, b).unwrap_err();
+        // The artist step ahead of the album step it leans on: no witness
+        // under its (empty) prefix.
+        assert!(matches!(
+            failure(&[q3, q2], art1, art2),
+            ProofError::LogDoesNotReplay { step: 0, .. }
+        ));
+        // A key the compiled set does not have.
+        let bad_key = ChaseStep { key: 99, ..q2 };
+        assert!(matches!(
+            failure(&[bad_key], alb1, alb2),
+            ProofError::LogDoesNotReplay { step: 0, .. }
+        ));
+        // An entity the graph does not have.
+        let outside = ChaseStep {
+            pair: (alb1, EntityId(g.num_entities() as u32)),
+            key: 0,
+        };
+        assert!(matches!(
+            failure(&[q2, outside], alb1, alb2),
+            ProofError::LogDoesNotReplay { step: 1, .. }
+        ));
+        // A log that never connects the pair.
+        assert_eq!(failure(&[q2], art1, art2), ProofError::TargetNotReached);
     }
 }

@@ -39,10 +39,11 @@
 //! suffix deletes triples), turning restart cost from `O(chase)` into
 //! `O(load + replay)`.
 
+use gk_core::proof::slice_traced;
 pub use gk_core::AdvanceMode;
 use gk_core::{
-    norm, parse_keys, prove, verify, write_keys, ChaseEngine, ChaseMetrics, ChaseResult,
-    ChaseStart, ChaseStep, CompiledKeySet, EqRel, Key, KeySet, Proof, ShardRole,
+    norm, parse_keys, verify, write_keys, ChaseEngine, ChaseMetrics, ChaseResult, ChaseStart,
+    ChaseStep, CompiledKeySet, EqRel, Key, KeySet, Proof, ProofError, ShardRole,
 };
 use gk_graph::{
     DegreeBuckets, EntityId, Graph, GraphView, Obj, ObjSpec, OverlayGraph, Triple, TripleSpec,
@@ -291,11 +292,33 @@ impl IndexState {
         &self.degrees
     }
 
-    /// A verified proof that the chase identifies `(a, b)`, or `None`.
+    /// A verified proof that the chase identifies `(a, b)`, or `None` when
+    /// it does not (or — see [`IndexState::try_explain`] — when the step
+    /// log failed to yield a verifiable one).
     pub fn explain(&self, a: EntityId, b: EntityId) -> Option<Proof> {
-        let proof = prove(&self.graph, &self.compiled, a, b)?;
-        verify(&self.graph, &self.compiled, &proof).expect("prove() must emit a verifiable proof");
-        Some(proof)
+        self.try_explain(a, b, &Span::disabled()).ok().flatten()
+    }
+
+    /// [`IndexState::explain`] telling "not identified" (`Ok(None)`) from a
+    /// step log that broke its contract (`Err`): the proof is sliced out of
+    /// the resident log ([`gk_core::proof::slice`]) — no chase runs — and
+    /// checked by [`verify`] before it is returned. Traced as `history`,
+    /// `slice` and `verify` children of `span`.
+    pub fn try_explain(
+        &self,
+        a: EntityId,
+        b: EntityId,
+        span: &Span,
+    ) -> Result<Option<Proof>, ProofError> {
+        if !self.same(a, b) {
+            return Ok(None);
+        }
+        let log = self.steps.to_vec();
+        let proof = slice_traced(&self.graph, &self.compiled, &log, a, b, span)?;
+        let check = span.child("verify");
+        let checked = verify(&self.graph, &self.compiled, &proof);
+        check.finish();
+        checked.map(|()| Some(proof))
     }
 }
 
@@ -1886,6 +1909,70 @@ mod tests {
         check(&idx);
         idx.drop_key("QA").unwrap();
         check(&idx);
+    }
+
+    #[test]
+    fn explain_answers_err_internal_when_the_log_does_not_replay() {
+        use gk_graph::parse_graph;
+
+        let idx = EmIndex::new(
+            parse_graph(
+                r#"
+                alb1:album  name_of "Anthology 2"
+                alb1:album  recorded_by art1:artist
+                art1:artist name_of "The Beatles"
+                alb2:album  name_of "Anthology 2"
+                alb2:album  recorded_by art2:artist
+                art2:artist name_of "The Beatles"
+                "#,
+            )
+            .unwrap(),
+            KeySet::parse(
+                r#"
+                key "Q2" album(x)  { x -name_of-> n*; }
+                key "Q3" artist(x) { x -name_of-> n*; a:album -recorded_by-> x; }
+                "#,
+            )
+            .unwrap(),
+        );
+        // Break the log's contract: the artist step ahead of the album
+        // step that enabled it.
+        let snap = idx.snapshot();
+        let mut steps = snap.steps().to_vec();
+        assert_eq!(steps.len(), 2);
+        steps.reverse();
+        let broken = IndexState::build(
+            snap.graph.clone(),
+            Arc::clone(&snap.keys),
+            snap.compiled.clone(),
+            snap.eq.clone(),
+            StepLog::from_steps(steps),
+            snap.degrees.clone(),
+            snap.version,
+            snap.key_epoch,
+        );
+        *idx.state.write() = Arc::new(broken);
+
+        let snap = idx.snapshot();
+        let (art1, art2) = (
+            snap.graph.entity_named("art1").unwrap(),
+            snap.graph.entity_named("art2").unwrap(),
+        );
+        assert!(matches!(
+            snap.try_explain(art1, art2, &Span::disabled()),
+            Err(ProofError::LogDoesNotReplay { step: 0, .. })
+        ));
+        assert!(snap.explain(art1, art2).is_none());
+        let server = crate::Server::from_index(idx);
+        let answer = server.handle("EXPLAIN art1 art2");
+        assert!(answer.starts_with("ERR internal: step log"), "{answer}");
+        let metrics = server.handle("METRICS");
+        assert!(
+            metrics.contains("gk_explain_unverified_total 1"),
+            "{metrics}"
+        );
+        // The album step still stands on its own.
+        assert!(server.handle("EXPLAIN alb1 alb2").starts_with("PROOF"));
     }
 
     #[test]

@@ -322,6 +322,9 @@ struct VerbMetrics {
     /// Requests answered `ERR` (any verb, parse errors excluded — those
     /// never reach [`Server::execute`]).
     errors: Counter,
+    /// `EXPLAIN`s answered `ERR internal`: the pair is identified but the
+    /// step log yielded no proof that verifies.
+    explain_unverified: Counter,
 }
 
 impl VerbMetrics {
@@ -346,6 +349,10 @@ impl VerbMetrics {
             errors: reg.counter(
                 "gk_request_errors_total",
                 "Requests answered ERR (parse failures excluded).",
+            ),
+            explain_unverified: reg.counter(
+                "gk_explain_unverified_total",
+                "EXPLAINs of an identified pair whose step log yielded no verifiable proof.",
             ),
         }
     }
@@ -664,7 +671,7 @@ impl Server {
                 let snap = self.index.snapshot();
                 self.count_query(self.exec_rep(&snap, entity))
             }
-            Request::Explain { a, b } => self.count_query(self.exec_explain(a, b)),
+            Request::Explain { a, b } => self.count_query(self.exec_explain(a, b, span)),
             Request::Insert { batch } => self.count_update(self.exec_insert(&batch, span)),
             Request::Delete { batch } => self.count_update(self.exec_delete(&batch, span)),
             Request::AddKey { dsl } => self.count_update(self.exec_addkey(&dsl, span)),
@@ -842,15 +849,19 @@ impl Server {
         }
     }
 
-    fn exec_explain(&self, a: String, b: String) -> Response {
+    fn exec_explain(&self, a: String, b: String, span: &Span) -> Response {
         let snap = self.index.snapshot();
         let (ea, eb) = match (entity(&snap, &a), entity(&snap, &b)) {
             (Ok(ea), Ok(eb)) => (ea, eb),
             (Err(e), _) | (_, Err(e)) => return e,
         };
-        match snap.explain(ea, eb) {
-            None => Response::NoProof { a, b },
-            Some(proof) => Response::Proof {
+        match snap.try_explain(ea, eb, span) {
+            Err(e) => {
+                self.verbs.explain_unverified.inc();
+                Response::Err(format!("internal: {e}"))
+            }
+            Ok(None) => Response::NoProof { a, b },
+            Ok(Some(proof)) => Response::Proof {
                 a,
                 b,
                 steps: proof
@@ -1260,6 +1271,29 @@ mod tests {
         assert_eq!(analyze.counter("candidates"), Some(2));
         assert_eq!(analyze.counter("iso_checks"), Some(1));
         assert_eq!(analyze.counter("matched"), Some(1));
+    }
+
+    #[test]
+    fn traced_explain_attributes_history_slice_and_verify() {
+        let s = cached_server(0);
+        let resp = s.execute(Request::parse("TRACE EXPLAIN a1 a2").unwrap());
+        let Response::Trace { root, answer, .. } = resp else {
+            panic!("expected a Trace response");
+        };
+        assert_eq!(answer.render(), s.handle("EXPLAIN a1 a2"));
+        assert_eq!(root.name, "explain");
+        let phases: Vec<&str> = root.children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(phases, ["history", "slice", "verify"]);
+        assert_eq!(root.children[0].counter("log_steps"), Some(1));
+        assert_eq!(root.children[1].counter("proof_steps"), Some(1));
+        assert_eq!(root.children[1].counter("iso_checks"), Some(1));
+        // An unidentified pair is answered from the relation alone.
+        let resp = s.execute(Request::parse("TRACE EXPLAIN a1 a3").unwrap());
+        let Response::Trace { root, answer, .. } = resp else {
+            panic!("expected a Trace response");
+        };
+        assert!(answer.render().starts_with("NOPROOF"));
+        assert!(root.children.is_empty(), "{root:?}");
     }
 
     #[test]

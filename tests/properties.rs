@@ -3,15 +3,17 @@
 //! data locality, tour invariants, DSL/text round-trips.
 
 use gk_datagen::{generate, GenConfig};
+use keys_for_graphs::core::proof::replay;
 use keys_for_graphs::core::{
-    candidate_pairs, chase_incremental, chase_shard_slice, write_keys, ChaseStart, ChaseStep,
-    EqRel, ShardRole, Tour,
+    candidate_pairs, chase_incremental, chase_shard_slice, verify, write_keys, ChaseStart,
+    ChaseStep, EqRel, ShardRole, Tour,
 };
 use keys_for_graphs::isomorph::{
     eval_pair, eval_pair_enumerate, pairing_at, IdentityEq, MatchScope,
 };
 use keys_for_graphs::metrics::Span;
 use keys_for_graphs::prelude::*;
+use keys_for_graphs::server::IndexState;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -62,21 +64,27 @@ fn build_graph(raw: &[RawTriple]) -> Graph {
 
 /// A small pool of structurally varied keys over the same alphabet; the
 /// strategy picks a subset.
+const KEY_POOL: [&str; 7] = [
+    r#"key "A" t0(x) { x -p0-> n*; }"#,
+    r#"key "B" t0(x) { x -p0-> n*; x -p1-> m*; }"#,
+    r#"key "C" t1(x) { x -p1-> n*; x -p2-> y:t2; }"#,
+    r#"key "D" t2(x) { x -p2-> n*; z:t1 -p2-> x; }"#,
+    r#"key "E" t0(x) { x -p0-> n*; x -p3-> ~w:t1; }"#,
+    r#"key "F" t1(x) { x -p0-> w:t1; w:t1 -p0-> x; }"#,
+    r#"key "G" t2(x) { x -p1-> "v1"; x -p2-> n*; }"#,
+];
+
 fn key_pool() -> Vec<Key> {
-    let dsl = r#"
-        key "A" t0(x) { x -p0-> n*; }
-        key "B" t0(x) { x -p0-> n*; x -p1-> m*; }
-        key "C" t1(x) { x -p1-> n*; x -p2-> y:t2; }
-        key "D" t2(x) { x -p2-> n*; z:t1 -p2-> x; }
-        key "E" t0(x) { x -p0-> n*; x -p3-> ~w:t1; }
-        key "F" t1(x) { x -p0-> w:t1; w:t1 -p0-> x; }
-        key "G" t2(x) { x -p1-> "v1"; x -p2-> n*; }
-    "#;
-    parse_keys(dsl).unwrap()
+    parse_keys(&KEY_POOL.join("\n")).unwrap()
 }
 
 fn key_subset() -> impl Strategy<Value = Vec<Key>> {
-    prop::collection::vec(0usize..7, 1..4).prop_map(|idx| {
+    key_subset_of(1..4)
+}
+
+/// A subset of the pool drawn with `draws` picks (repeats collapse).
+fn key_subset_of(draws: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Key>> {
+    prop::collection::vec(0usize..7, draws).prop_map(|idx| {
         let pool = key_pool();
         let mut picked = Vec::new();
         let mut seen = std::collections::HashSet::new();
@@ -464,6 +472,15 @@ fn delta_chases_track_reference(ks: &KeySet, stages: &[Stage]) {
     }
 }
 
+/// A seeded permutation: order by a hash of the position.
+fn permute<T>(items: &mut [T], seed: u64) {
+    let mut at = 0u64;
+    items.sort_by_cached_key(|_| {
+        at += 1;
+        (at ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    });
+}
+
 /// `0..=len` cut into a first stage of `first` items and stages of `batch`.
 fn stage_ends(len: usize, first: usize, batch: usize) -> Vec<usize> {
     let first = first.min(len);
@@ -519,12 +536,7 @@ proptest! {
             .with_seed(seed);
         let w = generate(&cfg);
         let mut triples: Vec<_> = w.graph.triples().collect();
-        // A seeded permutation: order by a hash of the position.
-        let mut at = 0u64;
-        triples.sort_by_cached_key(|_| {
-            at += 1;
-            (at ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        });
+        permute(&mut triples, seed);
         let half = triples.len() / 2;
         let mut from = 0;
         let stages: Vec<Stage> = stage_ends(triples.len(), half, half.div_ceil(batches).max(1))
@@ -561,6 +573,315 @@ proptest! {
         let last = &stages.last().expect("at least one stage").0;
         let terminal = chase_reference(last, &w.keys.compile(last), ChaseOrder::Deterministic);
         prop_assert_eq!(terminal.identified_pairs(), w.truth);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// EXPLAIN: proofs sliced out of the resident step log
+// ---------------------------------------------------------------------------
+
+/// What `EXPLAIN` rests on, checked on one resident state against up to
+/// `sample` identified pairs:
+///
+/// 1. the *log contract* — every step of the resident log re-verifies
+///    under the `Eq` of the steps before it;
+/// 2. an identified pair's explanation exists, verifies, cites only log
+///    steps, is step-minimal (no single step can be dropped) and is never
+///    longer than replaying the log up to the target; an unidentified
+///    pair has none.
+fn assert_explanations_slice_the_log(snap: &IndexState, sample: usize, front: &str) {
+    let (g, keys) = (&snap.graph, &snap.compiled);
+    let log = snap.steps().to_vec();
+    let mut eq = EqRel::identity(g.num_entities());
+    for (i, s) in log.iter().enumerate() {
+        let pattern = &keys.keys[s.key].pattern;
+        assert!(
+            eval_pair(
+                g,
+                pattern,
+                s.pair.0,
+                s.pair.1,
+                &eq,
+                MatchScope::whole_graph()
+            ),
+            "{front}: log step {i} {s:?} does not re-verify under its prefix"
+        );
+        eq.union(s.pair.0, s.pair.1);
+    }
+    assert_eq!(eq.classes(), snap.eq.classes(), "{front}: log closure");
+
+    let identified = snap.eq.identified_pairs();
+    for &(a, b) in identified
+        .iter()
+        .step_by(identified.len().div_ceil(sample).max(1))
+    {
+        let proof = snap
+            .try_explain(a, b, &Span::disabled())
+            .unwrap_or_else(|e| panic!("{front}: {a:?} ~ {b:?}: {e}"))
+            .unwrap_or_else(|| panic!("{front}: identified {a:?} ~ {b:?} has no proof"));
+        verify(g, keys, &proof).unwrap_or_else(|e| panic!("{front}: {a:?} ~ {b:?}: {e}"));
+        for s in &proof.steps {
+            let cited = ChaseStep {
+                pair: s.pair,
+                key: s.key,
+            };
+            assert!(log.contains(&cited), "{front}: {cited:?} is not a log step");
+        }
+        for drop in 0..proof.len() {
+            let mut fewer = proof.clone();
+            fewer.steps.remove(drop);
+            assert!(
+                verify(g, keys, &fewer).is_err(),
+                "{front}: {a:?} ~ {b:?} holds without step {drop} of {proof:?}"
+            );
+        }
+        // The proof this replaced: the whole log up to the target.
+        let mut prefix = EqRel::identity(g.num_entities());
+        let upto = log
+            .iter()
+            .position(|s| {
+                prefix.union(s.pair.0, s.pair.1);
+                prefix.same(a, b)
+            })
+            .expect("the log connects an identified pair");
+        let whole = replay(g, keys, &log[..=upto], (a, b))
+            .unwrap_or_else(|e| panic!("{front}: log prefix to {a:?} ~ {b:?}: {e}"));
+        assert!(proof.len() <= whole.len(), "{front}: {a:?} ~ {b:?}");
+    }
+    let strangers = candidate_pairs(g, keys, CandidateMode::TypePairs)
+        .into_iter()
+        .filter(|&(a, b)| !snap.same(a, b));
+    for (a, b) in strangers.take(sample) {
+        assert!(snap.explain(a, b).is_none(), "{front}: {a:?} {b:?}");
+    }
+}
+
+/// A raw triple as the text `INSERT` / `DELETE` take.
+fn spec_text(t: &RawTriple) -> String {
+    let subject = format!("e{}:t{} p{}", t.s, t.s % 3, t.p);
+    if t.obj_entity {
+        format!("{subject} e{}:t{}", t.o, t.o % 3)
+    } else {
+        format!("{subject} \"v{}\"", t.o % 6)
+    }
+}
+
+/// One in-memory server per shard role, each over its own copy of the
+/// (replicated) graph and key set.
+fn shard_servers(
+    shards: usize,
+    graph: impl Fn() -> Graph,
+    keys: impl Fn() -> KeySet,
+) -> Vec<Server> {
+    (0..shards)
+        .map(|i| {
+            Server::from_index(EmIndex::with_engine_sharded(
+                graph(),
+                keys(),
+                ChaseEngine::default(),
+                std::sync::Arc::new(keys_for_graphs::server::Registry::new()),
+                ShardRole::new(i, shards).unwrap(),
+            ))
+        })
+        .collect()
+}
+
+/// Runs merge exchanges between shard servers — every shard absorbing
+/// every other's log — until a sweep absorbs nothing.
+fn converge(shards: &[Server]) {
+    loop {
+        let mut absorbed = false;
+        for (i, shard) in shards.iter().enumerate() {
+            for (j, other) in shards.iter().enumerate() {
+                if i != j {
+                    let (entries, _) = other.index().merge_log(0);
+                    let report = shard.index().absorb_merges(&entries, &Span::disabled());
+                    absorbed |= report.unwrap().touched > 0;
+                }
+            }
+        }
+        if !absorbed {
+            return;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random graphs, recursive key sets and op streams
+    /// (INSERT / DELETE / ADDKEY / DROPKEY) through every front that keeps a
+    /// resident log: the five engine configurations, 2 and 4 shard roles
+    /// after each update's merge exchange, and a durable server killed and
+    /// recovered after every update.
+    #[test]
+    fn explanations_slice_the_resident_log(
+        raw in prop::collection::vec(raw_triple(2), 24..72),
+        keys in key_subset_of(3..8),
+        first in 0usize..48,
+        ops in prop::collection::vec((0u8..6, any::<u8>()), 1..10),
+    ) {
+        let first = first.min(raw.len());
+        let graph = || build_graph(&raw[..first]);
+        let sigma = || KeySet::new(keys.clone()).unwrap();
+        let mut declared: Vec<String> = keys.iter().map(|k| k.name.clone()).collect();
+        let mut held_back = raw[first..].iter();
+        let lines: Vec<String> = ops
+            .iter()
+            .map(|&(kind, pick)| match kind {
+                0..=2 => {
+                    let batch: Vec<String> =
+                        held_back.by_ref().take(1 + pick as usize % 3).map(spec_text).collect();
+                    if batch.is_empty() {
+                        "PING".into()
+                    } else {
+                        format!("INSERT {}", batch.join(" ; "))
+                    }
+                }
+                3 => format!("DELETE {}", spec_text(&raw[pick as usize % raw.len()])),
+                _ => {
+                    let dsl = KEY_POOL[pick as usize % KEY_POOL.len()];
+                    let name = dsl.split('"').nth(1).unwrap().to_string();
+                    match declared.iter().position(|n| *n == name) {
+                        Some(at) => {
+                            declared.remove(at);
+                            format!("DROPKEY {name}")
+                        }
+                        None => {
+                            declared.push(name);
+                            format!("ADDKEY {dsl}")
+                        }
+                    }
+                }
+            })
+            .collect();
+
+        let engines = [
+            ChaseEngine::Reference,
+            ChaseEngine::Incremental,
+            ChaseEngine::Parallel { threads: 1 },
+            ChaseEngine::Parallel { threads: 2 },
+            ChaseEngine::Parallel { threads: 8 },
+        ];
+        for engine in engines {
+            let server = Server::with_engine(graph(), sigma(), engine);
+            assert_explanations_slice_the_log(&server.index().snapshot(), 64, &format!("{engine:?}"));
+            for line in &lines {
+                server.handle(line);
+                let front = format!("{engine:?} after {line}");
+                assert_explanations_slice_the_log(&server.index().snapshot(), 64, &front);
+            }
+        }
+
+        for shards in [2usize, 4] {
+            let cluster = shard_servers(shards, graph, sigma);
+            converge(&cluster);
+            for line in &lines {
+                for shard in &cluster {
+                    shard.handle(line);
+                }
+                converge(&cluster);
+                for (i, shard) in cluster.iter().enumerate() {
+                    let front = format!("shard {i}/{shards} after {line}");
+                    assert_explanations_slice_the_log(&shard.index().snapshot(), 64, &front);
+                }
+            }
+        }
+
+        static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let dur = Durability::in_dir(std::env::temp_dir().join(format!(
+            "gk-explain-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        )))
+        .with_fsync(FsyncMode::Never);
+        let _ = std::fs::remove_dir_all(&dur.dir);
+        let engine = ChaseEngine::default();
+        let (mut server, _) = Server::with_durability(graph(), sigma(), engine, &dur).unwrap();
+        for (n, line) in lines.iter().enumerate() {
+            server.handle(line);
+            if n % 3 == 1 {
+                server.handle("SNAPSHOT");
+            }
+            // Kill, then serve on from what recovery rebuilt: a snapshot's
+            // log plus a replayed WAL suffix.
+            drop(server);
+            let (recovered, report) = EmIndex::recover_durable(&dur, engine).unwrap().unwrap();
+            prop_assert!(report.recovered);
+            let front = format!("recovered after {line}");
+            assert_explanations_slice_the_log(&recovered.snapshot(), 64, &front);
+            server = Server::from_index(recovered);
+        }
+        let _ = std::fs::remove_dir_all(&dur.dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A generated workload with planted duplicates under recursive keys,
+    /// streamed into an empty index in a random order — so logs grow by
+    /// cascading delta chases, on a standalone server and on two shard
+    /// roles exchanging merges — then re-chased in full after a `DELETE`,
+    /// with enough open pairs that the parallel engine shards the round
+    /// across workers (each advancing its own clone of the relation) and
+    /// merges their steps into one log.
+    #[test]
+    fn explanations_slice_logs_grown_by_generated_streams(
+        seed in any::<u64>(),
+        c in 0usize..3,
+        wide in any::<bool>(),
+    ) {
+        use keys_for_graphs::graph::ObjSpec;
+
+        let cfg = GenConfig::google()
+            .with_scale(0.2)
+            .with_keys(6)
+            .with_chain(c)
+            .with_seed(seed);
+        let w = generate(&cfg);
+        let g = &w.graph;
+        let typed = |e: EntityId| (g.entity_label(e), g.type_str(g.entity_type(e)).to_string());
+        let mut specs: Vec<TripleSpec> = g
+            .triples()
+            .map(|t| {
+                let (subject, subject_type) = typed(t.s);
+                let object = match t.o {
+                    Obj::Entity(o) => {
+                        let (name, ty) = typed(o);
+                        ObjSpec::Entity { name, ty }
+                    }
+                    Obj::Value(v) => ObjSpec::Value(g.value_str(v).to_string()),
+                };
+                TripleSpec { subject, subject_type, pred: g.pred_str(t.p).to_string(), object }
+            })
+            .collect();
+        permute(&mut specs, seed);
+
+        let threads = if wide { 8 } else { 2 };
+        let empty = || GraphBuilder::new().freeze();
+        let standalone = Server::with_engine(empty(), w.keys.clone(), ChaseEngine::Parallel { threads });
+        let cluster = shard_servers(2, empty, || w.keys.clone());
+        let fronts: Vec<&Server> = std::iter::once(&standalone).chain(&cluster).collect();
+        let check = |stage: &str| {
+            converge(&cluster);
+            for (i, front) in fronts.iter().enumerate() {
+                let snap = front.index().snapshot();
+                assert_explanations_slice_the_log(&snap, 16, &format!("front {i}, {stage}"));
+            }
+        };
+        for (n, batch) in specs.chunks(specs.len().div_ceil(8)).enumerate() {
+            for front in &fronts {
+                front.index().insert(batch).unwrap();
+            }
+            check(&format!("batch {n}"));
+        }
+        let pairs = standalone.index().snapshot().eq.num_identified_pairs();
+        prop_assert_eq!(pairs, w.truth.len());
+        for front in &fronts {
+            front.index().delete(&specs[..1]).unwrap();
+        }
+        check("full re-chase");
     }
 }
 
