@@ -1,19 +1,16 @@
-//! The experiment suite: one function per figure/table of §6.
+//! The experiment suite: one function per figure/table of §6, and the
+//! trend tests that turn each figure's claim into an assertion.
 
 use gk_core::{
-    chase_reference, em_mr, em_mr_sim, em_vc, em_vc_sim, ChaseOrder, CompiledKeySet, MatchOutcome,
-    MrVariant, VcVariant,
+    em_mr, em_mr_sim, em_vc, em_vc_sim, CompiledKeySet, MatchOutcome, MrVariant, VcVariant,
 };
 use gk_datagen::{generate, GenConfig, Workload};
-use gk_graph::{EntityId, Graph, GraphView};
+use gk_graph::Graph;
 use std::time::Instant;
 
 /// The algorithms compared throughout §6.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlgoKind {
-    /// Sequential reference chase (ground-truth baseline, not in the
-    /// paper's plots).
-    Reference,
     /// `EM_MR^VF2` — enumerate-all baseline.
     MrVf2,
     /// `EM_MR`.
@@ -30,7 +27,6 @@ impl AlgoKind {
     /// Paper-style label.
     pub fn label(self) -> &'static str {
         match self {
-            AlgoKind::Reference => "reference",
             AlgoKind::MrVf2 => "EM_MR^VF2",
             AlgoKind::Mr => "EM_MR",
             AlgoKind::MrOpt => "EM_MR^opt",
@@ -64,22 +60,6 @@ impl AlgoKind {
 
     fn run_mode(self, g: &Graph, keys: &CompiledKeySet, p: usize, sim: bool) -> MatchOutcome {
         match self {
-            AlgoKind::Reference => {
-                let t = Instant::now();
-                let r = chase_reference(g, keys, ChaseOrder::Deterministic);
-                let mut report = gk_core::RunReport {
-                    algorithm: "reference".into(),
-                    workers: 1,
-                    identified: r.eq.num_identified_pairs(),
-                    merges: r.steps.len(),
-                    rounds: r.rounds,
-                    iso_checks: r.iso_checks,
-                    elapsed: t.elapsed(),
-                    ..Default::default()
-                };
-                report.candidates = 0;
-                MatchOutcome { eq: r.eq, report }
-            }
             AlgoKind::MrVf2 => mr(g, keys, p, MrVariant::Vf2, sim),
             AlgoKind::Mr => mr(g, keys, p, MrVariant::Base, sim),
             AlgoKind::MrOpt => mr(g, keys, p, MrVariant::Opt, sim),
@@ -124,7 +104,7 @@ pub struct Measurement {
     pub identified: usize,
     /// Candidate matches handed to the algorithm.
     pub candidates: usize,
-    /// MapReduce rounds (1 for VC/reference semantics differ).
+    /// MapReduce rounds (1 for the vertex-centric algorithms).
     pub rounds: usize,
     /// Messages (vertex-centric) or shuffled records (MapReduce).
     pub traffic: u64,
@@ -136,33 +116,10 @@ pub struct Measurement {
 
 /// All experiment ids, in presentation order.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "fig8a",
-    "fig8b",
-    "fig8c",
-    "fig8d", // Google
-    "fig8e",
-    "fig8f",
-    "fig8g",
-    "fig8h", // DBpedia
-    "fig8i",
-    "fig8j",
-    "fig8k",
-    "fig8l", // Synthetic
-    "table2",
-    "gp_ratio",
-    "opt_mr",
-    "opt_vc",
-    "ablation",
-    "vary_threads",
-    "startup_recovery",
-    "ingest_throughput",
-    "query_pipeline",
-    "metrics_overhead",
-    "trace_overhead",
-    "query_cached",
-    "matcher_prune",
-    "concurrent_connections",
-    "vary_shards",
+    "fig8a", "fig8b", "fig8c", "fig8d", // Google
+    "fig8e", "fig8f", "fig8g", "fig8h", // DBpedia
+    "fig8i", "fig8j", "fig8k", "fig8l", // Synthetic
+    "table2", "gp_ratio", "opt_mr", "opt_vc", "ablation",
 ];
 
 /// Dataset base config for an experiment family, at benchmark scale.
@@ -181,10 +138,6 @@ fn dataset_cfg(which: char, quick: bool) -> GenConfig {
     }
 }
 
-fn truth_of(w: &Workload) -> &[(EntityId, EntityId)] {
-    &w.truth
-}
-
 fn measure(
     experiment: &str,
     w: &Workload,
@@ -193,19 +146,7 @@ fn measure(
     p: usize,
     x: String,
 ) -> Measurement {
-    measure_mode(experiment, w, keys, algo, p, x, false)
-}
-
-fn measure_mode(
-    experiment: &str,
-    w: &Workload,
-    keys: &CompiledKeySet,
-    algo: AlgoKind,
-    p: usize,
-    x: String,
-    sim: bool,
-) -> Measurement {
-    measure_reps(experiment, w, keys, algo, p, x, sim, 1)
+    measure_reps(experiment, w, keys, algo, p, x, false, 1)
 }
 
 /// Keeps the fastest of several repetitions of one measurement (the paper
@@ -260,7 +201,7 @@ fn measure_reps(
                 candidates: out.report.candidates,
                 rounds: out.report.rounds,
                 traffic: out.report.messages.max(out.report.shuffled_records),
-                correct: got == truth_of(w),
+                correct: got == w.truth,
                 extra: out.report.extra.clone(),
             }
         })
@@ -277,49 +218,53 @@ pub const C_SWEEP: &[usize] = &[1, 2, 3, 4, 5];
 /// The radii of Fig. 8(d)(h)(l).
 pub const D_SWEEP: &[usize] = &[1, 2, 3, 4, 5];
 
+/// The datasets: `'g'`oogle, `'d'`bpedia, `'s'`ynthetic.
+const DATASETS: [char; 3] = ['g', 'd', 's'];
+
 /// Runs one experiment by id; `quick` shrinks the workload.
+///
+/// # Panics
+///
+/// On an id not in [`ALL_EXPERIMENTS`]; callers validate first.
 pub fn run_experiment(id: &str, quick: bool) -> Vec<Measurement> {
+    let five = &AlgoKind::parallel_five();
+    let every_dataset = |body: fn(char, &str, bool) -> Vec<Measurement>| {
+        DATASETS
+            .iter()
+            .flat_map(|&ds| body(ds, id, quick))
+            .collect()
+    };
     match id {
-        "fig8a" => vary_p('g', "fig8a", quick),
-        "fig8e" => vary_p('d', "fig8e", quick),
-        "fig8i" => vary_p('s', "fig8i", quick),
-        "fig8b" => vary_scale('g', "fig8b", quick),
-        "fig8f" => vary_scale('d', "fig8f", quick),
-        "fig8j" => vary_scale('s', "fig8j", quick),
-        "fig8c" => vary_c('g', "fig8c", quick),
-        "fig8g" => vary_c('d', "fig8g", quick),
-        "fig8k" => vary_c('s', "fig8k", quick),
-        "fig8d" => vary_d('g', "fig8d", quick),
-        "fig8h" => vary_d('d', "fig8h", quick),
-        "fig8l" => vary_d('s', "fig8l", quick),
-        "table2" => table2(quick),
-        "gp_ratio" => gp_ratio(quick),
-        "opt_mr" => opt_mr(quick),
-        "opt_vc" => opt_vc(quick),
-        "ablation" => ablation(quick),
-        "vary_threads" => vary_threads(quick),
-        "startup_recovery" => startup_recovery(quick),
-        "ingest_throughput" => ingest_throughput(quick),
-        "query_pipeline" => query_pipeline(quick),
-        "metrics_overhead" => metrics_overhead(quick),
-        "trace_overhead" => trace_overhead(quick),
-        "query_cached" => query_cached(quick),
-        "matcher_prune" => matcher_prune(quick),
-        "concurrent_connections" => concurrent_connections(quick),
-        "vary_shards" => vary_shards(quick),
+        "fig8a" => vary_p('g', id, quick, five),
+        "fig8e" => vary_p('d', id, quick, five),
+        "fig8i" => vary_p('s', id, quick, five),
+        "fig8b" => vary_scale('g', id, quick, five),
+        "fig8f" => vary_scale('d', id, quick, five),
+        "fig8j" => vary_scale('s', id, quick, five),
+        "fig8c" => vary_c('g', id, quick, five),
+        "fig8g" => vary_c('d', id, quick, five),
+        "fig8k" => vary_c('s', id, quick, five),
+        "fig8d" => vary_d('g', id, quick, five),
+        "fig8h" => vary_d('d', id, quick, five),
+        "fig8l" => vary_d('s', id, quick, five),
+        "table2" => every_dataset(table2),
+        "gp_ratio" => every_dataset(gp_ratio),
+        "opt_mr" => every_dataset(opt_mr),
+        "opt_vc" => every_dataset(opt_vc),
+        "ablation" => every_dataset(ablation),
         other => panic!("unknown experiment id {other:?}; see ALL_EXPERIMENTS"),
     }
 }
 
 /// Fig. 8(a)(e)(i): fix c=2, d=2; vary p.
-fn vary_p(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
+fn vary_p(ds: char, id: &str, quick: bool, algos: &[AlgoKind]) -> Vec<Measurement> {
     let cfg = dataset_cfg(ds, quick).with_chain(2).with_radius(2);
     let w = generate(&cfg);
     let keys = w.keys.compile(&w.graph);
     let mut out = Vec::new();
     let reps = if quick { 1 } else { 3 };
     for &p in P_SWEEP {
-        for algo in AlgoKind::parallel_five() {
+        for &algo in algos {
             // Simulated workers: the makespan scales with p even when the
             // host has fewer cores (see DESIGN.md).
             out.push(measure_reps(
@@ -338,14 +283,14 @@ fn vary_p(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
 }
 
 /// Fig. 8(b)(f)(j): fix p=4, c=2, d=2; vary |G| by scale factor.
-fn vary_scale(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
+fn vary_scale(ds: char, id: &str, quick: bool, algos: &[AlgoKind]) -> Vec<Measurement> {
     let base = dataset_cfg(ds, quick).with_chain(2).with_radius(2);
     let mut out = Vec::new();
     for &f in SCALE_SWEEP {
         let cfg = base.clone().with_scale(base.scale * f);
         let w = generate(&cfg);
         let keys = w.keys.compile(&w.graph);
-        for algo in AlgoKind::parallel_five() {
+        for &algo in algos {
             let reps = if quick { 1 } else { 2 };
             let mut m = measure_reps(id, &w, &keys, algo, 4, format!("scale={f}"), false, reps);
             m.extra
@@ -357,14 +302,14 @@ fn vary_scale(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
 }
 
 /// Fig. 8(c)(g)(k): fix p=4, d=2; vary the dependency chain c.
-fn vary_c(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
+fn vary_c(ds: char, id: &str, quick: bool, algos: &[AlgoKind]) -> Vec<Measurement> {
     let base = dataset_cfg(ds, quick).with_radius(2);
     let mut out = Vec::new();
     for &c in C_SWEEP {
         let cfg = base.clone().with_chain(c);
         let w = generate(&cfg);
         let keys = w.keys.compile(&w.graph);
-        for algo in AlgoKind::parallel_five() {
+        for &algo in algos {
             let reps = if quick { 1 } else { 2 };
             out.push(measure_reps(
                 id,
@@ -382,14 +327,14 @@ fn vary_c(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
 }
 
 /// Fig. 8(d)(h)(l): fix p=4, c=2; vary the radius d.
-fn vary_d(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
+fn vary_d(ds: char, id: &str, quick: bool, algos: &[AlgoKind]) -> Vec<Measurement> {
     let base = dataset_cfg(ds, quick).with_chain(2);
     let mut out = Vec::new();
     for &d in D_SWEEP {
         let cfg = base.clone().with_radius(d);
         let w = generate(&cfg);
         let keys = w.keys.compile(&w.graph);
-        for algo in AlgoKind::parallel_five() {
+        for &algo in algos {
             let reps = if quick { 1 } else { 2 };
             out.push(measure_reps(
                 id,
@@ -406,93 +351,73 @@ fn vary_d(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
     out
 }
 
-/// Table 2: candidate matches (EM_VC^opt vs EM_MR^opt) and confirmed
-/// matches, per dataset.
-fn table2(quick: bool) -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for ds in ['g', 'd', 's'] {
-        let cfg = dataset_cfg(ds, quick).with_chain(2).with_radius(2);
-        let w = generate(&cfg);
-        let keys = w.keys.compile(&w.graph);
-        for algo in [AlgoKind::VcOpt, AlgoKind::MrOpt] {
-            let mut m = measure("table2", &w, &keys, algo, 4, "-".into());
-            // For EM_VC^opt the paper counts the (larger) product-graph
-            // candidate space; surface Gp nodes alongside.
-            if algo == AlgoKind::VcOpt {
-                if let Some(gp) = m.extra.iter().find(|(k, _)| k == "gp_nodes") {
-                    m.x = format!("gp_nodes={}", gp.1);
-                }
-            }
-            out.push(m);
-        }
-    }
-    out
+/// The c=2, d=2 workload of one dataset, with its keys compiled.
+fn base_workload(ds: char, quick: bool) -> (Workload, CompiledKeySet) {
+    let w = generate(&dataset_cfg(ds, quick).with_chain(2).with_radius(2));
+    let keys = w.keys.compile(&w.graph);
+    (w, keys)
 }
 
-/// §6 in-text: |Gp| vs |G| (the paper reports ≈ 2.7·|G| on average).
-fn gp_ratio(quick: bool) -> Vec<Measurement> {
+/// Table 2: candidate matches (EM_VC^opt vs EM_MR^opt) and confirmed
+/// matches.
+fn table2(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
+    let (w, keys) = base_workload(ds, quick);
     let mut out = Vec::new();
-    for ds in ['g', 'd', 's'] {
-        let cfg = dataset_cfg(ds, quick).with_chain(2).with_radius(2);
-        let w = generate(&cfg);
-        let keys = w.keys.compile(&w.graph);
-        let mut m = measure("gp_ratio", &w, &keys, AlgoKind::Vc, 4, "-".into());
-        m.extra
-            .push(("g_triples".into(), w.graph.num_triples().to_string()));
+    for algo in [AlgoKind::VcOpt, AlgoKind::MrOpt] {
+        let mut m = measure(id, &w, &keys, algo, 4, "-".into());
+        // For EM_VC^opt the paper counts the (larger) product-graph
+        // candidate space; surface Gp nodes alongside.
+        if algo == AlgoKind::VcOpt {
+            if let Some(gp) = m.extra.iter().find(|(k, _)| k == "gp_nodes") {
+                m.x = format!("gp_nodes={}", gp.1);
+            }
+        }
         out.push(m);
     }
     out
 }
 
+/// §6 in-text: |Gp| vs |G| (the paper reports ≈ 2.7·|G| on average).
+fn gp_ratio(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
+    let (w, keys) = base_workload(ds, quick);
+    let mut m = measure(id, &w, &keys, AlgoKind::Vc, 4, "-".into());
+    m.extra
+        .push(("g_triples".into(), w.graph.num_triples().to_string()));
+    vec![m]
+}
+
 /// §6 in-text optimization effects for MapReduce: candidate reduction,
 /// neighborhood reduction, check reduction, speedup.
-fn opt_mr(quick: bool) -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for ds in ['g', 'd', 's'] {
-        let cfg = dataset_cfg(ds, quick).with_chain(2).with_radius(2);
-        let w = generate(&cfg);
-        let keys = w.keys.compile(&w.graph);
-        for algo in [AlgoKind::Mr, AlgoKind::MrOpt] {
-            out.push(measure("opt_mr", &w, &keys, algo, 4, "-".into()));
-        }
-    }
-    out
+fn opt_mr(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
+    let (w, keys) = base_workload(ds, quick);
+    [AlgoKind::Mr, AlgoKind::MrOpt]
+        .into_iter()
+        .map(|algo| measure(id, &w, &keys, algo, 4, "-".into()))
+        .collect()
 }
 
 /// §6 in-text: EM_VC vs EM_VC^opt across message budgets k.
-fn opt_vc(quick: bool) -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for ds in ['g', 'd', 's'] {
-        let cfg = dataset_cfg(ds, quick).with_chain(2).with_radius(2);
-        let w = generate(&cfg);
-        let keys = w.keys.compile(&w.graph);
-        out.push(measure(
-            "opt_vc",
-            &w,
-            &keys,
-            AlgoKind::Vc,
-            4,
-            "unbounded".into(),
-        ));
-        for k in [1u32, 2, 4, 8] {
-            let t = Instant::now();
-            let o = em_vc(&w.graph, &keys, 4, VcVariant::Opt { k });
-            let got = o.identified_pairs();
-            out.push(Measurement {
-                experiment: "opt_vc".into(),
-                dataset: w.name.clone(),
-                algo: "EM_VC^opt".to_string(),
-                x: format!("k={k}"),
-                seconds: t.elapsed().as_secs_f64(),
-                sim_seconds: o.report.sim_seconds,
-                identified: o.report.identified,
-                candidates: o.report.candidates,
-                rounds: 1,
-                traffic: o.report.messages,
-                correct: got == w.truth,
-                extra: o.report.extra.clone(),
-            });
-        }
+fn opt_vc(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
+    let (w, keys) = base_workload(ds, quick);
+    let mut out = vec![measure(id, &w, &keys, AlgoKind::Vc, 4, "unbounded".into())];
+    for k in [1u32, 2, 4, 8] {
+        let t = Instant::now();
+        let o = em_vc(&w.graph, &keys, 4, VcVariant::Opt { k });
+        let got = o.identified_pairs();
+        out.push(Measurement {
+            experiment: id.into(),
+            dataset: w.name.clone(),
+            algo: "EM_VC^opt".to_string(),
+            x: format!("k={k}"),
+            seconds: t.elapsed().as_secs_f64(),
+            sim_seconds: o.report.sim_seconds,
+            identified: o.report.identified,
+            candidates: o.report.candidates,
+            rounds: 1,
+            traffic: o.report.messages,
+            correct: got == w.truth,
+            extra: o.report.extra.clone(),
+        });
     }
     out
 }
@@ -500,1542 +425,281 @@ fn opt_vc(quick: bool) -> Vec<Measurement> {
 /// Ablation of the candidate-enumeration design choice: the paper's plain
 /// type-pair enumeration (`L` = all same-type pairs, then pairing) vs the
 /// value-blocking pre-pass this implementation adds before pairing.
-fn ablation(quick: bool) -> Vec<Measurement> {
+fn ablation(ds: char, id: &str, quick: bool) -> Vec<Measurement> {
     use gk_core::{prepare_opt, CandidateMode};
+    let (w, keys) = base_workload(ds, quick);
     let mut out = Vec::new();
-    for ds in ['g', 'd', 's'] {
-        let cfg = dataset_cfg(ds, quick).with_chain(2).with_radius(2);
-        let w = generate(&cfg);
-        let keys = w.keys.compile(&w.graph);
-        for (label, mode) in [
-            ("prep:type-pairs", CandidateMode::TypePairs),
-            ("prep:blocked", CandidateMode::Blocked),
-        ] {
-            let enumerated = gk_core::candidate_pairs(&w.graph, &keys, mode).len();
-            let t = Instant::now();
-            let prep = prepare_opt(&w.graph, &keys, mode);
-            let secs = t.elapsed().as_secs_f64();
-            out.push(Measurement {
-                experiment: "ablation".into(),
-                dataset: w.name.clone(),
-                algo: label.into(),
-                x: "-".into(),
-                seconds: secs,
-                sim_seconds: 0.0,
-                identified: 0,
-                candidates: prep.candidates.len(),
-                rounds: 0,
-                traffic: enumerated as u64,
-                correct: true,
-                extra: vec![("frontier".into(), prep.frontier.len().to_string())],
-            });
-        }
-    }
-    out
-}
-
-/// Beyond the paper: the resident engines' blocked kernel chase
-/// (`chase_parallel`) across worker-thread counts — wall-clock, real
-/// threads (not the simulated scheduler). The `baseline` row is the
-/// sequential oracle `chase_reference` over the unblocked type pairs: what
-/// only `--engine reference` still runs, not what the threads are scaled
-/// against (that is the `threads=1` row). `quick` uses the CI scale; the full run
-/// uses a 10k-entity workload.
-fn vary_threads(quick: bool) -> Vec<Measurement> {
-    use gk_core::{chase_parallel, ParallelOpts};
-    let cfg = dataset_cfg('g', quick)
-        .with_scale(if quick { 0.1 } else { 0.46 })
-        .with_chain(2)
-        .with_radius(2);
-    let w = generate(&cfg);
-    let keys = w.keys.compile(&w.graph);
-    let mut out = Vec::new();
-    let reps = if quick { 1 } else { 3 };
-    out.push(measure_reps(
-        "vary_threads",
-        &w,
-        &keys,
-        AlgoKind::Reference,
-        1,
-        "baseline".into(),
-        false,
-        reps,
-    ));
-    for threads in [1usize, 2, 4, 8] {
-        let runs = (0..reps.max(1))
-            .map(|_| {
-                let t = Instant::now();
-                let r = chase_parallel(&w.graph, &keys, ParallelOpts::with_threads(threads));
-                let secs = t.elapsed().as_secs_f64();
-                Measurement {
-                    experiment: "vary_threads".into(),
-                    dataset: w.name.clone(),
-                    algo: "chase_parallel".into(),
-                    x: format!("threads={threads}"),
-                    seconds: secs,
-                    sim_seconds: 0.0,
-                    identified: r.eq.num_identified_pairs(),
-                    candidates: 0,
-                    rounds: r.rounds,
-                    traffic: 0,
-                    correct: r.identified_pairs() == w.truth,
-                    extra: vec![("iso_checks".into(), r.iso_checks.to_string())],
-                }
-            })
-            .collect();
-        out.push(pick_best(runs));
-    }
-    out
-}
-
-/// Beyond the paper: restart cost of the durable resident server on the
-/// 10k-entity Google workload — cold reload + full startup chase vs
-/// snapshot load + WAL replay (`gk-store`). The workload bootstraps a
-/// durable index, streams post-snapshot insert batches into the WAL, then
-/// measures both restart paths over the *same* final graph; correctness
-/// requires the recovered equivalence classes (and hence every
-/// `SAME`/`DUPS`/`REP` answer) to be identical to the cold rebuild's.
-/// `quick` reduces repetitions, not the workload.
-fn startup_recovery(quick: bool) -> Vec<Measurement> {
-    use gk_core::ChaseEngine;
-    use gk_server::EmIndex;
-    use gk_store::Durability;
-
-    let cfg = dataset_cfg('g', false)
-        .with_scale(0.46)
-        .with_chain(2)
-        .with_radius(2);
-    let w = generate(&cfg);
-    let engine = ChaseEngine::default();
-    let reclone = |g: &Graph| gk_graph::GraphBuilder::from_graph(g).freeze();
-
-    let dir = std::env::temp_dir().join(format!("gk-bench-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let dur = Durability::in_dir(&dir);
-
-    // Bootstrap: startup chase + initial snapshot, then stream insert
-    // batches that land in the WAL (the replay work recovery must redo).
-    let (index, _) = EmIndex::open_durable(reclone(&w.graph), w.keys.clone(), engine, &dur)
-        .expect("bootstrap durable index");
-    for i in 0..32 {
-        let batch = format!(
-            "ing{i}a:ingest logged \"v{i}\"\ning{i}b:ingest logged \"v{i}\"\n\
-             ing{i}a:ingest batch \"b{}\"",
-            i % 4
-        );
-        let specs = gk_graph::parse_triple_specs(&batch).unwrap();
-        index.insert(&specs).expect("streamed insert");
-    }
-    // materialize() already yields an owned, independent frozen graph.
-    let final_graph = index.snapshot().graph.materialize();
-    drop(index);
-
-    let reps = if quick { 1 } else { 3 };
-    let mut cold_runs = Vec::new();
-    let mut recover_runs = Vec::new();
-    for _ in 0..reps {
-        // Cold restart: reload the final graph and re-run the full chase.
+    for (label, mode) in [
+        ("prep:type-pairs", CandidateMode::TypePairs),
+        ("prep:blocked", CandidateMode::Blocked),
+    ] {
+        let enumerated = gk_core::candidate_pairs(&w.graph, &keys, mode).len();
         let t = Instant::now();
-        let cold = EmIndex::with_engine(reclone(&final_graph), w.keys.clone(), engine);
-        let cold_secs = t.elapsed().as_secs_f64();
-
-        // Durable restart: newest snapshot + WAL suffix through the
-        // incremental chase.
-        let t = Instant::now();
-        let (rec, report) = EmIndex::recover_durable(&dur, engine)
-            .expect("recovery")
-            .expect("state persisted");
-        let rec_secs = t.elapsed().as_secs_f64();
-
-        let cold_snap = cold.snapshot();
-        let rec_snap = rec.snapshot();
-        // Identical classes ⇒ identical SAME/DUPS/REP answers; also spot
-        // check every canonical representative.
-        let correct = rec_snap.eq.classes() == cold_snap.eq.classes()
-            && rec_snap.graph.num_triples() == cold_snap.graph.num_triples()
-            && rec_snap
-                .graph
-                .entities()
-                .all(|e| rec_snap.rep(e) == cold_snap.rep(e));
-
-        let base = |algo: &str, secs: f64| Measurement {
-            experiment: "startup_recovery".into(),
+        let prep = prepare_opt(&w.graph, &keys, mode);
+        let secs = t.elapsed().as_secs_f64();
+        out.push(Measurement {
+            experiment: id.into(),
             dataset: w.name.clone(),
-            algo: algo.into(),
+            algo: label.into(),
             x: "-".into(),
             seconds: secs,
             sim_seconds: 0.0,
-            identified: rec_snap.eq.num_identified_pairs(),
-            candidates: 0,
-            rounds: 0,
-            traffic: 0,
-            correct,
-            extra: Vec::new(),
-        };
-        cold_runs.push(base("cold_reload+chase", cold_secs));
-        let mut m = base("snapshot+replay", rec_secs);
-        m.extra
-            .push(("wal_replayed".into(), report.wal_replayed.to_string()));
-        m.extra
-            .push(("speedup".into(), format!("{:.2}", cold_secs / rec_secs)));
-        recover_runs.push(m);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    vec![pick_best(cold_runs), pick_best(recover_runs)]
-}
-
-/// Beyond the paper: steady-state `INSERT` batch cost on the 10k-entity
-/// Google workload — the epoch-based overlay write path
-/// (`EmIndex::insert`: O(batch) delta append + delta chase) against the
-/// pre-overlay rebuild path (re-open the whole frozen graph with
-/// `GraphBuilder::from_graph`, freeze a new CSR, recompile, then the same
-/// delta chase). Correctness requires both paths to land on identical
-/// equivalence classes — same clusters, same `SAME`/`DUPS`/`REP` answers.
-/// `quick` reduces repetitions, not the workload: the ≥5× acceptance
-/// speedup is defined at this scale.
-fn ingest_throughput(quick: bool) -> Vec<Measurement> {
-    use gk_core::{chase_incremental, ChaseEngine};
-    use gk_graph::{parse_triple_specs, GraphBuilder};
-    use gk_server::EmIndex;
-
-    let cfg = dataset_cfg('g', false)
-        .with_scale(0.46)
-        .with_chain(2)
-        .with_radius(2);
-    let w = generate(&cfg);
-    let reclone = |g: &Graph| GraphBuilder::from_graph(g).freeze();
-    let engine = ChaseEngine::default();
-    let batches = 64usize;
-    // Steady-state traffic: small batches landing on fresh entities plus a
-    // shared attribute, the same shape the recovery experiments stream.
-    let batch = |i: usize| {
-        format!(
-            "ing{i}a:ingest logged \"v{i}\"\ning{i}b:ingest logged \"v{i}\"\n\
-             ing{i}a:ingest batch \"b{}\"",
-            i % 4
-        )
-    };
-
-    let reps = if quick { 1 } else { 3 };
-    let mut overlay_runs = Vec::new();
-    let mut rebuild_runs = Vec::new();
-    for _ in 0..reps {
-        // --- Overlay path: what EmIndex::insert costs now. ---
-        let idx = EmIndex::with_engine(reclone(&w.graph), w.keys.clone(), engine);
-        let t = Instant::now();
-        for i in 0..batches {
-            idx.insert(&parse_triple_specs(&batch(i)).unwrap())
-                .expect("overlay insert");
-        }
-        let overlay_secs = t.elapsed().as_secs_f64();
-        let overlay_snap = idx.snapshot();
-        let overlay_classes = overlay_snap.eq.classes();
-
-        // --- Rebuild path: what every accepted batch cost before the
-        // overlay (full from_graph copy + freeze + recompile per batch),
-        // with the identical delta chase on top. ---
-        let mut g = reclone(&w.graph);
-        let compiled0 = w.keys.compile(&g);
-        let mut eq = engine
-            .full_chase(&g, &compiled0, gk_core::ChaseOrder::Deterministic)
-            .eq;
-        let t = Instant::now();
-        for i in 0..batches {
-            let specs = parse_triple_specs(&batch(i)).unwrap();
-            let mut b = GraphBuilder::from_graph(&g);
-            let mut touched: Vec<EntityId> = Vec::new();
-            for s in &specs {
-                let (subj, obj) = s.apply(&mut b);
-                touched.push(subj);
-                touched.extend(obj);
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            let g2 = b.freeze();
-            let compiled2 = w.keys.compile(&g2);
-            eq = chase_incremental(&g2, &compiled2, &eq, &touched).eq;
-            g = g2;
-        }
-        let rebuild_secs = t.elapsed().as_secs_f64();
-        let rebuild_classes = eq.classes();
-
-        // Byte-identical answers: both paths must produce the same Eq.
-        let correct = overlay_classes == rebuild_classes
-            && overlay_snap.graph.num_triples() == g.num_triples();
-
-        let base = |algo: &str, secs: f64| Measurement {
-            experiment: "ingest_throughput".into(),
-            dataset: w.name.clone(),
-            algo: algo.into(),
-            x: format!("batches={batches}"),
-            seconds: secs,
-            sim_seconds: 0.0,
-            identified: overlay_snap.eq.num_identified_pairs(),
-            candidates: 0,
-            rounds: 0,
-            traffic: 0,
-            correct,
-            extra: vec![(
-                "mean_batch_micros".into(),
-                format!("{:.1}", secs * 1e6 / batches as f64),
-            )],
-        };
-        overlay_runs.push({
-            let mut m = base("overlay_insert", overlay_secs);
-            m.extra.push((
-                "speedup".into(),
-                format!("{:.2}", rebuild_secs / overlay_secs),
-            ));
-            m.extra
-                .push(("epoch".into(), overlay_snap.graph.epoch().to_string()));
-            m.extra.push((
-                "delta_triples".into(),
-                overlay_snap.graph.delta_triples().to_string(),
-            ));
-            m
-        });
-        rebuild_runs.push(base("rebuild_insert", rebuild_secs));
-    }
-    vec![pick_best(overlay_runs), pick_best(rebuild_runs)]
-}
-
-/// Beyond the paper: query throughput of the TCP front-end on the
-/// 10k-entity Google workload — one-RTT-per-request sequential round
-/// trips against the `gk-client` pipeline writing 64 requests ahead. Both
-/// runs issue the identical request list over one persistent connection
-/// each and must receive byte-identical answers; only the framing
-/// discipline differs, so the gap is pure per-request syscall +
-/// scheduling latency. `quick` reduces the request count, not the graph:
-/// the ≥2× acceptance speedup is defined at this scale.
-fn query_pipeline(quick: bool) -> Vec<Measurement> {
-    use gk_client::Client;
-    use gk_server::{serve, Request, Server};
-
-    let cfg = dataset_cfg('g', false)
-        .with_scale(0.46)
-        .with_chain(2)
-        .with_radius(2);
-    let w = generate(&cfg);
-    let server = std::sync::Arc::new(Server::new(
-        gk_graph::GraphBuilder::from_graph(&w.graph).freeze(),
-        w.keys.clone(),
-    ));
-    let handle = serve(server, "127.0.0.1:0", 4).expect("bind ephemeral port");
-    let addr = handle.addr().to_string();
-
-    // A read-heavy mix over real entity names, deterministic so both
-    // runs (and every repetition) issue the identical stream.
-    let names: Vec<String> = w
-        .graph
-        .entities()
-        .take(512)
-        .map(|e| w.graph.entity_label(e))
-        .collect();
-    let total = if quick { 2_000 } else { 10_000 };
-    let reqs: Vec<Request> = (0..total)
-        .map(|i| {
-            let a = names[i % names.len()].clone();
-            let b = names[(i * 7 + 13) % names.len()].clone();
-            match i % 4 {
-                0 => Request::Same { a, b },
-                1 => Request::Rep { entity: a },
-                2 => Request::Dups { entity: a },
-                _ => Request::Ping,
-            }
-        })
-        .collect();
-    const DEPTH: usize = 64;
-
-    let reps = if quick { 1 } else { 3 };
-    let mut seq_runs = Vec::new();
-    let mut pipe_runs = Vec::new();
-    for _ in 0..reps {
-        // --- Sequential: write one request, read its answer, repeat. ---
-        let mut c = Client::connect(&addr).expect("connect");
-        let t = Instant::now();
-        let seq_answers: Vec<_> = reqs
-            .iter()
-            .map(|r| c.request(r).expect("sequential request"))
-            .collect();
-        let seq_secs = t.elapsed().as_secs_f64();
-
-        // --- Pipelined: write DEPTH ahead, drain, advance. ---
-        let mut c = Client::connect(&addr).expect("connect");
-        let t = Instant::now();
-        let pipe_answers = c.run_pipelined(&reqs, DEPTH).expect("pipelined batch");
-        let pipe_secs = t.elapsed().as_secs_f64();
-
-        let correct = seq_answers == pipe_answers;
-        let base = |algo: &str, secs: f64| Measurement {
-            experiment: "query_pipeline".into(),
-            dataset: w.name.clone(),
-            algo: algo.into(),
-            x: format!("requests={total}"),
-            seconds: secs,
-            sim_seconds: 0.0,
             identified: 0,
-            candidates: 0,
+            candidates: prep.candidates.len(),
             rounds: 0,
-            traffic: total as u64,
-            correct,
-            extra: vec![(
-                "rps".into(),
-                format!("{:.0}", total as f64 / secs.max(1e-9)),
-            )],
-        };
-        seq_runs.push(base("sequential_rtt", seq_secs));
-        pipe_runs.push({
-            let mut m = base(&format!("pipelined_depth{DEPTH}"), pipe_secs);
-            m.extra
-                .push(("speedup".into(), format!("{:.2}", seq_secs / pipe_secs)));
-            m
-        });
-    }
-    handle.stop();
-    vec![pick_best(seq_runs), pick_best(pipe_runs)]
-}
-
-/// Beyond the paper: connection scalability of the two TCP front-ends on
-/// the 10k-entity Google workload, at equal worker counts.
-///
-/// Phase A (idle capacity): open connections one at a time, `PING` each,
-/// and keep every answered one open — the count of simultaneously-held
-/// *responsive* connections. The threaded model pins one pool thread per
-/// open connection, so it saturates at the worker count; the epoll
-/// reactor holds all `1024` (an idle connection costs buffers, not a
-/// thread).
-///
-/// Phase B (pipelined load): `1024` simultaneous clients — real
-/// `gk-client` pipelining over one connection each — released by a
-/// barrier, each running its deterministic request batch. Both models
-/// must produce byte-identical response paragraphs; the epoll model
-/// serves all clients concurrently while the threaded model queues them
-/// behind its 4 workers.
-///
-/// `quick` shrinks the per-client batch, never the connection counts:
-/// the ≥1000-simultaneous-clients acceptance bar is defined at every
-/// speed.
-fn concurrent_connections(quick: bool) -> Vec<Measurement> {
-    use gk_client::Client;
-    use gk_server::{serve_with, NetModel, ServeOptions, Server};
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-    use std::sync::{Arc, Barrier};
-
-    const WORKERS: usize = 4;
-    const HELD_TARGET: usize = 1024;
-    const CLIENTS: usize = 1024;
-    const DEPTH: usize = 8;
-    let per_client: usize = if quick { 4 } else { 16 };
-
-    let cfg = dataset_cfg('g', false)
-        .with_scale(0.46)
-        .with_chain(2)
-        .with_radius(2);
-    let w = generate(&cfg);
-    let names: Vec<String> = w
-        .graph
-        .entities()
-        .take(512)
-        .map(|e| w.graph.entity_label(e))
-        .collect();
-
-    // Deterministic per-client request-line batches, identical across
-    // models — the byte-identity check compares their answers.
-    let batches: Arc<Vec<Vec<String>>> = Arc::new(
-        (0..CLIENTS)
-            .map(|c| {
-                (0..per_client)
-                    .map(|i| {
-                        let a = &names[(c * 31 + i * 7) % names.len()];
-                        let b = &names[(c * 17 + i * 13 + 5) % names.len()];
-                        match (c + i) % 4 {
-                            0 => format!("SAME {a} {b}"),
-                            1 => format!("REP {a}"),
-                            2 => format!("DUPS {a}"),
-                            _ => "PING".to_string(),
-                        }
-                    })
-                    .collect()
-            })
-            .collect(),
-    );
-
-    let mut out: Vec<Measurement> = Vec::new();
-    let mut capacities: Vec<usize> = Vec::new();
-    let mut answers: Vec<Vec<String>> = Vec::new();
-    for model in [NetModel::Epoll, NetModel::Threaded] {
-        let server = Arc::new(Server::new(
-            gk_graph::GraphBuilder::from_graph(&w.graph).freeze(),
-            w.keys.clone(),
-        ));
-        let handle = serve_with(
-            server,
-            "127.0.0.1:0",
-            &ServeOptions {
-                threads: WORKERS,
-                model,
-                max_conns: 0,
-                metrics_addr: None,
-            },
-        )
-        .expect("bind ephemeral port");
-        let addr = handle.addr().to_string();
-
-        // --- Phase A: simultaneously-held responsive connections. ---
-        let t = Instant::now();
-        let mut held: Vec<TcpStream> = Vec::new();
-        while held.len() < HELD_TARGET {
-            let Ok(conn) = TcpStream::connect(&addr) else {
-                break;
-            };
-            // A model that cannot serve this connection while the others
-            // stay open never answers the PING; the timeout is the
-            // saturation signal.
-            conn.set_read_timeout(Some(std::time::Duration::from_millis(250)))
-                .expect("read timeout");
-            let mut wtr = conn.try_clone().expect("clone");
-            if wtr.write_all(b"PING\n").is_err() {
-                break;
-            }
-            let mut rdr = BufReader::new(conn.try_clone().expect("clone"));
-            let mut line = String::new();
-            if rdr.read_line(&mut line).is_err() || !line.starts_with("PONG") {
-                break;
-            }
-            let mut blank = String::new();
-            let _ = rdr.read_line(&mut blank); // paragraph terminator
-            held.push(conn);
-        }
-        let capacity = held.len();
-        let idle_secs = t.elapsed().as_secs_f64();
-        drop(held);
-        // Let the released workers/reactor reap the EOFs before phase B.
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        capacities.push(capacity);
-
-        // --- Phase B: CLIENTS simultaneous pipelined clients. ---
-        let barrier = Arc::new(Barrier::new(CLIENTS + 1));
-        let clients: Vec<_> = (0..CLIENTS)
-            .map(|c| {
-                let addr = addr.clone();
-                let barrier = Arc::clone(&barrier);
-                let batches = Arc::clone(&batches);
-                std::thread::spawn(move || {
-                    // The threaded model's accept backlog can drop a
-                    // burst of 1024 SYNs; retry until admitted.
-                    let mut client = None;
-                    for _ in 0..100 {
-                        match Client::connect(&addr) {
-                            Ok(c) => {
-                                client = Some(c);
-                                break;
-                            }
-                            Err(_) => {
-                                std::thread::sleep(std::time::Duration::from_millis(20));
-                            }
-                        }
-                    }
-                    let mut client = client.expect("client connect");
-                    barrier.wait();
-                    client
-                        .run_pipelined_raw(&batches[c], DEPTH)
-                        .expect("pipelined batch")
-                })
-            })
-            .collect();
-        barrier.wait();
-        let t = Instant::now();
-        let per_client_answers: Vec<Vec<String>> = clients
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect();
-        let pipe_secs = t.elapsed().as_secs_f64();
-        answers.push(per_client_answers.concat());
-        handle.stop();
-
-        let total = (CLIENTS * per_client) as u64;
-        let base = |algo: String, secs: f64, identified: usize, traffic: u64| Measurement {
-            experiment: "concurrent_connections".into(),
-            dataset: w.name.clone(),
-            algo,
-            x: format!("workers={WORKERS}"),
-            seconds: secs,
-            sim_seconds: 0.0,
-            identified,
-            candidates: 0,
-            rounds: 0,
-            traffic,
+            traffic: enumerated as u64,
             correct: true,
-            extra: Vec::new(),
-        };
-        let mut idle = base(format!("{model}_idle"), idle_secs, capacity, 0);
-        idle.extra.push(("held_conns".into(), capacity.to_string()));
-        idle.extra.push(("target".into(), HELD_TARGET.to_string()));
-        out.push(idle);
-        let mut pipe = base(format!("{model}_pipelined"), pipe_secs, capacity, total);
-        pipe.extra.push(("clients".into(), CLIENTS.to_string()));
-        pipe.extra.push((
-            "rps".into(),
-            format!("{:.0}", total as f64 / pipe_secs.max(1e-9)),
-        ));
-        out.push(pipe);
-    }
-
-    // Cross-model verdicts: the capacity ratio on the idle measurements,
-    // byte-identity of the pipelined answers on the load measurements.
-    let ratio = capacities[0] as f64 / (capacities[1].max(1)) as f64;
-    let identical = answers[0] == answers[1];
-    for m in &mut out {
-        if m.algo.ends_with("_idle") {
-            m.extra
-                .push(("capacity_ratio".into(), format!("{ratio:.1}")));
-        } else {
-            m.correct = identical;
-            m.extra
-                .push(("byte_identical".into(), identical.to_string()));
-        }
+            extra: vec![("frontier".into(), prep.frontier.len().to_string())],
+        });
     }
     out
 }
 
-/// Beyond the paper: instrumentation cost of the metrics layer on the
-/// pipelined 10k-entity query workload — a server over the live registry
-/// against one built over [`gk_server::Registry::disabled`], where every
-/// counter/histogram handle is a compiled no-op. Both serve the identical
-/// deterministic request stream through the `gk-client` pipeline and must
-/// answer byte-identically; the gap is the per-request atomic-increment +
-/// clock-read cost. `quick` reduces the request count, not the graph: the
-/// <5% acceptance overhead is defined at this scale.
-fn metrics_overhead(quick: bool) -> Vec<Measurement> {
-    use gk_client::Client;
-    use gk_core::ChaseEngine;
-    use gk_server::{serve, EmIndex, Registry, Request, Server};
-    use std::sync::Arc;
-
-    let cfg = dataset_cfg('g', false)
-        .with_scale(0.46)
-        .with_chain(2)
-        .with_radius(2);
-    let w = generate(&cfg);
-    let build = |registry: Registry| {
-        let g = gk_graph::GraphBuilder::from_graph(&w.graph).freeze();
-        let idx = EmIndex::with_engine_registry(
-            g,
-            w.keys.clone(),
-            ChaseEngine::default(),
-            Arc::new(registry),
-        );
-        Arc::new(Server::from_index(idx))
-    };
-    let on = serve(build(Registry::new()), "127.0.0.1:0", 4).expect("bind");
-    let off = serve(build(Registry::disabled()), "127.0.0.1:0", 4).expect("bind");
-
-    let names: Vec<String> = w
-        .graph
-        .entities()
-        .take(512)
-        .map(|e| w.graph.entity_label(e))
-        .collect();
-    let total = if quick { 2_000 } else { 10_000 };
-    let reqs: Vec<Request> = (0..total)
-        .map(|i| {
-            let a = names[i % names.len()].clone();
-            let b = names[(i * 7 + 13) % names.len()].clone();
-            match i % 4 {
-                0 => Request::Same { a, b },
-                1 => Request::Rep { entity: a },
-                2 => Request::Dups { entity: a },
-                _ => Request::Ping,
-            }
-        })
-        .collect();
-
-    let run = |addr: &std::net::SocketAddr| {
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
-        let t = Instant::now();
-        let answers = c.run_pipelined(&reqs, 64).expect("pipelined batch");
-        (t.elapsed().as_secs_f64(), answers)
-    };
-    // One untimed pass per server faults in the connection path and any
-    // lazy allocation, so the timed reps measure steady state.
-    let _ = run(&on.addr());
-    let _ = run(&off.addr());
-
-    // Best-of-N in both modes: the quantity under test is a small relative
-    // difference, and a single rep on a loaded machine is dominated by
-    // scheduling noise, not by the atomics being measured.
-    let reps = 3;
-    let mut on_runs = Vec::new();
-    let mut off_runs = Vec::new();
-    for _ in 0..reps {
-        let (on_secs, on_answers) = run(&on.addr());
-        let (off_secs, off_answers) = run(&off.addr());
-        let correct = on_answers == off_answers;
-
-        let base = |algo: &str, secs: f64| Measurement {
-            experiment: "metrics_overhead".into(),
-            dataset: w.name.clone(),
-            algo: algo.into(),
-            x: format!("requests={total}"),
-            seconds: secs,
-            sim_seconds: 0.0,
-            identified: 0,
-            candidates: 0,
-            rounds: 0,
-            traffic: total as u64,
-            correct,
-            extra: vec![(
-                "rps".into(),
-                format!("{:.0}", total as f64 / secs.max(1e-9)),
-            )],
-        };
-        on_runs.push(base("metrics_on", on_secs));
-        off_runs.push(base("metrics_off", off_secs));
-    }
-    on.stop();
-    off.stop();
-    // The reported overhead compares the best rep of each side — the same
-    // pair the acceptance test asserts on.
-    let mut best_on = pick_best(on_runs);
-    let best_off = pick_best(off_runs);
-    best_on.extra.push((
-        "overhead_pct".into(),
-        format!("{:.2}", (best_on.seconds / best_off.seconds - 1.0) * 100.0),
-    ));
-    vec![best_on, best_off]
-}
-
-/// Beyond the paper: cost of the tracing layer on the pipelined
-/// 10k-entity query workload. The baseline server runs the production
-/// default — tracing compiled in, flight recorder off, every hot-path
-/// span the no-op `Span::disabled()` — and is compared with
-/// one whose recorder captures every request (root span, per-phase child
-/// spans, ring-buffer push). Both serve the identical deterministic
-/// stream through the `gk-client` pipeline and must answer
-/// byte-identically; the gap bounds the full span-allocation +
-/// clock-read + recording cost, and the disabled mode pays strictly less
-/// than that on every request. The run also executes the acceptance
-/// `TRACE DUPS` probe against the traced server: the phase wall-times of
-/// the returned tree must sum to within 10% of its root and the analyze
-/// funnel counters (candidates, iso checks) must be live. `quick`
-/// reduces the request count, not the graph: the <5% acceptance
-/// overhead is defined at this scale.
-fn trace_overhead(quick: bool) -> Vec<Measurement> {
-    use gk_client::Client;
-    use gk_server::{serve, Request, Server};
-    use std::sync::Arc;
-
-    let cfg = dataset_cfg('g', false)
-        .with_scale(0.46)
-        .with_chain(2)
-        .with_radius(2);
-    let w = generate(&cfg);
-    let build = |buffer: usize| {
-        let mut s = Server::new(
-            gk_graph::GraphBuilder::from_graph(&w.graph).freeze(),
-            w.keys.clone(),
-        );
-        s.set_trace_buffer(buffer);
-        Arc::new(s)
-    };
-    let on = serve(build(64), "127.0.0.1:0", 4).expect("bind");
-    let off = serve(build(0), "127.0.0.1:0", 4).expect("bind");
-
-    let names: Vec<String> = w
-        .graph
-        .entities()
-        .take(512)
-        .map(|e| w.graph.entity_label(e))
-        .collect();
-    let total = if quick { 2_000 } else { 10_000 };
-    let reqs: Vec<Request> = (0..total)
-        .map(|i| {
-            let a = names[i % names.len()].clone();
-            let b = names[(i * 7 + 13) % names.len()].clone();
-            match i % 4 {
-                0 => Request::Same { a, b },
-                1 => Request::Rep { entity: a },
-                2 => Request::Dups { entity: a },
-                _ => Request::Ping,
-            }
-        })
-        .collect();
-
-    let run = |addr: &std::net::SocketAddr| {
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
-        let t = Instant::now();
-        let answers = c.run_pipelined(&reqs, 64).expect("pipelined batch");
-        (t.elapsed().as_secs_f64(), answers)
-    };
-    // One untimed pass per server faults in the connection path and any
-    // lazy allocation, so the timed reps measure steady state.
-    let _ = run(&on.addr());
-    let _ = run(&off.addr());
-
-    // Best-of-N in both modes: the quantity under test is a small relative
-    // difference, and a single rep on a loaded machine is dominated by
-    // scheduling noise, not by the span bookkeeping being measured.
-    let reps = 3;
-    let mut on_runs = Vec::new();
-    let mut off_runs = Vec::new();
-    for _ in 0..reps {
-        let (on_secs, on_answers) = run(&on.addr());
-        let (off_secs, off_answers) = run(&off.addr());
-        let correct = on_answers == off_answers;
-
-        let base = |algo: &str, secs: f64| Measurement {
-            experiment: "trace_overhead".into(),
-            dataset: w.name.clone(),
-            algo: algo.into(),
-            x: format!("requests={total}"),
-            seconds: secs,
-            sim_seconds: 0.0,
-            identified: 0,
-            candidates: 0,
-            rounds: 0,
-            traffic: total as u64,
-            correct,
-            extra: vec![(
-                "rps".into(),
-                format!("{:.0}", total as f64 / secs.max(1e-9)),
-            )],
-        };
-        on_runs.push(base("trace_on", on_secs));
-        off_runs.push(base("trace_off", off_secs));
-    }
-
-    // The EXPLAIN ANALYZE acceptance probe, against the traced server
-    // while it is still up: trace a planted duplicate and require the
-    // span tree to account for its own wall time with a live candidate
-    // funnel — a tree of zeros would mean the spans are decorative.
-    let probe = w
-        .truth
-        .first()
-        .map(|&(a, _)| w.graph.entity_label(a))
-        .unwrap_or_else(|| names[0].clone());
-    let mut c = Client::connect(&on.addr().to_string()).expect("connect");
-    let (_, root, _) = c
-        .trace(Request::Dups { entity: probe })
-        .expect("traced probe");
-    let phase_sum = root.child_micros();
-    // Sub-100µs roots are below the clock's useful resolution for a
-    // ratio; real probes on this graph run well past that.
-    let sum_ok = root.micros < 100 || phase_sum as f64 >= root.micros as f64 * 0.9;
-    let analyze = root.children.iter().find(|c| c.name == "analyze");
-    let funnel = |k: &str| analyze.and_then(|a| a.counter(k)).unwrap_or(0);
-    let funnel_ok = funnel("candidates") > 0 && funnel("iso_checks") > 0;
-
-    on.stop();
-    off.stop();
-    // The reported overhead compares the best rep of each side — the same
-    // pair the acceptance test asserts on.
-    let mut best_on = pick_best(on_runs);
-    let best_off = pick_best(off_runs);
-    best_on.correct &= sum_ok && funnel_ok;
-    best_on.extra.push((
-        "overhead_pct".into(),
-        format!("{:.2}", (best_on.seconds / best_off.seconds - 1.0) * 100.0),
-    ));
-    for (k, v) in [
-        ("probe_root_micros", root.micros),
-        ("probe_phase_micros", phase_sum),
-        ("probe_candidates", funnel("candidates")),
-        ("probe_pruned", funnel("pruned")),
-        ("probe_iso_checks", funnel("iso_checks")),
-    ] {
-        best_on.extra.push((k.into(), v.to_string()));
-    }
-    vec![best_on, best_off]
-}
-
-/// Beyond the paper: the epoch-keyed answer cache under a skewed read
-/// workload. A duplicate-cluster graph makes every `DUPS` answer render
-/// `members − 1` labels — real per-request work — and a Zipf(1) request
-/// stream concentrates the traffic on a hot set, so a cache-enabled server
-/// answers most requests with a pre-rendered string clone. The cache-off
-/// server receives the byte-identical stream and must produce byte-identical
-/// answers; the acceptance claim is ≥2× pipelined throughput (release only).
-fn query_cached(quick: bool) -> Vec<Measurement> {
-    use gk_client::Client;
-    use gk_server::{serve, Request, Server};
-    use std::sync::Arc;
-
-    // Duplicate-cluster fixture: `groups` clusters of `members` albums that
-    // share a key-relevant (name, year) pair, so each cluster collapses into
-    // one equivalence class and `DUPS` must render the whole class.
-    let (groups, members) = if quick { (4, 256) } else { (8, 384) };
-    let mut b = gk_graph::GraphBuilder::new();
-    let mut names = Vec::new();
-    for g in 0..groups {
-        for m in 0..members {
-            let label = format!("d{g}_{m}");
-            let e = b.entity(&label, "album");
-            b.attr(e, "name_of", &format!("dup-name-{g}"));
-            b.attr(e, "release_year", &format!("y{g}"));
-            names.push(label);
-        }
-    }
-    let graph = b.freeze();
-    let keys =
-        gk_core::KeySet::parse(r#"key "Q2" album(x) { x -name_of-> n*; x -release_year-> y*; }"#)
-            .expect("fixture keys");
-
-    let mk = |entries: usize| {
-        let mut s = Server::new(
-            gk_graph::GraphBuilder::from_graph(&graph).freeze(),
-            keys.clone(),
-        );
-        s.set_cache_entries(entries);
-        Arc::new(s)
-    };
-    let on = serve(mk(8192), "127.0.0.1:0", 4).expect("bind");
-    let off = serve(mk(0), "127.0.0.1:0", 4).expect("bind");
-
-    // Zipf(s = 1) over the label pool via a precomputed CDF and a fixed-seed
-    // LCG: both servers (and every rep) see the identical skewed stream.
-    let mut cdf = Vec::with_capacity(names.len());
-    let mut acc = 0.0;
-    for r in 0..names.len() {
-        acc += 1.0 / (r as f64 + 1.0);
-        cdf.push(acc);
-    }
-    let total_w = acc;
-    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
-    let mut next_rank = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let u = (state >> 11) as f64 / (1u64 << 53) as f64 * total_w;
-        cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
-    };
-    // DUPS-heavy mix: rendering a whole duplicate class is the per-request
-    // cost the cache absorbs; SAME and REP ride along for protocol variety.
-    let total = if quick { 8_000 } else { 20_000 };
-    let reqs: Vec<Request> = (0..total)
-        .map(|i| {
-            let a = names[next_rank()].clone();
-            match i % 6 {
-                0 => Request::Same {
-                    a,
-                    b: names[next_rank()].clone(),
-                },
-                1 => Request::Rep { entity: a },
-                _ => Request::Dups { entity: a },
-            }
-        })
-        .collect();
-
-    // Raw pipelining: the comparison is server throughput at byte-identical
-    // answers, so the client keeps the wire text instead of paying a typed
-    // parse whose per-member allocations would dominate the big `DUPS`
-    // paragraphs on the client side of the socket.
-    let lines: Vec<String> = reqs.iter().map(|r| r.render()).collect();
-    let run = |addr: &std::net::SocketAddr| {
-        let mut c = Client::connect(&addr.to_string()).expect("connect");
-        let t = Instant::now();
-        let answers = c.run_pipelined_raw(&lines, 128).expect("pipelined batch");
-        (t.elapsed().as_secs_f64(), answers)
-    };
-    // One untimed pass per server: faults in the connection path and fills
-    // the cache, so the timed reps measure the steady (hot) state — the
-    // regime the cache exists for.
-    let _ = run(&on.addr());
-    let _ = run(&off.addr());
-
-    let reps = 3;
-    let mut on_runs = Vec::new();
-    let mut off_runs = Vec::new();
-    for _ in 0..reps {
-        let (on_secs, on_answers) = run(&on.addr());
-        let (off_secs, off_answers) = run(&off.addr());
-        let correct = on_answers == off_answers;
-        let base = |algo: &str, secs: f64| Measurement {
-            experiment: "query_cached".into(),
-            dataset: format!("dupclusters-{groups}x{members}"),
-            algo: algo.into(),
-            x: format!("requests={total}"),
-            seconds: secs,
-            sim_seconds: 0.0,
-            identified: 0,
-            candidates: 0,
-            rounds: 0,
-            traffic: total as u64,
-            correct,
-            extra: vec![(
-                "rps".into(),
-                format!("{:.0}", total as f64 / secs.max(1e-9)),
-            )],
-        };
-        on_runs.push(base("cache_on", on_secs));
-        off_runs.push(base("cache_off", off_secs));
-    }
-    // The hit/miss split is part of the evidence: a speedup with a low hit
-    // rate would mean the comparison measured something else.
-    let stats = gk_server::request(&on.addr().to_string(), "STATS").unwrap_or_default();
-    let field = |k: &str| {
-        stats
-            .split_whitespace()
-            .find_map(|t| t.strip_prefix(&format!("{k}=")).map(str::to_string))
-            .unwrap_or_else(|| "?".into())
-    };
-    on.stop();
-    off.stop();
-    let mut best_on = pick_best(on_runs);
-    let best_off = pick_best(off_runs);
-    best_on.extra.push((
-        "speedup".into(),
-        format!("{:.2}", best_off.seconds / best_on.seconds.max(1e-9)),
-    ));
-    best_on
-        .extra
-        .push(("cache_hits".into(), field("cache_hits")));
-    best_on
-        .extra
-        .push(("cache_misses".into(), field("cache_misses")));
-    vec![best_on, best_off]
-}
-
-/// Beyond the paper: what degree-guided pruning removes from the candidate
-/// set `L` before any pair is materialized. The fixture is the shape the
-/// pruning targets — a keyed type where most entities are sparse (one
-/// attribute, below the key's two-edge anchor demand) and a minority carry
-/// the full pattern in planted duplicate pairs. Reported: the pre-pruning
-/// `|L|` with the old enumeration's cost, the degree-pruned `TypePairs`
-/// set, and the value-blocked set on top; correctness is the chase
-/// recovering exactly the planted pairs through the pruned path.
-fn matcher_prune(quick: bool) -> Vec<Measurement> {
-    use gk_core::{
-        candidate_pairs, chase_reference, type_pair_count, CandidateMode, ChaseOrder, KeySet,
-    };
-
-    let n = if quick { 1_000 } else { 4_000 };
-    let mut b = gk_graph::GraphBuilder::new();
-    let mut ids = Vec::with_capacity(n);
-    let mut truth = Vec::new();
-    for i in 0..n {
-        let e = b.entity(&format!("a{i}"), "album");
-        // Two rich entities per decade form a planted duplicate pair; the
-        // other eight carry only a unique name and can never match Q2.
-        if i % 10 < 2 {
-            b.attr(e, "name_of", &format!("dup-{}", i / 10));
-            b.attr(e, "release_year", &format!("y{}", i / 10));
-            if i % 10 == 1 {
-                truth.push(gk_core::norm(ids[i - 1], e));
-            }
-        } else {
-            b.attr(e, "name_of", &format!("uniq-{i}"));
-        }
-        ids.push(e);
-    }
-    let g = b.freeze();
-    let keys = KeySet::parse(r#"key "Q2" album(x) { x -name_of-> n*; x -release_year-> y*; }"#)
-        .expect("fixture keys")
-        .compile(&g);
-
-    // The pre-pruning baseline, enumerated the way `candidate_pairs` did
-    // before degree buckets existed: every same-type pair of a keyed type.
-    let t = Instant::now();
-    let mut unpruned: Vec<(EntityId, EntityId)> = Vec::new();
-    for ty in keys.keyed_types() {
-        let ents: Vec<EntityId> = g.entities_of_type(ty).to_vec();
-        for (i, &a) in ents.iter().enumerate() {
-            for &b2 in &ents[i + 1..] {
-                unpruned.push(gk_core::norm(a, b2));
-            }
-        }
-    }
-    let unpruned_secs = t.elapsed().as_secs_f64();
-    assert_eq!(unpruned.len(), type_pair_count(&g, &keys), "baseline |L|");
-
-    let t = Instant::now();
-    let pruned = candidate_pairs(&g, &keys, CandidateMode::TypePairs);
-    let pruned_secs = t.elapsed().as_secs_f64();
-    let t = Instant::now();
-    let blocked = candidate_pairs(&g, &keys, CandidateMode::Blocked);
-    let blocked_secs = t.elapsed().as_secs_f64();
-
-    // End-to-end correctness through the pruned path: the chase must
-    // recover exactly the planted pairs.
-    let mut found = chase_reference(&g, &keys, ChaseOrder::Deterministic).identified_pairs();
-    found.sort_unstable();
-    truth.sort_unstable();
-    let correct = found == truth;
-
-    let m = |algo: &str, secs: f64, candidates: usize| Measurement {
-        experiment: "matcher_prune".into(),
-        dataset: format!("sparse-albums-{n}"),
-        algo: algo.into(),
-        x: format!("entities={n}"),
-        seconds: secs,
-        sim_seconds: 0.0,
-        identified: truth.len(),
-        candidates,
-        rounds: 0,
-        traffic: unpruned.len() as u64,
-        correct,
-        extra: vec![(
-            "reduction".into(),
-            format!("{:.1}x", unpruned.len() as f64 / candidates.max(1) as f64),
-        )],
-    };
-    vec![
-        m("unpruned_type_pairs", unpruned_secs, unpruned.len()),
-        m("degree_pruned", pruned_secs, pruned.len()),
-        m("degree_pruned_blocked", blocked_secs, blocked.len()),
-    ]
-}
-
-/// Beyond the paper: the distributed chase over the wire on the
-/// 10k-entity Google workload — a K-shard `gk-cluster` (router +
-/// coordinator + K sharded servers, all on loopback) against one
-/// standalone server.  Every configuration starts from an empty graph and
-/// ingests the identical INSERT batch stream through its TCP front (the
-/// cluster converges the cross-shard exchange after every batch), then
-/// answers the identical read-heavy query stream.  Correctness bar: the
-/// cluster's answers are byte-identical to standalone's.  `quick` shrinks
-/// the query count, never the graph or the shard counts.
-fn vary_shards(quick: bool) -> Vec<Measurement> {
-    use gk_client::Client;
-    use gk_cluster::{Cluster, ClusterOpts};
-    use gk_server::{serve, Server};
-    use std::time::Duration;
-
-    let cfg = dataset_cfg('g', false)
-        .with_scale(0.46)
-        .with_chain(2)
-        .with_radius(2);
-    let w = generate(&cfg);
-    let keys_text: String = w.keys.keys().iter().map(|k| format!("{k}\n")).collect();
-    let triples = gk_graph::write_graph(&w.graph);
-    let specs: Vec<&str> = triples.lines().filter(|l| !l.trim().is_empty()).collect();
-    let num_triples = specs.len();
-    let batches: Vec<String> = specs
-        .chunks(64)
-        .map(|c| format!("INSERT {}", c.join(" ; ")))
-        .collect();
-
-    let names: Vec<String> = w
-        .graph
-        .entities()
-        .take(512)
-        .map(|e| w.graph.entity_label(e))
-        .collect();
-    let total_queries = if quick { 1_000 } else { 8_000 };
-    let queries: Vec<String> = (0..total_queries)
-        .map(|i| {
-            let a = &names[i % names.len()];
-            let b = &names[(i * 7 + 13) % names.len()];
-            match i % 3 {
-                0 => format!("SAME {a} {b}"),
-                1 => format!("REP {a}"),
-                _ => format!("DUPS {a}"),
-            }
-        })
-        .collect();
-
-    /// Streams the whole workload through one front and measures it.
-    struct FrontRun {
-        ingest_secs: f64,
-        query_secs: f64,
-        answers: Vec<String>,
-        identified: usize,
-    }
-    let drive = |addr: &str| -> FrontRun {
-        let mut c = Client::lazy(addr);
-        let t = Instant::now();
-        for b in &batches {
-            let r = c.request_line(b).expect("ingest request");
-            assert!(r.starts_with("OK"), "ingest rejected: {r}");
-        }
-        let ingest_secs = t.elapsed().as_secs_f64();
-        let t = Instant::now();
-        let answers: Vec<String> = queries
-            .iter()
-            .map(|q| c.request_line(q).expect("query request"))
-            .collect();
-        let query_secs = t.elapsed().as_secs_f64();
-        let stats = c.request_line("STATS").expect("stats");
-        let identified = stats
-            .split_whitespace()
-            .find_map(|kv| kv.strip_prefix("identified_pairs="))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        FrontRun {
-            ingest_secs,
-            query_secs,
-            answers,
-            identified,
-        }
-    };
-
-    let mut out = Vec::new();
-    let mut emit = |x: &str, run: &FrontRun, correct: bool| {
-        let base = |algo: &str, secs: f64| Measurement {
-            experiment: "vary_shards".into(),
-            dataset: w.name.clone(),
-            algo: algo.into(),
-            x: x.to_string(),
-            seconds: secs,
-            sim_seconds: 0.0,
-            identified: run.identified,
-            candidates: 0,
-            rounds: 0,
-            traffic: 0,
-            correct,
-            extra: Vec::new(),
-        };
-        let mut ingest = base("ingest_chase", run.ingest_secs);
-        ingest
-            .extra
-            .push(("batches".into(), batches.len().to_string()));
-        ingest
-            .extra
-            .push(("triples".into(), num_triples.to_string()));
-        ingest.extra.push((
-            "mean_batch_micros".into(),
-            format!("{:.1}", run.ingest_secs * 1e6 / batches.len() as f64),
-        ));
-        out.push(ingest);
-        let mut query = base("query_throughput", run.query_secs);
-        query.traffic = total_queries as u64;
-        query.extra.push((
-            "rps".into(),
-            format!("{:.0}", total_queries as f64 / run.query_secs.max(1e-9)),
-        ));
-        out.push(query);
-    };
-
-    // Standalone reference: same empty start, same op stream.
-    let server = std::sync::Arc::new(Server::with_engine(
-        gk_graph::parse_graph("").expect("empty graph"),
-        gk_core::KeySet::parse(&keys_text).expect("keys round-trip"),
-        gk_core::ChaseEngine::Incremental,
-    ));
-    let handle = serve(server, "127.0.0.1:0", 4).expect("bind standalone");
-    let reference = drive(&handle.addr().to_string());
-    handle.stop();
-    emit("standalone", &reference, true);
-
-    for shards in [1usize, 2, 4] {
-        let cluster = Cluster::launch(
-            "",
-            &keys_text,
-            "127.0.0.1:0",
-            &ClusterOpts {
-                shards,
-                // No heartbeat: the measured path is each update's own
-                // convergence, not a background sweep racing the clock.
-                heartbeat: Duration::ZERO,
-                ..ClusterOpts::default()
-            },
-        )
-        .expect("launch cluster");
-        let run = drive(cluster.router_addr());
-        cluster.stop();
-        emit(
-            &format!("shards={shards}"),
-            &run,
-            run.answers == reference.answers,
-        );
-    }
-    out
-}
-
+/// Each figure's claim as a trend over deterministic counters —
+/// `identified`, `candidates`, `rounds`, `traffic` and the `hood_nodes`,
+/// `gp_nodes` and `l_filtered` extras — never over `seconds` or
+/// `sim_seconds`, so every assertion holds on one vCPU. Every point must
+/// also recover exactly the planted truth.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+    use AlgoKind::{Mr, MrOpt, MrVf2, Vc, VcOpt};
 
-    #[test]
-    fn query_pipeline_is_2x_faster_with_identical_answers() {
-        let ms = run_experiment("query_pipeline", true);
-        assert_eq!(ms.len(), 2);
+    /// What fits each build's time budget: debug checks Google, release
+    /// checks DBpedia and Synthetic. CI runs both builds, so every figure
+    /// is asserted on all three datasets.
+    const TEST_DATASETS: &[char] = if cfg!(debug_assertions) {
+        &['g']
+    } else {
+        &['d', 's']
+    };
+
+    fn checked(id: &str, ds: char, points: Vec<Measurement>) -> Vec<Measurement> {
         assert!(
-            ms.iter().all(|m| m.correct),
-            "pipelined and sequential answers must be identical: {ms:?}"
+            !points.is_empty() && points.iter().all(|m| m.correct),
+            "{id} on {ds}: every point must equal the planted truth: {points:?}"
         );
-        // The ≥2× throughput acceptance claim is asserted only in release
-        // (the CI recovery job runs it there); debug-mode server-side cost
-        // per request drowns the framing difference being measured.
-        #[cfg(not(debug_assertions))]
-        {
-            let pair = |ms: &[Measurement]| {
-                let seq = ms
-                    .iter()
-                    .find(|m| m.algo.starts_with("sequential"))
-                    .unwrap();
-                let pipe = ms.iter().find(|m| m.algo.starts_with("pipelined")).unwrap();
-                (pipe.seconds, seq.seconds)
-            };
-            // Best of up to 3 attempts guards the one-rep quick mode
-            // against transient stalls on a loaded runner.
-            let mut last = pair(&ms);
-            for _ in 0..2 {
-                if last.0 * 2.0 <= last.1 {
-                    break;
-                }
-                last = pair(&run_experiment("query_pipeline", true));
-            }
-            assert!(
-                last.0 * 2.0 <= last.1,
-                "pipelined ({:.4}s) must be ≥2× faster than sequential \
-                 round trips ({:.4}s)",
-                last.0,
-                last.1
-            );
-        }
+        points
     }
 
-    /// The event-loop acceptance bar: at equal workers the epoll model
-    /// holds ≥4× the threaded model's responsive idle connections (and
-    /// ≥1000 absolute), and 1024 simultaneous pipelined clients get
-    /// byte-identical answers from both models. Release-only: the bar
-    /// is a capacity property, but 1024 debug-mode handshake storms on
-    /// a loaded runner are noise, not signal.
-    #[cfg(not(debug_assertions))]
+    /// A per-dataset experiment's quick-mode points on this build's
+    /// datasets.
+    fn quick(id: &str, body: fn(char, &str, bool) -> Vec<Measurement>) -> Vec<Measurement> {
+        TEST_DATASETS
+            .iter()
+            .flat_map(|&ds| checked(id, ds, body(ds, id, true)))
+            .collect()
+    }
+
+    /// The quick-mode points of one Fig. 8 sweep on this build's datasets,
+    /// each labelled by its panel among `ids` (Google, DBpedia, Synthetic),
+    /// sweeping only the `algos` a trend reads.
+    fn sweeps<'a>(
+        ids: [&'a str; 3],
+        sweep: fn(char, &str, bool, &[AlgoKind]) -> Vec<Measurement>,
+        algos: &[AlgoKind],
+    ) -> Vec<(&'a str, Vec<Measurement>)> {
+        ids.into_iter()
+            .zip(DATASETS)
+            .filter(|(_, ds)| TEST_DATASETS.contains(ds))
+            .map(|(id, ds)| (id, checked(id, ds, sweep(ds, id, true, algos))))
+            .collect()
+    }
+
+    /// `algo`'s points, in sweep order.
+    fn series(ms: &[Measurement], algo: AlgoKind) -> Vec<&Measurement> {
+        ms.iter().filter(|m| m.algo == algo.label()).collect()
+    }
+
+    /// A multi-dataset experiment's points, per dataset.
+    fn per_dataset(ms: &[Measurement]) -> BTreeMap<&str, Vec<&Measurement>> {
+        let mut out: BTreeMap<&str, Vec<&Measurement>> = BTreeMap::new();
+        for m in ms {
+            out.entry(m.dataset.as_str()).or_default().push(m);
+        }
+        out
+    }
+
+    /// The point of `algo` (by label) among one dataset's points.
+    fn point<'a>(pts: &[&'a Measurement], algo: &str) -> &'a Measurement {
+        pts.iter()
+            .find(|m| m.algo == algo)
+            .unwrap_or_else(|| panic!("no {algo} point in {pts:?}"))
+    }
+
+    fn extra(m: &Measurement, key: &str) -> u64 {
+        m.extra
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(0, |(_, v)| v.parse().expect("an integer counter"))
+    }
+
+    /// Every deterministic counter of a point.
+    fn counters(m: &Measurement) -> [u64; 7] {
+        [
+            m.identified as u64,
+            m.candidates as u64,
+            m.rounds as u64,
+            m.traffic,
+            extra(m, "hood_nodes"),
+            extra(m, "gp_nodes"),
+            extra(m, "l_filtered"),
+        ]
+    }
+
+    fn assert_rises(what: &str, vals: &[u64]) {
+        assert!(
+            vals.windows(2).all(|w| w[0] < w[1]),
+            "{what} must rise strictly: {vals:?}"
+        );
+    }
+
+    /// Fig. 8(a)(e)(i): p changes only who does the work. The plotted time
+    /// is a simulated makespan and stays printed only; per-worker work has
+    /// no deterministic counter. Debug sweeps all five algorithms on
+    /// Google; release, to hold its time budget, sweeps one per substrate
+    /// whose scheduler p reaches (the MapReduce cluster, the vertex-centric
+    /// engine) on DBpedia and Synthetic.
     #[test]
-    fn event_loop_sustains_4x_the_threaded_idle_capacity() {
-        let check = |ms: &[Measurement]| -> Result<(), String> {
-            let epoll = ms.iter().find(|m| m.algo == "epoll_idle").unwrap();
-            let threaded = ms.iter().find(|m| m.algo == "threaded_idle").unwrap();
-            if !ms.iter().all(|m| m.correct) {
-                return Err(format!("answers must be byte-identical: {ms:?}"));
-            }
-            if epoll.identified < 1000 {
-                return Err(format!(
-                    "epoll held only {} idle connections (need ≥1000)",
-                    epoll.identified
-                ));
-            }
-            if epoll.identified < threaded.identified * 4 {
-                return Err(format!(
-                    "epoll idle capacity {} < 4× threaded capacity {}",
-                    epoll.identified, threaded.identified
-                ));
-            }
-            Ok(())
+    fn p_sweep_changes_no_counter_and_no_answer() {
+        let algos: &[AlgoKind] = if cfg!(debug_assertions) {
+            &AlgoKind::parallel_five()
+        } else {
+            &[Mr, Vc]
         };
-        // Best of up to 3 attempts guards against transient stalls on a
-        // loaded runner.
-        let mut last = check(&run_experiment("concurrent_connections", true));
-        for _ in 0..2 {
-            if last.is_ok() {
-                break;
+        for (id, ms) in sweeps(["fig8a", "fig8e", "fig8i"], vary_p, algos) {
+            for &algo in algos {
+                let pts = series(&ms, algo);
+                assert_eq!(pts.len(), P_SWEEP.len(), "{id}");
+                assert!(
+                    pts.iter().all(|m| counters(m) == counters(pts[0])),
+                    "{id} {}: counters moved with p: {pts:?}",
+                    algo.label()
+                );
             }
-            last = check(&run_experiment("concurrent_connections", true));
         }
-        last.unwrap();
     }
 
+    /// Fig. 8(b)(f)(j): EM_MR's candidate set never shrinks as |G| grows
+    /// (Google 920 → 17 850; Synthetic holds at 7 500 until scale 0.8).
     #[test]
-    fn metrics_overhead_is_under_5pct_with_identical_answers() {
-        let ms = run_experiment("metrics_overhead", true);
-        assert_eq!(ms.len(), 2);
-        assert!(
-            ms.iter().all(|m| m.correct),
-            "instrumented and no-op answers must be identical: {ms:?}"
-        );
-        // The <5% throughput-cost acceptance claim is asserted only in
-        // release (the CI recovery job runs it there); debug-mode atomics
-        // and formatting dwarf the compiled no-op difference.
-        #[cfg(not(debug_assertions))]
-        {
-            let pair = |ms: &[Measurement]| {
-                let on = ms.iter().find(|m| m.algo == "metrics_on").unwrap();
-                let off = ms.iter().find(|m| m.algo == "metrics_off").unwrap();
-                (on.seconds, off.seconds)
-            };
-            // Best of up to 3 attempts guards the one-rep quick mode
-            // against transient stalls on a loaded runner.
-            let mut last = pair(&ms);
-            for _ in 0..2 {
-                if last.0 <= last.1 * 1.05 {
-                    break;
-                }
-                last = pair(&run_experiment("metrics_overhead", true));
-            }
+    fn scale_sweep_never_shrinks_the_candidates() {
+        for (id, ms) in sweeps(["fig8b", "fig8f", "fig8j"], vary_scale, &[Mr]) {
+            let cands: Vec<usize> = series(&ms, Mr).iter().map(|m| m.candidates).collect();
+            assert_eq!(cands.len(), SCALE_SWEEP.len(), "{id}");
             assert!(
-                last.0 <= last.1 * 1.05,
-                "metrics on ({:.4}s) must stay within 5% of the compiled \
-                 no-op path ({:.4}s)",
-                last.0,
-                last.1
+                cands.windows(2).all(|w| w[0] <= w[1]) && cands[0] < cands[cands.len() - 1],
+                "{id}: EM_MR candidates must never fall and must grow overall: {cands:?}"
             );
         }
     }
 
+    /// Fig. 8(c)(g)(k): every link of the dependency chain costs EM_MR a
+    /// round and more shuffle; EM_VC stays in one round.
     #[test]
-    fn trace_overhead_is_under_5pct_with_identical_answers() {
-        let ms = run_experiment("trace_overhead", true);
-        assert_eq!(ms.len(), 2);
-        assert!(
-            ms.iter().all(|m| m.correct),
-            "traced and untraced answers must be identical and the TRACE \
-             DUPS probe must account for its wall time with live funnel \
-             counters: {ms:?}"
-        );
-        // The <5% throughput-cost acceptance claim is asserted only in
-        // release (the CI recovery job runs it there); debug-mode span
-        // bookkeeping dwarfs the release-mode cost under test. The
-        // recorder-on side pays for every span the disabled mode skips,
-        // so the disabled-mode cost is bounded by the same 5%.
-        #[cfg(not(debug_assertions))]
-        {
-            let pair = |ms: &[Measurement]| {
-                let on = ms.iter().find(|m| m.algo == "trace_on").unwrap();
-                let off = ms.iter().find(|m| m.algo == "trace_off").unwrap();
-                (on.seconds, off.seconds)
-            };
-            // Best of up to 3 attempts guards the one-rep quick mode
-            // against transient stalls on a loaded runner.
-            let mut last = pair(&ms);
-            for _ in 0..2 {
-                if last.0 <= last.1 * 1.05 {
-                    break;
-                }
-                last = pair(&run_experiment("trace_overhead", true));
-            }
+    fn c_sweep_adds_a_mapreduce_round_per_chain_link() {
+        for (id, ms) in sweeps(["fig8c", "fig8g", "fig8k"], vary_c, &[MrVf2, Mr, MrOpt, Vc]) {
+            let rounds =
+                |algo| -> Vec<usize> { series(&ms, algo).iter().map(|m| m.rounds).collect() };
+            let c_plus = |k| -> Vec<usize> { C_SWEEP.iter().map(|c| c + k).collect() };
+            assert_eq!(rounds(Mr), c_plus(2), "{id}: EM_MR rounds are c+2");
+            assert_eq!(rounds(MrVf2), c_plus(2), "{id}: EM_MR^VF2 rounds are c+2");
+            assert_eq!(rounds(MrOpt), c_plus(1), "{id}: EM_MR^opt rounds are c+1");
+            assert_eq!(
+                rounds(Vc),
+                vec![1; C_SWEEP.len()],
+                "{id}: EM_VC is one round"
+            );
+            // Google: 55 095 → 121 230.
+            let shuffled: Vec<u64> = series(&ms, Mr).iter().map(|m| m.traffic).collect();
+            assert_rises(&format!("{id}: EM_MR shuffled records"), &shuffled);
+        }
+    }
+
+    /// Fig. 8(d)(h)(l): the radius d is the cost driver — EM_MR's
+    /// d-neighbourhoods and EM_VC's messages both grow with it.
+    #[test]
+    fn d_sweep_grows_neighbourhoods_and_messages() {
+        for (id, ms) in sweeps(["fig8d", "fig8h", "fig8l"], vary_d, &[Mr, Vc]) {
+            // Google: 8 638 → 324 779 nodes.
+            let hood: Vec<u64> = series(&ms, Mr)
+                .iter()
+                .map(|m| extra(m, "hood_nodes"))
+                .collect();
+            assert_eq!(hood.len(), D_SWEEP.len(), "{id}");
+            assert_rises(&format!("{id}: EM_MR hood_nodes"), &hood);
+            // Google: 280 → 880 messages.
+            let messages: Vec<u64> = series(&ms, Vc).iter().map(|m| m.traffic).collect();
+            assert_rises(&format!("{id}: EM_VC messages"), &messages);
+        }
+    }
+
+    /// Table 2: each optimised algorithm's candidate space bounds the
+    /// confirmed matches, and EM_VC^opt's product graph is the larger one
+    /// (Google 520 > 100 > 60).
+    #[test]
+    fn table2_candidates_bound_the_confirmed_matches() {
+        for (ds, pts) in per_dataset(&quick("table2", table2)) {
+            let [vc, mr] = [VcOpt, MrOpt].map(|a| point(&pts, a.label()));
+            assert_eq!(vc.identified, mr.identified, "{ds}");
             assert!(
-                last.0 <= last.1 * 1.05,
-                "flight recorder on ({:.4}s) must stay within 5% of the \
-                 disabled-span path ({:.4}s)",
-                last.0,
-                last.1
+                extra(vc, "gp_nodes") > mr.candidates as u64 && mr.candidates > mr.identified,
+                "{ds}: want |Gp| > EM_MR^opt candidates > confirmed: {pts:?}"
             );
         }
     }
 
+    /// §6 in-text (`opt_mr`, `gp_ratio`): the optimisations cut EM_MR's
+    /// rounds 4 → 3, its candidates (Google 17 850 → 100) and its shuffle
+    /// (71 340 → 120); EM_VC sends fewer messages than *base* EM_MR
+    /// shuffles (520 < 71 340). EM_MR^opt shuffles less than EM_VC sends,
+    /// so that comparison is not claimed.
     #[test]
-    fn query_cached_is_2x_faster_with_identical_answers() {
-        let ms = run_experiment("query_cached", true);
-        assert_eq!(ms.len(), 2);
-        assert!(
-            ms.iter().all(|m| m.correct),
-            "cached and uncached answers must be byte-identical: {ms:?}"
-        );
-        // The ≥2× hot-throughput acceptance claim is asserted only in
-        // release (the CI recovery job runs it there); debug-mode chase
-        // and rendering costs drown the hash-lookup difference measured.
-        #[cfg(not(debug_assertions))]
-        {
-            let pair = |ms: &[Measurement]| {
-                let on = ms.iter().find(|m| m.algo == "cache_on").unwrap();
-                let off = ms.iter().find(|m| m.algo == "cache_off").unwrap();
-                (on.seconds, off.seconds)
-            };
-            // Best of up to 3 attempts guards the quick mode against
-            // transient stalls on a loaded runner.
-            let mut last = pair(&ms);
-            for _ in 0..2 {
-                if last.0 * 2.0 <= last.1 {
-                    break;
-                }
-                last = pair(&run_experiment("query_cached", true));
-            }
+    fn optimisations_and_vertex_centric_cut_the_mapreduce_work() {
+        let gp = quick("gp_ratio", gp_ratio);
+        let gp = per_dataset(&gp);
+        for (ds, pts) in per_dataset(&quick("opt_mr", opt_mr)) {
+            let [base, opt] = [Mr, MrOpt].map(|a| point(&pts, a.label()));
+            assert_eq!((base.rounds, opt.rounds), (4, 3), "{ds}");
             assert!(
-                last.0 * 2.0 <= last.1,
-                "cache-on ({:.4}s) must be ≥2× faster than cache-off \
-                 ({:.4}s) on the skewed hot workload",
-                last.0,
-                last.1
+                opt.candidates < base.candidates && opt.traffic < base.traffic,
+                "{ds}: EM_MR^opt must cut candidates and shuffle: {pts:?}"
+            );
+            let vc = point(&gp[ds], Vc.label());
+            assert!(
+                vc.traffic < base.traffic,
+                "{ds}: EM_VC messages {} must stay below EM_MR's shuffle {}",
+                vc.traffic,
+                base.traffic
             );
         }
     }
 
+    /// §6 in-text (`opt_vc`): the message budget k reschedules EM_VC^opt's
+    /// work without changing any of it.
     #[test]
-    fn matcher_prune_cuts_candidates_and_stays_correct() {
-        let ms = run_experiment("matcher_prune", true);
-        assert_eq!(ms.len(), 3);
-        assert!(
-            ms.iter().all(|m| m.correct),
-            "pruned chase must recover exactly the planted pairs: {ms:?}"
-        );
-        let unpruned = ms.iter().find(|m| m.algo == "unpruned_type_pairs").unwrap();
-        let pruned = ms.iter().find(|m| m.algo == "degree_pruned").unwrap();
-        // Structural, not timing: holds in every build. The fixture is 20%
-        // rich, so the pruned pair set is ~4% of the baseline |L|.
-        assert!(
-            pruned.candidates * 2 <= unpruned.candidates,
-            "degree pruning must cut |L| at least in half: {} vs {}",
-            pruned.candidates,
-            unpruned.candidates
-        );
-    }
-
-    #[test]
-    fn startup_recovery_matches_cold_rebuild() {
-        // Correctness only. The cold path's full chase is blocked now, so
-        // the two restarts cost about the same here (8 ms against 7 ms);
-        // the benchmark's `restart_s` and `setup_s` carry the timing, with
-        // repeats.
-        let ms = run_experiment("startup_recovery", true);
-        assert_eq!(ms.len(), 2);
-        assert!(ms.iter().all(|m| m.correct), "{ms:?}");
-    }
-
-    #[test]
-    fn ingest_overlay_is_faster_and_identical() {
-        let ms = run_experiment("ingest_throughput", true);
-        assert_eq!(ms.len(), 2);
-        assert!(
-            ms.iter().all(|m| m.correct),
-            "overlay and rebuild answers must be identical: {ms:?}"
-        );
-        // The ≥5× steady-state acceptance claim is asserted only in
-        // release (the CI recovery job runs it there); a debug build's
-        // constant factors are not what the criterion measures.
-        #[cfg(not(debug_assertions))]
-        {
-            let pair = |ms: &[Measurement]| {
-                let ov = ms.iter().find(|m| m.algo.starts_with("overlay")).unwrap();
-                let rb = ms.iter().find(|m| m.algo.starts_with("rebuild")).unwrap();
-                (ov.seconds, rb.seconds)
-            };
-            // Best of up to 3 attempts guards the one-rep quick mode
-            // against transient stalls on a loaded runner.
-            let mut last = pair(&ms);
-            for _ in 0..2 {
-                if last.0 * 5.0 <= last.1 {
-                    break;
-                }
-                last = pair(&run_experiment("ingest_throughput", true));
-            }
+    fn opt_vc_budget_changes_no_counter() {
+        for (ds, pts) in per_dataset(&quick("opt_vc", opt_vc)) {
+            let bounded: Vec<_> = pts.iter().filter(|m| m.x.starts_with("k=")).collect();
+            assert_eq!(bounded.len(), 4, "{ds}");
             assert!(
-                last.0 * 5.0 <= last.1,
-                "overlay insert ({:.4}s) must be ≥5× faster than the \
-                 from_graph rebuild path ({:.4}s)",
-                last.0,
-                last.1
+                bounded.iter().all(|m| counters(m) == counters(bounded[0])),
+                "{ds}: counters moved with k: {bounded:?}"
             );
         }
     }
 
+    /// `ablation`: value blocking shrinks the enumerated |L| (Google
+    /// 17 850 → 1 620) and pairs down to the same candidates.
     #[test]
-    fn vary_threads_agrees_with_truth() {
-        let ms = run_experiment("vary_threads", true);
-        assert_eq!(ms.len(), 5, "baseline + 4 thread counts");
-        assert!(ms.iter().all(|m| m.correct), "{ms:?}");
-        assert!(ms.iter().all(|m| m.identified == ms[0].identified));
-    }
-
-    #[test]
-    fn quick_experiment_runs_and_is_correct() {
-        let ms = run_experiment("gp_ratio", true);
-        assert_eq!(ms.len(), 3);
-        assert!(ms.iter().all(|m| m.correct), "{ms:?}");
-    }
-
-    #[test]
-    fn all_ids_resolve() {
-        // Just the cheap ones here; the figures binary exercises the rest.
-        for id in ["table2", "gp_ratio"] {
-            assert!(!run_experiment(id, true).is_empty());
+    fn blocking_shrinks_l_and_keeps_the_candidates() {
+        for (ds, pts) in per_dataset(&quick("ablation", ablation)) {
+            let [plain, blocked] = ["prep:type-pairs", "prep:blocked"].map(|a| point(&pts, a));
+            assert!(
+                blocked.traffic < plain.traffic && blocked.candidates == plain.candidates,
+                "{ds}: {pts:?}"
+            );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown experiment")]
-    fn unknown_id_panics() {
-        let _ = run_experiment("fig9z", true);
     }
 }
