@@ -51,15 +51,13 @@ pub const USAGE: &str = "usage:
   graphkeys cluster  --join ADDR0,ADDR1,...  [--port P] [--heartbeat-ms MS]
                      router-only: drive the distributed chase over already
                      running shards (each started with serve --shard-id I/N)
-  graphkeys snapshot <addr>                    ask a running server to persist a snapshot
   graphkeys metrics  <addr>                    print a server's metrics exposition
-  graphkeys trace    <addr> <request>          run one request under span tracing and
-                     print the span tree + the answer (e.g. trace 127.0.0.1:7878 DUPS e1)
   graphkeys recover  --data-dir DIR [--engine E] [--threads N] [--verify]
                      rebuild from snapshot + WAL; --verify cross-checks
                      against a from-scratch chase
   graphkeys query    <addr> <verb> [args...]   (e.g. query 127.0.0.1:7878 SAME a b;
-                     ADDKEY/DROPKEY/KEYS manage the key set at runtime)
+                     ADDKEY/DROPKEY/KEYS manage the key set at runtime, SNAPSHOT
+                     persists, TRACE <verb ...> adds the request's span tree)
   graphkeys query    <addr> --stdin [--depth N]
                      read one request per stdin line and pipeline them
                      N-deep (default 64) through one connection";
@@ -92,9 +90,7 @@ pub fn run_to(args: &[String], out: &mut String) -> Result<(), String> {
         "gen" => cmd_gen(rest, out),
         "serve" => cmd_serve(rest, out),
         "cluster" => cmd_cluster(rest, out),
-        "snapshot" => cmd_snapshot(rest, out),
         "metrics" => cmd_metrics(rest, out),
-        "trace" => cmd_trace(rest, out),
         "recover" => cmd_recover(rest, out),
         "query" => cmd_query(rest, out),
         other => Err(format!("unknown command {other:?}")),
@@ -734,21 +730,6 @@ fn recovery_line(r: &gk_server::RecoveryReport, dir: &str) -> String {
     }
 }
 
-fn cmd_snapshot(args: &[String], out: &mut String) -> Result<(), String> {
-    let f = Flags::parse(args, &[])?;
-    let [addr] = f.positional.as_slice() else {
-        return Err("snapshot takes a server address".into());
-    };
-    let resp = gk_client::Client::lazy(addr)
-        .request(&gk_server::Request::Snapshot)
-        .map_err(|e| format!("cannot reach {addr}: {e}"))?;
-    let _ = writeln!(out, "{}", resp.render());
-    if resp.is_err() {
-        return Err(format!("server answered: {}", resp.render()));
-    }
-    Ok(())
-}
-
 fn cmd_metrics(args: &[String], out: &mut String) -> Result<(), String> {
     let f = Flags::parse(args, &[])?;
     let [addr] = f.positional.as_slice() else {
@@ -759,34 +740,6 @@ fn cmd_metrics(args: &[String], out: &mut String) -> Result<(), String> {
         .map_err(|e| format!("cannot reach {addr}: {e}"))?;
     // The raw exposition, ready for a file or a scraper diff.
     out.push_str(&gk_server::render_exposition(&snaps));
-    Ok(())
-}
-
-fn cmd_trace(args: &[String], out: &mut String) -> Result<(), String> {
-    let f = Flags::parse(args, &[])?;
-    let [addr, verb_and_args @ ..] = f.positional.as_slice() else {
-        return Err("trace takes an address and a request (e.g. DUPS e1)".into());
-    };
-    if verb_and_args.is_empty() {
-        return Err("trace needs a request after the address (e.g. DUPS e1)".into());
-    }
-    let line = verb_and_args.join(" ");
-    // Parse client-side, then wrap in TRACE (idempotently: an explicit
-    // `trace <addr> TRACE DUPS e` is not double-wrapped).
-    let req = gk_server::Request::parse(&line).map_err(|e| e.to_string())?;
-    let wrapped = match req {
-        traced @ gk_server::Request::Trace { .. } => traced,
-        inner => gk_server::Request::Trace {
-            inner: Box::new(inner),
-        },
-    };
-    let resp = gk_client::Client::lazy(addr)
-        .request(&wrapped)
-        .map_err(|e| format!("cannot reach {addr}: {e}"))?;
-    let _ = writeln!(out, "{}", resp.render());
-    if resp.is_err() {
-        return Err(format!("server answered: {}", resp.render()));
-    }
     Ok(())
 }
 
@@ -1233,7 +1186,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_command_drives_a_durable_server() {
+    fn query_snapshot_drives_a_durable_server() {
         use gk_core::ChaseEngine;
         let d = tmpdir("snapshot-cmd");
         let dur = Durability::in_dir(format!("{d}/data"));
@@ -1245,13 +1198,9 @@ mod tests {
         let addr = handle.addr().to_string();
 
         let mut out = String::new();
-        run_to(&args(&["snapshot", &addr]), &mut out).unwrap();
+        run_to(&args(&["query", &addr, "SNAPSHOT"]), &mut out).unwrap();
         assert!(out.starts_with("OK snapshot_seq="), "{out}");
         handle.stop();
-
-        // Arg errors.
-        let mut out2 = String::new();
-        assert!(run_to(&args(&["snapshot"]), &mut out2).is_err());
     }
 
     #[test]
@@ -1283,7 +1232,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_command_prints_the_span_tree_and_the_answer() {
+    fn query_trace_prints_the_span_tree_and_the_answer() {
         let g = gk_graph::parse_graph(G).unwrap();
         let ks = gk_core::KeySet::parse(K).unwrap();
         let server = std::sync::Arc::new(gk_server::Server::new(g, ks));
@@ -1291,23 +1240,12 @@ mod tests {
         let addr = handle.addr().to_string();
 
         let mut out = String::new();
-        run_to(&args(&["trace", &addr, "DUPS", "alb1"]), &mut out).unwrap();
+        run_to(&args(&["query", &addr, "TRACE", "DUPS", "alb1"]), &mut out).unwrap();
         assert!(out.starts_with("TRACE id="), "{out}");
         assert!(out.contains("span=dups"), "{out}");
         assert!(out.contains("span=lookup"), "{out}");
         assert!(out.contains("span=analyze"), "{out}");
         assert!(out.contains("\nANSWER\n"), "{out}");
-
-        // An explicit TRACE prefix is not double-wrapped.
-        let mut out2 = String::new();
-        run_to(&args(&["trace", &addr, "TRACE", "PING"]), &mut out2).unwrap();
-        assert!(out2.contains("span=ping"), "{out2}");
-        assert!(out2.contains("PONG"), "{out2}");
-
-        // Arg errors.
-        let mut out3 = String::new();
-        assert!(run_to(&args(&["trace"]), &mut out3).is_err());
-        assert!(run_to(&args(&["trace", &addr]), &mut out3).is_err());
         handle.stop();
     }
 

@@ -14,7 +14,6 @@
 //!                    [--engine reference|incremental|parallel]
 //!                    [--data-dir DIR] [--fsync always|batch|never]
 //!                    [--metrics-addr HOST:PORT] [--slow-query-ms N]
-//! graphkeys snapshot <addr>
 //! graphkeys metrics  <addr>
 //! graphkeys recover  --data-dir DIR [--engine E] [--threads N] [--verify]
 //! graphkeys query    <addr> <verb> [args...]

@@ -22,7 +22,7 @@
 //!   **N-deep**: one vectored write for the whole batch, then one drain
 //!   of all responses. Against a local server this turns per-request
 //!   syscall + scheduling latency into amortized streaming cost (the
-//!   `query_pipeline` bench experiment measures the multiple).
+//!   benchmark's `read_pipelined_rps` row measures it).
 //! * [`Client::run_pipelined`] — windowed pipelining over an arbitrary
 //!   request list: write up to `depth` ahead, drain, repeat.
 //!

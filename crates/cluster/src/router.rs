@@ -8,12 +8,15 @@
 //! [`Coordinator`]: broadcast to every replica, then the distributed chase
 //! converges before the client gets its answer.  `METRICS` answers the
 //! router's own registry (the `gk_cluster_*` family); shard metrics stay
-//! reachable on the shards themselves.
+//! reachable on the shards themselves.  Every decision reads the verb's
+//! [`Class`], and a `TRACE` is classified by the verb it wraps: a traced
+//! read forwards like the read, a traced mutation or admin verb is
+//! refused, and a cluster-internal verb is refused traced or not.
 
 use crate::coordinator::Coordinator;
 use gk_client::Client;
 use gk_metrics::Registry;
-use gk_server::{Request, Response, MAX_REQUEST_LINE};
+use gk_server::{Class, Request, Response, MAX_REQUEST_LINE};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -153,32 +156,14 @@ impl QueryConns {
 /// Reads with no entity argument (STATS, KEYS, HELP, …) go to shard 0.
 fn affinity(req: &Request, n: usize) -> usize {
     use std::hash::{Hash, Hasher};
-    let label = match req {
-        Request::Same { a, .. } | Request::Explain { a, .. } => Some(a),
-        Request::Dups { entity } | Request::Rep { entity } => Some(entity),
-        Request::Trace { inner } => return affinity(inner, n),
-        _ => None,
-    };
-    match label {
-        Some(l) => {
+    match req.entities()[0] {
+        Some(label) => {
             let mut h = rustc_hash::FxHasher::default();
-            l.hash(&mut h);
+            label.hash(&mut h);
             (h.finish() % n as u64) as usize
         }
         None => 0,
     }
-}
-
-/// True for the wrapped-or-not verbs that mutate replicas and therefore
-/// must go through the coordinator's broadcast + converge path.
-fn is_mutation(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Insert { .. }
-            | Request::Delete { .. }
-            | Request::AddKey { .. }
-            | Request::DropKey { .. }
-    )
 }
 
 fn handle_conn(conn: TcpStream, coord: &Arc<Coordinator>, reg: &Arc<Registry>) -> io::Result<()> {
@@ -214,18 +199,28 @@ fn answer_line(
     queries: &mut QueryConns,
 ) -> String {
     let n = coord.num_shards();
-    let parsed = Request::parse(line);
-    let answer = match &parsed {
-        Ok(req) if is_mutation(req) => coord.update(line, req),
-        Ok(Request::Snapshot | Request::Compact) => coord.broadcast_admin(line),
+    let answer = match Request::parse(line) {
         Ok(Request::Metrics) => Ok(Response::Metrics(reg.snapshot()).render()),
-        Ok(Request::ShardChase { .. } | Request::Merges { .. }) => {
-            Ok("ERR SHARDCHASE/MERGES are cluster-internal (address a shard directly)".to_string())
+        Ok(req) => {
+            let target = req.untraced();
+            let traced = matches!(req, Request::Trace { .. });
+            match (target.class(), traced) {
+                (Class::Internal, _) => Ok(
+                    "ERR SHARDCHASE/MERGES are cluster-internal (address a shard directly)".into(),
+                ),
+                (Class::Mutation, false) => coord.update(line, target),
+                (Class::Admin, false) => coord.broadcast_admin(line),
+                (Class::Mutation, true) => Ok(
+                    "ERR TRACE of a mutation is not supported through the cluster router".into(),
+                ),
+                (Class::Admin, true) => Ok(
+                    "ERR TRACE of an admin verb is not supported through the cluster router".into(),
+                ),
+                (Class::Lookup | Class::Read | Class::Trace, _) => {
+                    queries.forward(affinity(target, n), line)
+                }
+            }
         }
-        Ok(Request::Trace { inner }) if is_mutation(inner) => {
-            Ok("ERR TRACE of a mutation is not supported through the cluster router".to_string())
-        }
-        Ok(req) => queries.forward(affinity(req, n), line),
         // Unparseable lines forward raw so the shard's own ERR answer
         // (usage text and all) comes back byte-identical to standalone.
         Err(_) => queries.forward(0, line),

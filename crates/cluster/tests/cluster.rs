@@ -6,7 +6,7 @@ use gk_client::Client;
 use gk_cluster::{serve_router, Cluster, ClusterOpts, Coordinator, DEFAULT_HEARTBEAT};
 use gk_core::{ChaseEngine, KeySet, ShardRole};
 use gk_graph::parse_graph;
-use gk_metrics::Registry;
+use gk_metrics::{MetricValue, Registry};
 use gk_server::{serve, Durability, EmIndex, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -211,6 +211,41 @@ fn router_intercepts_cluster_internal_and_admin_verbs() {
     // TRACE of a query forwards to a shard like the query itself.
     let r = front.request_line("TRACE SAME alb0_0 alb0_1").unwrap();
     assert!(r.starts_with("TRACE id="), "{r}");
+    // A TRACE is routed by the verb it wraps: the internal verbs stay
+    // refused, and so does an admin verb that would reach one shard only.
+    let internal = front.request_line("SHARDCHASE 0").unwrap();
+    for line in ["TRACE SHARDCHASE 0", r#"TRACE MERGES 0 alb0_0 alb1_0 "Q2""#] {
+        assert_eq!(front.request_line(line).unwrap(), internal, "{line}");
+    }
+    let r = front.request_line("TRACE SNAPSHOT").unwrap();
+    assert!(r.starts_with("ERR"), "{r}");
+    // No key identifies "Record 0" with "Record 1", so the merge the
+    // refused MERGES carried must reach no replica, even after the
+    // heartbeat. Sweep rounds count as they start: three more means two
+    // have finished, enough to read a merge off one shard and ship it to
+    // the other.
+    let rounds = || match cluster
+        .registry()
+        .snapshot()
+        .into_iter()
+        .find(|m| m.name == "gk_cluster_rounds_total")
+        .map(|m| m.value)
+    {
+        Some(MetricValue::Counter(n)) => n,
+        _ => 0,
+    };
+    let start = rounds();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while rounds() < start + 3 {
+        assert!(Instant::now() < deadline, "no heartbeat sweep ran");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    for addr in cluster.shard_addrs() {
+        let r = Client::lazy(addr)
+            .request_line("SAME alb0_0 alb1_0")
+            .unwrap();
+        assert!(r.starts_with("NO "), "shard {addr}: {r}");
+    }
 
     // METRICS answers the *router's* registry: the cluster family.
     let metrics = front.request_line("METRICS").unwrap();

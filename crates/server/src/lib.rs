@@ -24,8 +24,8 @@
 //! | layer | type | role |
 //! |-------|------|------|
 //! | [`EmIndex`] | `index` | snapshot-swapped `OverlayGraph` (shared base CSR + O(batch) delta) + a versioned Σ ([`EmIndex::add_keys`] / [`EmIndex::drop_key`] evolve it at runtime) + `EqRel` with rep map and duplicate clusters; threshold-compacted; optional write-through durability (`gk-store` WAL + snapshots, crash recovery) |
-//! | [`Request`] / [`Response`] | `proto` | the typed request/response surface with a lossless `parse`/`render` pair |
-//! | [`Server`] | `protocol` | [`Server::execute`] maps requests (`SAME`, `DUPS`, `EXPLAIN`, `INSERT`, `DELETE`, `ADDKEY`, `DROPKEY`, `KEYS`, `SNAPSHOT`, `COMPACT`, `STATS`, `TRACE`, `TRACES`) to responses; [`Server::handle`] is the line-protocol shim |
+//! | [`Request`] / [`Response`] | `proto` | the typed request/response surface with a lossless `parse`/`render` pair; [`VERBS`], one row per verb |
+//! | [`Server`] | `protocol` | [`Server::execute`] maps requests to responses; [`Server::handle`] is the line-protocol shim |
 //! | [`serve`] / [`serve_with`] | `net` + `event_loop` | TCP framing: a nonblocking epoll reactor + worker pool by default ([`NetModel::Epoll`]), or the legacy blocking thread-per-connection pool ([`NetModel::Threaded`]) |
 //!
 //! ## In-process use
@@ -75,9 +75,10 @@ pub use net::{
     MAX_REQUEST_LINE,
 };
 pub use proto::{
-    usage, MergeEntry, ProofLine, RecordedTrace, Request, RequestError, Response, ResponseError,
+    Class, MergeEntry, ProofLine, RecordedTrace, Request, RequestError, Response, ResponseError,
+    Verb, VERBS,
 };
-pub use protocol::{Server, PROTOCOL_HELP};
+pub use protocol::Server;
 // Metrics types, re-exported so embedders can build a disabled registry
 // (zero-cost baseline) or walk a `Response::Metrics` payload — or a
 // `Response::Trace` span tree — without depending on gk-metrics directly.

@@ -16,8 +16,9 @@
 //! * [`NetModel::Threaded`] — the original blocking model: a fixed pool
 //!   of worker threads pulls accepted connections from a shared queue,
 //!   one thread pinned per open connection. Kept as a fallback
-//!   (`--net-model threaded`) and as the differential baseline for the
-//!   `concurrent_connections` benchmark; deprecated for production use.
+//!   (`--net-model threaded`) and as the differential baseline of
+//!   `tests/server.rs::event_loop_sustains_4x_the_threaded_idle_capacity`;
+//!   deprecated for production use.
 
 use crate::event_loop;
 use crate::http::{serve_metrics_http, MetricsHandle};

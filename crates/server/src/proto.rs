@@ -13,13 +13,17 @@
 //! round-trip values over the wire without string surgery, while scripted
 //! sessions and golden transcripts keep their exact byte-level shape.
 //!
-//! Malformed requests fail to parse with a [`RequestError`] whose display
-//! form is the protocol's `ERR …` payload — arity mistakes and trailing
-//! tokens all answer a uniform `ERR usage: <verb signature>` line.
+//! Each verb is one row of [`VERBS`]: its name, argument grammar, usage
+//! signature, `HELP` line and [`Class`]. Malformed requests fail to parse
+//! with a [`RequestError`] whose display form is the protocol's `ERR …`
+//! payload — arity mistakes and trailing tokens all answer a uniform
+//! `ERR usage: <verb signature>` line taken from the verb's row.
 
 use crate::index::{AdvanceMode, AdvanceReport, KeyChange};
 use gk_metrics::{MetricSnapshot, TraceNode};
 use std::fmt::Write as _;
+use Class::{Admin, Internal, Lookup, Mutation, Read, Trace};
+use Grammar::{Bare, Cursor, CursorMerges, Name, OptCount, Pair, Text, Wrapped};
 
 /// One request, as understood by [`crate::Server::execute`].
 ///
@@ -29,46 +33,46 @@ use std::fmt::Write as _;
 /// `Hash` lets a request serve as part of an answer-cache key.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Request {
-    /// `SAME <a> <b>` — are the two entities identified?
+    /// `SAME` — are the two entities identified?
     Same {
         /// First entity name.
         a: String,
         /// Second entity name.
         b: String,
     },
-    /// `DUPS <e>` — the duplicate cluster of an entity.
+    /// `DUPS` — the duplicate cluster of an entity.
     Dups {
         /// Entity name.
         entity: String,
     },
-    /// `REP <e>` — the canonical representative of an entity.
+    /// `REP` — the canonical representative of an entity.
     Rep {
         /// Entity name.
         entity: String,
     },
-    /// `EXPLAIN <a> <b>` — a verified key-application proof.
+    /// `EXPLAIN` — a verified key-application proof.
     Explain {
         /// First entity name.
         a: String,
         /// Second entity name.
         b: String,
     },
-    /// `INSERT <batch>` — insert triples (`;` separates several).
+    /// `INSERT` — insert triples (`;` separates several).
     Insert {
         /// The raw batch text after the verb.
         batch: String,
     },
-    /// `DELETE <batch>` — delete triples (`;` separates several).
+    /// `DELETE` — delete triples (`;` separates several).
     Delete {
         /// The raw batch text after the verb.
         batch: String,
     },
-    /// `ADDKEY <dsl>` — install one key into the live Σ.
+    /// `ADDKEY` — install one key into the live Σ.
     AddKey {
         /// The key definition in the DSL (one `key … { … }` block).
         dsl: String,
     },
-    /// `DROPKEY <name>` — remove a key from the live Σ by name.
+    /// `DROPKEY` — remove a key from the live Σ by name.
     DropKey {
         /// The declared key name.
         name: String,
@@ -83,26 +87,25 @@ pub enum Request {
     Stats,
     /// `METRICS` — the full metrics exposition.
     Metrics,
-    /// `TRACE <verb ...>` — execute the wrapped request with per-request
+    /// `TRACE` — execute the wrapped request with per-request
     /// span tracing on, answering its result plus the recorded span tree.
     Trace {
         /// The wrapped request (itself neither `TRACE` nor `TRACES`).
         inner: Box<Request>,
     },
-    /// `TRACES [n]` — dump the flight recorder's retained traces.
+    /// `TRACES` — dump the flight recorder's retained traces.
     Traces {
         /// Max traces returned; `None` means the recorder's capacity.
         n: Option<usize>,
     },
-    /// `SHARDCHASE <cursor>` — (cluster-internal) chase this shard's
-    /// slice to a local fixpoint and answer the merge log from `cursor`.
+    /// `SHARDCHASE` — (cluster-internal) chase this shard's slice to a
+    /// local fixpoint and answer the merge log from `cursor`.
     ShardChase {
         /// First step-log position the caller has not yet seen.
         cursor: u64,
     },
-    /// `MERGES <cursor> <a> <b> "<key>" [; …]` — (cluster-internal)
-    /// absorb external merges from other shards, re-chase the slice, and
-    /// answer the merge log from `cursor`.
+    /// `MERGES` — (cluster-internal) absorb external merges from other
+    /// shards, re-chase the slice, and answer the merge log from `cursor`.
     Merges {
         /// First step-log position the caller has not yet seen.
         cursor: u64,
@@ -115,47 +118,167 @@ pub enum Request {
     Help,
 }
 
-/// Usage signatures, one per verb — the payload of the uniform
-/// `ERR usage:` answer for malformed requests.
-pub mod usage {
-    /// `SAME` signature.
-    pub const SAME: &str = "SAME <a> <b>";
-    /// `DUPS` signature.
-    pub const DUPS: &str = "DUPS <e>";
-    /// `REP` signature.
-    pub const REP: &str = "REP <e>";
-    /// `EXPLAIN` signature.
-    pub const EXPLAIN: &str = "EXPLAIN <a> <b>";
-    /// `INSERT` signature.
-    pub const INSERT: &str = "INSERT <s:T> <p> <o> [; <s:T> <p> <o> ...]";
-    /// `DELETE` signature.
-    pub const DELETE: &str = "DELETE <s:T> <p> <o> [; <s:T> <p> <o> ...]";
-    /// `ADDKEY` signature.
-    pub const ADDKEY: &str = "ADDKEY key \"<name>\" <type>(x) { ... }";
-    /// `DROPKEY` signature.
-    pub const DROPKEY: &str = "DROPKEY <name>";
-    /// `KEYS` signature.
-    pub const KEYS: &str = "KEYS";
-    /// `SNAPSHOT` signature.
-    pub const SNAPSHOT: &str = "SNAPSHOT";
-    /// `COMPACT` signature.
-    pub const COMPACT: &str = "COMPACT";
-    /// `STATS` signature.
-    pub const STATS: &str = "STATS";
-    /// `METRICS` signature.
-    pub const METRICS: &str = "METRICS";
-    /// `TRACE` signature.
-    pub const TRACE: &str = "TRACE <verb ...>";
-    /// `TRACES` signature.
-    pub const TRACES: &str = "TRACES [n]";
-    /// `SHARDCHASE` signature.
-    pub const SHARDCHASE: &str = "SHARDCHASE <cursor>";
-    /// `MERGES` signature.
-    pub const MERGES: &str = "MERGES <cursor> [<a> <b> \"<key>\" ; ...]";
-    /// `PING` signature.
-    pub const PING: &str = "PING";
-    /// `HELP` signature.
-    pub const HELP: &str = "HELP";
+/// What a verb does, as far as the code around the protocol must know. The
+/// answer cache and `TRACE`'s `lookup`/`analyze` phases read
+/// [`Class::Lookup`]; the cluster router routes on every class; the
+/// client's retry rule reads [`Request::is_update`], which the class
+/// decides.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Class {
+    /// Entity queries answered from the relation alone (`SAME`, `DUPS`,
+    /// `REP`): cacheable, and traced as a `lookup` plus an `analyze` phase.
+    Lookup,
+    /// Every other read-only verb.
+    Read,
+    /// Triple and key updates; the cluster router broadcasts them.
+    Mutation,
+    /// Persistence verbs each cluster shard runs on its own data dir.
+    Admin,
+    /// The cluster exchange verbs; the router refuses them.
+    Internal,
+    /// The tracing verbs, which `TRACE` cannot wrap.
+    Trace,
+}
+
+/// How a verb's arguments are read off the request line, and the
+/// [`Request`] they build.
+enum Grammar {
+    /// No arguments.
+    Bare(Request),
+    /// One entity name.
+    Name(fn(String) -> Request),
+    /// Two entity names.
+    Pair(fn(String, String) -> Request),
+    /// The rest of the line, verbatim and non-empty.
+    Text(fn(String) -> Request),
+    /// An optional count (`TRACES`).
+    OptCount,
+    /// A step-log cursor (`SHARDCHASE`).
+    Cursor,
+    /// A cursor, then a `;`-separated merge list (`MERGES`).
+    CursorMerges,
+    /// A whole request, itself not of [`Class::Trace`] (`TRACE`).
+    Wrapped,
+}
+
+/// One verb of the protocol: a row of [`VERBS`].
+pub struct Verb {
+    /// Lowercase name; also the per-verb metric namespace
+    /// (`gk_requests_<name>_total`, `gk_request_micros_<name>`).
+    pub name: &'static str,
+    /// The signature a malformed request is answered with
+    /// (`ERR usage: <usage>`).
+    pub usage: &'static str,
+    /// The verb's line in `HELP`; empty for `HELP` itself.
+    help: &'static str,
+    grammar: Grammar,
+    /// What the verb does.
+    pub class: Class,
+}
+
+const fn verb(
+    name: &'static str,
+    class: Class,
+    grammar: Grammar,
+    usage: &'static str,
+    help: &'static str,
+) -> Verb {
+    Verb {
+        name,
+        usage,
+        help,
+        grammar,
+        class,
+    }
+}
+
+/// The protocol: one row per verb, in `HELP` order. [`Request::parse`],
+/// `ERR usage:`, `HELP`, the verb names and metric slots, cacheability,
+/// `TRACE`'s phases, cluster routing and client retry all read it.
+#[rustfmt::skip]
+pub static VERBS: [Verb; 19] = [
+    verb("same",       Lookup,   Pair(|a, b| Request::Same { a, b }),          "SAME <a> <b>",                               "SAME <a> <b>          are <a> and <b> identified?"),
+    verb("dups",       Lookup,   Name(|entity| Request::Dups { entity }),      "DUPS <e>",                                   "DUPS <e>              duplicates of <e>"),
+    verb("rep",        Lookup,   Name(|entity| Request::Rep { entity }),       "REP <e>",                                    "REP <e>               canonical representative of <e>"),
+    verb("explain",    Read,     Pair(|a, b| Request::Explain { a, b }),       "EXPLAIN <a> <b>",                            "EXPLAIN <a> <b>       verified key-application proof for <a> <=> <b>"),
+    verb("insert",     Mutation, Text(|batch| Request::Insert { batch }),      "INSERT <s:T> <p> <o> [; <s:T> <p> <o> ...]", "INSERT <s:T> <p> <o>  insert triple(s); separate several with ';'"),
+    verb("delete",     Mutation, Text(|batch| Request::Delete { batch }),      "DELETE <s:T> <p> <o> [; <s:T> <p> <o> ...]", "DELETE <s:T> <p> <o>  delete triple(s); ';' separates; one re-chase per batch"),
+    verb("addkey",     Mutation, Text(|dsl| Request::AddKey { dsl }),          "ADDKEY key \"<name>\" <type>(x) { ... }",    "ADDKEY key \"N\" T(x) { ... }  install a key into the live Σ (monotone delta chase)"),
+    verb("dropkey",    Mutation, Text(|name| Request::DropKey { name }),       "DROPKEY <name>",                             "DROPKEY <name>        remove a key from the live Σ (one full re-chase)"),
+    verb("keys",       Read,     Bare(Request::Keys),                          "KEYS",                                       "KEYS                  list the declared keys and the key epoch"),
+    verb("snapshot",   Admin,    Bare(Request::Snapshot),                      "SNAPSHOT",                                   "SNAPSHOT              persist a point-in-time snapshot (needs --data-dir)"),
+    verb("compact",    Admin,    Bare(Request::Compact),                       "COMPACT",                                    "COMPACT               snapshot + fold the delta overlay, truncate the WAL, prune old snapshots"),
+    verb("shardchase", Internal, Cursor,                                       "SHARDCHASE <cursor>",                        "SHARDCHASE <cursor>   (cluster-internal) chase the owned slice; answer the merge log from <cursor>"),
+    verb("merges",     Internal, CursorMerges,                                 "MERGES <cursor> [<a> <b> \"<key>\" ; ...]",  "MERGES <cursor> [<a> <b> \"<key>\" ; ...]  (cluster-internal) absorb external merges, then as SHARDCHASE"),
+    verb("stats",      Read,     Bare(Request::Stats),                         "STATS",                                      "STATS                 index + traffic counters"),
+    verb("metrics",    Read,     Bare(Request::Metrics),                       "METRICS",                                    "METRICS               full metrics exposition (counters, gauges, latency histograms)"),
+    verb("trace",      Trace,    Wrapped,                                      "TRACE <verb ...>",                           "TRACE <verb ...>      execute <verb> with span tracing; answers the span tree + the answer"),
+    verb("traces",     Trace,    OptCount,                                     "TRACES [n]",                                 "TRACES [n]            dump the flight recorder's retained request traces (newest first)"),
+    verb("ping",       Read,     Bare(Request::Ping),                          "PING",                                       "PING                  liveness check"),
+    verb("help",       Read,     Bare(Request::Help),                          "HELP",                                       ""),
+];
+
+impl Verb {
+    /// True for the verbs that change the index: the mutations, and
+    /// `MERGES`, the one cluster-internal verb that carries merges to
+    /// absorb.
+    fn is_update(&self) -> bool {
+        self.class == Mutation || matches!(self.grammar, CursorMerges)
+    }
+
+    /// Reads the arguments after the verb word (`rest` is trimmed).
+    fn parse_args(&self, rest: &str) -> Result<Request, RequestError> {
+        let usage = RequestError::Usage(self.usage);
+        // Three words are enough to tell every fixed arity from one more.
+        let mut buf = [""; 3];
+        let mut len = 0;
+        for (slot, word) in buf.iter_mut().zip(rest.split_whitespace()) {
+            *slot = word;
+            len += 1;
+        }
+        match (&self.grammar, &buf[..len]) {
+            (Bare(req), []) => Ok(req.clone()),
+            (Name(make), [e]) => Ok(make(e.to_string())),
+            (Pair(make), [a, b]) => Ok(make(a.to_string(), b.to_string())),
+            (Text(make), [_, ..]) => Ok(make(rest.to_string())),
+            (OptCount, []) => Ok(Request::Traces { n: None }),
+            (OptCount, [n]) => n
+                .parse()
+                .map(|n| Request::Traces { n: Some(n) })
+                .map_err(|_| usage),
+            (Cursor, [c]) => c
+                .parse()
+                .map(|cursor| Request::ShardChase { cursor })
+                .map_err(|_| usage),
+            (CursorMerges, [c, ..]) => {
+                let entries = rest.split_once(char::is_whitespace).map_or("", |(_, r)| r);
+                match (c.parse(), parse_merge_entries(entries)) {
+                    (Ok(cursor), Some(merges)) => Ok(Request::Merges { cursor, merges }),
+                    _ => Err(usage),
+                }
+            }
+            (Wrapped, _) => match Request::parse(rest) {
+                Ok(inner) if inner.class() != Trace => Ok(Request::Trace {
+                    inner: Box::new(inner),
+                }),
+                // An empty or nested wrap is a TRACE arity mistake; a
+                // malformed inner verb keeps its own diagnosis.
+                Ok(_) | Err(RequestError::Empty) => Err(usage),
+                Err(e) => Err(e),
+            },
+            _ => Err(usage),
+        }
+    }
+}
+
+/// The `HELP` answer: a header, then one line per listed verb.
+pub(crate) fn help_text() -> String {
+    let mut out = String::from("commands:");
+    for v in VERBS.iter().filter(|v| !v.help.is_empty()) {
+        out.push_str("\n  ");
+        out.push_str(v.help);
+    }
+    out
 }
 
 /// Why a request line failed to parse. `Display` renders the exact `ERR`
@@ -192,115 +315,13 @@ impl Request {
         if line.is_empty() {
             return Err(RequestError::Empty);
         }
-        let (verb, rest) = match line.split_once(char::is_whitespace) {
+        let (word, rest) = match line.split_once(char::is_whitespace) {
             Some((v, r)) => (v, r.trim()),
             None => (line, ""),
         };
-        let exactly = |n: usize, u: &'static str| -> Result<Vec<String>, RequestError> {
-            let parts: Vec<String> = rest.split_whitespace().map(str::to_string).collect();
-            if parts.len() == n {
-                Ok(parts)
-            } else {
-                Err(RequestError::Usage(u))
-            }
-        };
-        let bare = |u: &'static str| -> Result<(), RequestError> {
-            if rest.is_empty() {
-                Ok(())
-            } else {
-                Err(RequestError::Usage(u))
-            }
-        };
-        let text = |u: &'static str| -> Result<String, RequestError> {
-            if rest.is_empty() {
-                Err(RequestError::Usage(u))
-            } else {
-                Ok(rest.to_string())
-            }
-        };
-        match verb.to_ascii_uppercase().as_str() {
-            "SAME" => {
-                let mut p = exactly(2, usage::SAME)?;
-                let b = p.pop().expect("two parts");
-                let a = p.pop().expect("two parts");
-                Ok(Request::Same { a, b })
-            }
-            "DUPS" => Ok(Request::Dups {
-                entity: exactly(1, usage::DUPS)?.pop().expect("one part"),
-            }),
-            "REP" => Ok(Request::Rep {
-                entity: exactly(1, usage::REP)?.pop().expect("one part"),
-            }),
-            "EXPLAIN" => {
-                let mut p = exactly(2, usage::EXPLAIN)?;
-                let b = p.pop().expect("two parts");
-                let a = p.pop().expect("two parts");
-                Ok(Request::Explain { a, b })
-            }
-            "INSERT" => Ok(Request::Insert {
-                batch: text(usage::INSERT)?,
-            }),
-            "DELETE" => Ok(Request::Delete {
-                batch: text(usage::DELETE)?,
-            }),
-            "ADDKEY" => Ok(Request::AddKey {
-                dsl: text(usage::ADDKEY)?,
-            }),
-            "DROPKEY" => Ok(Request::DropKey {
-                name: text(usage::DROPKEY)?,
-            }),
-            "KEYS" => bare(usage::KEYS).map(|()| Request::Keys),
-            "SNAPSHOT" => bare(usage::SNAPSHOT).map(|()| Request::Snapshot),
-            "COMPACT" => bare(usage::COMPACT).map(|()| Request::Compact),
-            "STATS" => bare(usage::STATS).map(|()| Request::Stats),
-            "METRICS" => bare(usage::METRICS).map(|()| Request::Metrics),
-            "TRACE" => {
-                let inner = match Request::parse(rest) {
-                    Ok(inner) => inner,
-                    // An empty wrapped request is a TRACE arity mistake;
-                    // a malformed inner verb keeps its own diagnosis.
-                    Err(RequestError::Empty) => return Err(RequestError::Usage(usage::TRACE)),
-                    Err(e) => return Err(e),
-                };
-                if matches!(inner, Request::Trace { .. } | Request::Traces { .. }) {
-                    return Err(RequestError::Usage(usage::TRACE));
-                }
-                Ok(Request::Trace {
-                    inner: Box::new(inner),
-                })
-            }
-            "TRACES" => {
-                if rest.is_empty() {
-                    Ok(Request::Traces { n: None })
-                } else {
-                    let n = exactly(1, usage::TRACES)?.pop().expect("one part");
-                    n.parse()
-                        .map(|n| Request::Traces { n: Some(n) })
-                        .map_err(|_| RequestError::Usage(usage::TRACES))
-                }
-            }
-            "SHARDCHASE" => {
-                let cursor = exactly(1, usage::SHARDCHASE)?.pop().expect("one part");
-                cursor
-                    .parse()
-                    .map(|cursor| Request::ShardChase { cursor })
-                    .map_err(|_| RequestError::Usage(usage::SHARDCHASE))
-            }
-            "MERGES" => {
-                let (cursor, entries) = match rest.split_once(char::is_whitespace) {
-                    Some((c, r)) => (c, r.trim()),
-                    None => (rest, ""),
-                };
-                let cursor = cursor
-                    .parse()
-                    .map_err(|_| RequestError::Usage(usage::MERGES))?;
-                let merges =
-                    parse_merge_entries(entries).ok_or(RequestError::Usage(usage::MERGES))?;
-                Ok(Request::Merges { cursor, merges })
-            }
-            "PING" => bare(usage::PING).map(|()| Request::Ping),
-            "HELP" => bare(usage::HELP).map(|()| Request::Help),
-            other => Err(RequestError::UnknownVerb(other.to_string())),
+        match VERBS.iter().find(|v| v.name.eq_ignore_ascii_case(word)) {
+            Some(verb) => verb.parse_args(rest),
+            None => Err(RequestError::UnknownVerb(word.to_ascii_uppercase())),
         }
     }
 
@@ -338,67 +359,63 @@ impl Request {
         }
     }
 
-    /// True for the verbs that mutate the index (triples or Σ). A `TRACE`
-    /// mutates exactly when its wrapped request does.
-    pub fn is_update(&self) -> bool {
+    /// This request's row in [`VERBS`].
+    pub(crate) fn slot(&self) -> usize {
         match self {
-            Request::Insert { .. }
-            | Request::Delete { .. }
-            | Request::AddKey { .. }
-            | Request::DropKey { .. }
-            | Request::Merges { .. } => true,
-            Request::Trace { inner } => inner.is_update(),
-            _ => false,
+            Request::Same { .. } => 0,
+            Request::Dups { .. } => 1,
+            Request::Rep { .. } => 2,
+            Request::Explain { .. } => 3,
+            Request::Insert { .. } => 4,
+            Request::Delete { .. } => 5,
+            Request::AddKey { .. } => 6,
+            Request::DropKey { .. } => 7,
+            Request::Keys => 8,
+            Request::Snapshot => 9,
+            Request::Compact => 10,
+            Request::ShardChase { .. } => 11,
+            Request::Merges { .. } => 12,
+            Request::Stats => 13,
+            Request::Metrics => 14,
+            Request::Trace { .. } => 15,
+            Request::Traces { .. } => 16,
+            Request::Ping => 17,
+            Request::Help => 18,
         }
     }
 
-    /// Every verb name, lowercase — the namespace of the per-verb request
-    /// metrics (`gk_requests_<verb>_total`, `gk_request_micros_<verb>`).
-    pub const VERBS: [&'static str; 19] = [
-        "same",
-        "dups",
-        "rep",
-        "explain",
-        "insert",
-        "delete",
-        "addkey",
-        "dropkey",
-        "shardchase",
-        "merges",
-        "keys",
-        "snapshot",
-        "compact",
-        "stats",
-        "metrics",
-        "trace",
-        "traces",
-        "ping",
-        "help",
-    ];
-
-    /// The lowercase verb name of this request (an element of
-    /// [`Request::VERBS`]).
+    /// The lowercase verb name of this request (its [`Verb::name`]).
     pub fn verb(&self) -> &'static str {
+        VERBS[self.slot()].name
+    }
+
+    /// This request's [`Class`].
+    pub fn class(&self) -> Class {
+        VERBS[self.slot()].class
+    }
+
+    /// The request a `TRACE` wraps, or the request itself.
+    pub fn untraced(&self) -> &Request {
         match self {
-            Request::Same { .. } => "same",
-            Request::Dups { .. } => "dups",
-            Request::Rep { .. } => "rep",
-            Request::Explain { .. } => "explain",
-            Request::Insert { .. } => "insert",
-            Request::Delete { .. } => "delete",
-            Request::AddKey { .. } => "addkey",
-            Request::DropKey { .. } => "dropkey",
-            Request::Keys => "keys",
-            Request::Snapshot => "snapshot",
-            Request::Compact => "compact",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Trace { .. } => "trace",
-            Request::Traces { .. } => "traces",
-            Request::ShardChase { .. } => "shardchase",
-            Request::Merges { .. } => "merges",
-            Request::Ping => "ping",
-            Request::Help => "help",
+            Request::Trace { inner } => inner,
+            req => req,
+        }
+    }
+
+    /// True for the verbs that mutate the index (triples, Σ or, on a
+    /// cluster shard, the relation). A `TRACE` mutates exactly when its
+    /// wrapped request does.
+    pub fn is_update(&self) -> bool {
+        VERBS[self.untraced().slot()].is_update()
+    }
+
+    /// The entity names this request addresses, in argument order: two
+    /// for `SAME` and `EXPLAIN`, one for `DUPS` and `REP`, none otherwise.
+    pub fn entities(&self) -> [Option<&str>; 2] {
+        match self {
+            Request::Same { a, b } | Request::Explain { a, b } => [Some(a.as_str()), Some(b)],
+            Request::Dups { entity } | Request::Rep { entity } => [Some(entity.as_str()), None],
+            _ => [None, None],
         }
     }
 }
@@ -490,8 +507,7 @@ pub struct ProofLine {
 pub struct RecordedTrace {
     /// The server-assigned, monotonically increasing request id.
     pub id: u64,
-    /// The traced request's verb (lowercase, an element of
-    /// [`Request::VERBS`]).
+    /// The traced request's verb (a lowercase [`Verb::name`]).
     pub verb: String,
     /// Whether the request crossed the slow-query threshold.
     pub slow: bool,
@@ -957,10 +973,10 @@ impl Response {
                     .ok_or_else(|| bad("TRACE without ANSWER"))?;
                 let (forest, used) = TraceNode::parse_forest(&rest[..at], 0)
                     .ok_or_else(|| bad("malformed span tree"))?;
-                if used != at || forest.len() != 1 {
-                    return Err(bad("TRACE must carry exactly one span tree"));
-                }
-                let root = forest.into_iter().next().expect("one tree");
+                let root = match <[TraceNode; 1]>::try_from(forest) {
+                    Ok([root]) if used == at => root,
+                    _ => return Err(bad("TRACE must carry exactly one span tree")),
+                };
                 if root.total_spans() != spans {
                     return Err(bad("TRACE spans= mismatch"));
                 }
@@ -1002,15 +1018,15 @@ impl Response {
                     i += 1;
                     let (forest, used) = TraceNode::parse_forest(&rest[i..], 1)
                         .ok_or_else(|| bad("malformed span tree"))?;
-                    if forest.len() != 1 {
+                    let Ok([root]) = <[TraceNode; 1]>::try_from(forest) else {
                         return Err(bad("trace must carry exactly one span tree"));
-                    }
+                    };
                     i += used;
                     traces.push(RecordedTrace {
                         id,
                         verb,
                         slow,
-                        root: forest.into_iter().next().expect("one tree"),
+                        root,
                     });
                 }
                 if traces.len() != n {
@@ -1202,31 +1218,21 @@ mod tests {
             .unwrap()
             .is_update());
         // Nesting is rejected, and so is an empty wrap.
-        assert_eq!(
-            Request::parse("TRACE TRACE SAME a b"),
-            Err(RequestError::Usage(usage::TRACE))
-        );
-        assert_eq!(
-            Request::parse("TRACE TRACES"),
-            Err(RequestError::Usage(usage::TRACE))
-        );
-        assert_eq!(
-            Request::parse("TRACE"),
-            Err(RequestError::Usage(usage::TRACE))
-        );
+        assert_eq!(Request::parse("TRACE TRACE SAME a b"), Err(usage("trace")));
+        assert_eq!(Request::parse("TRACE TRACES"), Err(usage("trace")));
+        assert_eq!(Request::parse("TRACE"), Err(usage("trace")));
         // A malformed inner verb keeps its own usage diagnosis.
-        assert_eq!(
-            Request::parse("TRACE SAME a"),
-            Err(RequestError::Usage(usage::SAME))
-        );
-        assert_eq!(
-            Request::parse("TRACES five"),
-            Err(RequestError::Usage(usage::TRACES))
-        );
-        assert_eq!(
-            Request::parse("TRACES 5 6"),
-            Err(RequestError::Usage(usage::TRACES))
-        );
+        assert_eq!(Request::parse("TRACE SAME a"), Err(usage("same")));
+        assert_eq!(Request::parse("TRACES five"), Err(usage("traces")));
+        assert_eq!(Request::parse("TRACES 5 6"), Err(usage("traces")));
+    }
+
+    fn row(name: &str) -> &'static Verb {
+        VERBS.iter().find(|v| v.name == name).unwrap()
+    }
+
+    fn usage(name: &str) -> RequestError {
+        RequestError::Usage(row(name).usage)
     }
 
     #[test]
@@ -1241,52 +1247,67 @@ mod tests {
         assert_eq!(Request::parse("ping"), Ok(Request::Ping));
     }
 
+    /// One well-formed line and the arity mistakes of a row, built from
+    /// its grammar alone.
+    fn lines_for(v: &Verb) -> (String, Vec<String>) {
+        let verb = v.name.to_uppercase();
+        let (args, mistakes): (&str, &[&str]) = match v.grammar {
+            Bare(_) => ("", &[" now"]),
+            Name(_) => (" x", &["", " x y"]),
+            Pair(_) => (" x y", &["", " x", " x y z"]),
+            Text(_) => (" t", &[""]),
+            OptCount => (" 3", &[" x", " 1 2"]),
+            Cursor => (" 0", &["", " x", " 1 2"]),
+            CursorMerges => (r#" 0 a b "k""#, &["", " x"]),
+            Wrapped => (" PING", &["", " TRACE PING", " TRACES"]),
+        };
+        let bad = mistakes.iter().map(|m| format!("{verb}{m}")).collect();
+        (format!("{verb}{args}"), bad)
+    }
+
     #[test]
-    fn arity_mistakes_fail_with_uniform_usage() {
-        for (line, usage) in [
-            ("SAME a", usage::SAME),
-            ("SAME a b c", usage::SAME),
-            ("DUPS", usage::DUPS),
-            ("DUPS a b", usage::DUPS),
-            ("REP a b", usage::REP),
-            ("EXPLAIN a", usage::EXPLAIN),
-            ("EXPLAIN a b c", usage::EXPLAIN),
-            ("INSERT", usage::INSERT),
-            ("DELETE", usage::DELETE),
-            ("ADDKEY", usage::ADDKEY),
-            ("DROPKEY", usage::DROPKEY),
-            ("KEYS now", usage::KEYS),
-            ("SNAPSHOT now", usage::SNAPSHOT),
-            ("COMPACT hard", usage::COMPACT),
-            ("STATS all", usage::STATS),
-            ("METRICS now", usage::METRICS),
-            ("PING twice", usage::PING),
-            ("HELP me", usage::HELP),
-            ("SHARDCHASE", usage::SHARDCHASE),
-            ("SHARDCHASE x", usage::SHARDCHASE),
-            ("SHARDCHASE 1 2", usage::SHARDCHASE),
-            ("MERGES", usage::MERGES),
-            ("MERGES x", usage::MERGES),
-            ("MERGES 1 a", usage::MERGES),
-            ("MERGES 1 a b key", usage::MERGES),
-            (r#"MERGES 1 a b "k" ;"#, usage::MERGES),
-            (r#"MERGES 1 a b "k" junk"#, usage::MERGES),
+    fn every_row_parses_answers_its_usage_and_has_help_and_metrics() {
+        let help = help_text();
+        let metrics = crate::Server::new(
+            gk_graph::parse_graph("a:t p \"v\"").unwrap(),
+            gk_core::KeySet::parse("").unwrap(),
+        )
+        .index()
+        .registry()
+        .snapshot();
+        for (i, v) in VERBS.iter().enumerate() {
+            let (good, mistakes) = lines_for(v);
+            let req = Request::parse(&good).unwrap();
+            assert_eq!((req.slot(), req.render()), (i, good.clone()), "{good}");
+            for line in mistakes {
+                assert_eq!(
+                    Request::parse(&line),
+                    Err(RequestError::Usage(v.usage)),
+                    "{line:?}"
+                );
+            }
+            let listed = help
+                .lines()
+                .any(|l| l.starts_with(&format!("  {} ", v.name.to_uppercase())));
+            assert_eq!(listed, v.name != "help", "HELP lists {}", v.name);
+            let counter = format!("gk_requests_{}_total", v.name);
+            assert!(metrics.iter().any(|m| m.name == counter), "{counter}");
+        }
+        // Malformed MERGES payloads after a good cursor.
+        for line in [
+            "MERGES 1 a",
+            "MERGES 1 a b key",
+            r#"MERGES 1 a b "k" ;"#,
+            r#"MERGES 1 a b "k" junk"#,
         ] {
-            assert_eq!(
-                Request::parse(line),
-                Err(RequestError::Usage(usage)),
-                "{line:?}"
-            );
+            assert_eq!(Request::parse(line), Err(usage("merges")), "{line:?}");
         }
         assert_eq!(Request::parse(""), Err(RequestError::Empty));
         assert_eq!(
             Request::parse("FROB x"),
             Err(RequestError::UnknownVerb("FROB".into()))
         );
-        assert_eq!(
-            RequestError::Usage(usage::SAME).to_string(),
-            "usage: SAME <a> <b>"
-        );
+        assert_eq!(usage("same").to_string(), "usage: SAME <a> <b>");
     }
 
     fn resp_roundtrip(resp: Response) {

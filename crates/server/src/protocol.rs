@@ -1,26 +1,7 @@
 //! The protocol layer: typed [`Request`] → [`Response`] execution, with
-//! the line protocol as a thin rendering on top.
-//!
-//! ```text
-//! SAME <a> <b>              are a and b the same entity?  -> YES ... | NO ...
-//! DUPS <e>                  e's duplicate cluster         -> DUPS ... | NONE ...
-//! REP  <e>                  e's canonical representative  -> REP ...
-//! EXPLAIN <a> <b>           verified proof of a <=> b     -> PROOF ... | NOPROOF ...
-//! INSERT <s:T> <p> <o>      add triple(s); `;` separates  -> OK mode=incremental ...
-//! DELETE <s:T> <p> <o>      remove triple(s); `;` separates; one re-chase
-//!                                                         -> OK mode=full-rechase ...
-//! ADDKEY key "N" T(x) {...} install a key into the live Σ -> OK added key=...
-//! DROPKEY <name>            remove a key from the live Σ  -> OK dropped key=...
-//! KEYS                      list declared keys + epoch    -> KEYS n=... ...
-//! SNAPSHOT                  persist a point-in-time snapshot
-//!                                                         -> OK snapshot_seq=...
-//! COMPACT                   snapshot + truncate WAL + prune old snapshots
-//!                                                         -> OK snapshot_seq=...
-//! STATS                     counters                      -> STATS k=v ...
-//! METRICS                   metrics exposition            -> METRICS + text lines
-//! PING                                                    -> PONG
-//! HELP                                                    -> this table
-//! ```
+//! the line protocol as a thin rendering on top. The verbs themselves —
+//! grammar, usage, `HELP` line and class — are the rows of
+//! [`crate::proto::VERBS`].
 //!
 //! Entities are addressed by their external names (`alb1`, not internal
 //! ids). Errors answer `ERR <reason>` and never change state; malformed
@@ -33,7 +14,9 @@
 //! pre-typed protocol.
 
 use crate::index::{EmIndex, IndexState, RecoveryReport};
-use crate::proto::{MergeEntry, ProofLine, RecordedTrace, Request, Response};
+use crate::proto::{
+    help_text, Class, MergeEntry, ProofLine, RecordedTrace, Request, Response, VERBS,
+};
 use gk_core::{parse_keys, ChaseEngine, Key, KeySet};
 use gk_graph::{parse_triple_specs, EntityId, Graph, GraphView, TripleSpec};
 use gk_metrics::{Counter, Gauge, Histogram, Registry, Span};
@@ -45,27 +28,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Usage table answered to `HELP` and malformed requests.
-pub const PROTOCOL_HELP: &str = "commands:
-  SAME <a> <b>          are <a> and <b> identified?
-  DUPS <e>              duplicates of <e>
-  REP <e>               canonical representative of <e>
-  EXPLAIN <a> <b>       verified key-application proof for <a> <=> <b>
-  INSERT <s:T> <p> <o>  insert triple(s); separate several with ';'
-  DELETE <s:T> <p> <o>  delete triple(s); ';' separates; one re-chase per batch
-  ADDKEY key \"N\" T(x) { ... }  install a key into the live Σ (monotone delta chase)
-  DROPKEY <name>        remove a key from the live Σ (one full re-chase)
-  KEYS                  list the declared keys and the key epoch
-  SNAPSHOT              persist a point-in-time snapshot (needs --data-dir)
-  COMPACT               snapshot + fold the delta overlay, truncate the WAL, prune old snapshots
-  SHARDCHASE <cursor>   (cluster-internal) chase the owned slice; answer the merge log from <cursor>
-  MERGES <cursor> [<a> <b> \"<key>\" ; ...]  (cluster-internal) absorb external merges, then as SHARDCHASE
-  STATS                 index + traffic counters
-  METRICS               full metrics exposition (counters, gauges, latency histograms)
-  TRACE <verb ...>      execute <verb> with span tracing; answers the span tree + the answer
-  TRACES [n]            dump the flight recorder's retained request traces (newest first)
-  PING                  liveness check";
 
 /// The entity-resolution service: a resident [`EmIndex`] plus the request
 /// protocol. Cheap to share (`&Server` is `Sync`); all state sits in the
@@ -318,7 +280,8 @@ impl AnswerCache {
 /// Per-verb request counters and latency histograms, pre-registered at
 /// construction so the request hot path never takes the registry lock.
 struct VerbMetrics {
-    slots: Vec<(&'static str, Counter, Histogram)>,
+    /// One (counter, histogram) pair per row of [`VERBS`], indexed alike.
+    slots: Vec<(Counter, Histogram)>,
     /// Requests answered `ERR` (any verb, parse errors excluded — those
     /// never reach [`Server::execute`]).
     errors: Counter,
@@ -330,11 +293,11 @@ struct VerbMetrics {
 impl VerbMetrics {
     fn register(reg: &Registry) -> VerbMetrics {
         VerbMetrics {
-            slots: Request::VERBS
+            slots: VERBS
                 .iter()
-                .map(|&v| {
+                .map(|verb| {
+                    let v = verb.name;
                     (
-                        v,
                         reg.counter(
                             &format!("gk_requests_{v}_total"),
                             &format!("{} requests executed.", v.to_uppercase()),
@@ -355,17 +318,6 @@ impl VerbMetrics {
                 "EXPLAINs of an identified pair whose step log yielded no verifiable proof.",
             ),
         }
-    }
-
-    /// The (counter, histogram) pair for a verb. Every verb
-    /// [`Request::verb`] can return is pre-registered, so the fallback
-    /// no-op pair is unreachable in practice.
-    fn slot(&self, verb: &str) -> (Counter, Histogram) {
-        self.slots
-            .iter()
-            .find(|(v, _, _)| *v == verb)
-            .map(|&(_, c, h)| (c, h))
-            .unwrap_or((Counter::noop(), Histogram::noop()))
     }
 }
 
@@ -595,6 +547,15 @@ impl Server {
     fn run(&self, req: Request) -> Outcome {
         let id = self.request_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let verb = req.verb();
+        let (count, latency) = self.verbs.slots[req.slot()];
+        // `queries=` counts the requests that address entities, `updates=`
+        // the ones that mutate; a TRACE counts as what it wraps.
+        let target = req.untraced();
+        let tally = if target.is_update() {
+            Some(&self.updates)
+        } else {
+            target.entities()[0].map(|_| &self.queries)
+        };
         // The argument digest is captured up front only when the
         // slow-query log could use it — rendering costs a String per
         // request otherwise.
@@ -611,7 +572,9 @@ impl Server {
         let out = self.dispatch(req, id, &span);
         let elapsed = t0.elapsed();
         span.finish();
-        let (count, latency) = self.verbs.slot(verb);
+        if let Some(tally) = tally {
+            tally.fetch_add(1, Ordering::Relaxed);
+        }
         count.inc();
         latency.observe_micros(elapsed);
         if matches!(out.response(), Response::Err(_)) {
@@ -643,10 +606,7 @@ impl Server {
 
     fn dispatch(&self, req: Request, id: u64, span: &Span) -> Outcome {
         if let Some(cache) = &self.cache {
-            if matches!(
-                req,
-                Request::Same { .. } | Request::Dups { .. } | Request::Rep { .. }
-            ) {
+            if req.class() == Class::Lookup {
                 return Outcome::Cached(self.cached_query(cache, req, span));
             }
         }
@@ -659,27 +619,16 @@ impl Server {
     /// the answer stays byte-identical).
     fn exec(&self, req: Request, id: u64, span: &Span) -> Response {
         match req {
-            Request::Same { a, b } => {
-                let snap = self.index.snapshot();
-                self.count_query(self.exec_same(&snap, a, b))
+            req @ (Request::Same { .. } | Request::Dups { .. } | Request::Rep { .. }) => {
+                lookup(&self.index.snapshot(), req)
             }
-            Request::Dups { entity } => {
-                let snap = self.index.snapshot();
-                self.count_query(self.exec_dups(&snap, entity))
-            }
-            Request::Rep { entity } => {
-                let snap = self.index.snapshot();
-                self.count_query(self.exec_rep(&snap, entity))
-            }
-            Request::Explain { a, b } => self.count_query(self.exec_explain(a, b, span)),
-            Request::Insert { batch } => self.count_update(self.exec_insert(&batch, span)),
-            Request::Delete { batch } => self.count_update(self.exec_delete(&batch, span)),
-            Request::AddKey { dsl } => self.count_update(self.exec_addkey(&dsl, span)),
-            Request::DropKey { name } => self.count_update(self.exec_dropkey(&name, span)),
+            Request::Explain { a, b } => self.exec_explain(a, b, span),
+            Request::Insert { batch } => self.exec_insert(&batch, span),
+            Request::Delete { batch } => self.exec_delete(&batch, span),
+            Request::AddKey { dsl } => self.exec_addkey(&dsl, span),
+            Request::DropKey { name } => self.exec_dropkey(&name, span),
             Request::ShardChase { cursor } => self.exec_shardchase(cursor, span),
-            Request::Merges { cursor, merges } => {
-                self.count_update(self.exec_merges(cursor, &merges, span))
-            }
+            Request::Merges { cursor, merges } => self.exec_merges(cursor, &merges, span),
             Request::Keys => self.exec_keys(),
             Request::Snapshot => self.exec_snapshot(),
             Request::Compact => self.exec_compact(),
@@ -688,44 +637,27 @@ impl Server {
             Request::Trace { inner } => self.exec_trace(*inner, id, span),
             Request::Traces { n } => self.exec_traces(n),
             Request::Ping => Response::Pong,
-            Request::Help => Response::Help(PROTOCOL_HELP.to_string()),
+            Request::Help => Response::Help(help_text()),
         }
     }
 
-    /// `TRACE <verb ...>`: executes the wrapped request under a child
-    /// span named after its verb and answers the rendered tree plus the
-    /// unchanged answer. Entity queries (`SAME`/`DUPS`/`REP`) get a deep
-    /// EXPLAIN-ANALYZE pass: a `lookup` phase for the answer itself and
-    /// an `analyze` phase replaying the chase's candidate funnel around
-    /// the queried entities ([`gk_core::analyze_entity`]).
+    /// `TRACE`: executes the wrapped request under a child span named
+    /// after its verb and answers the rendered tree plus the unchanged
+    /// answer. [`Class::Lookup`] queries get a deep EXPLAIN-ANALYZE pass:
+    /// a `lookup` phase for the answer itself and an `analyze` phase
+    /// replaying the chase's candidate funnel around the queried entities
+    /// ([`gk_core::analyze_entity`]).
     fn exec_trace(&self, inner: Request, id: u64, span: &Span) -> Response {
         let child = span.child(inner.verb());
-        let answer = match inner {
-            Request::Same { a, b } => {
-                let snap = self.index.snapshot();
-                let lookup = child.child("lookup");
-                let resp = self.count_query(self.exec_same(&snap, a.clone(), b.clone()));
-                lookup.finish();
-                self.analyze_phase(&child, &snap, &[&a, &b]);
-                resp
-            }
-            Request::Dups { entity } => {
-                let snap = self.index.snapshot();
-                let lookup = child.child("lookup");
-                let resp = self.count_query(self.exec_dups(&snap, entity.clone()));
-                lookup.finish();
-                self.analyze_phase(&child, &snap, &[&entity]);
-                resp
-            }
-            Request::Rep { entity } => {
-                let snap = self.index.snapshot();
-                let lookup = child.child("lookup");
-                let resp = self.count_query(self.exec_rep(&snap, entity.clone()));
-                lookup.finish();
-                self.analyze_phase(&child, &snap, &[&entity]);
-                resp
-            }
-            other => self.exec(other, id, &child),
+        let answer = if inner.class() == Class::Lookup {
+            let snap = self.index.snapshot();
+            let phase = child.child("lookup");
+            let resp = lookup(&snap, inner.clone());
+            phase.finish();
+            analyze_phase(&child, &snap, &inner);
+            resp
+        } else {
+            self.exec(inner, id, &child)
         };
         child.finish();
         let root = child.to_node().expect("TRACE always runs with tracing on");
@@ -734,27 +666,6 @@ impl Server {
             root,
             answer: Box::new(answer),
         }
-    }
-
-    /// The EXPLAIN-ANALYZE phase of a traced entity query: replays the
-    /// candidate funnel around each named entity under the terminal
-    /// relation (read-only; unknown names are skipped — the lookup phase
-    /// already answered the error).
-    fn analyze_phase(&self, span: &Span, snap: &IndexState, names: &[&str]) {
-        let analyze = span.child("analyze");
-        for name in names {
-            if let Some(e) = resolve_entity(&snap.graph, name) {
-                gk_core::analyze_entity(
-                    &snap.graph,
-                    &snap.compiled,
-                    snap.degrees(),
-                    &snap.eq,
-                    e,
-                    &analyze,
-                );
-            }
-        }
-        analyze.finish();
     }
 
     fn exec_traces(&self, n: Option<usize>) -> Response {
@@ -778,75 +689,16 @@ impl Server {
         if let Some(hit) = cache.get(&key) {
             self.cache_metrics.hits.inc();
             span.count("cache_hit", 1);
-            self.queries.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
         self.cache_metrics.misses.inc();
-        let resp = match &key.2 {
-            Request::Same { a, b } => self.exec_same(&snap, a.clone(), b.clone()),
-            Request::Dups { entity } => self.exec_dups(&snap, entity.clone()),
-            Request::Rep { entity } => self.exec_rep(&snap, entity.clone()),
-            _ => unreachable!("only query verbs are cached"),
-        };
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        let resp = lookup(&snap, key.2.clone());
         let entry = Arc::new(CacheEntry {
             rendered: resp.render(),
             resp,
         });
         cache.insert(key, Arc::clone(&entry));
         entry
-    }
-
-    fn count_query(&self, resp: Response) -> Response {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        resp
-    }
-
-    fn count_update(&self, resp: Response) -> Response {
-        self.updates.fetch_add(1, Ordering::Relaxed);
-        resp
-    }
-
-    fn exec_same(&self, snap: &IndexState, a: String, b: String) -> Response {
-        let (ea, eb) = match (entity(snap, &a), entity(snap, &b)) {
-            (Ok(ea), Ok(eb)) => (ea, eb),
-            (Err(e), _) | (_, Err(e)) => return e,
-        };
-        if snap.same(ea, eb) {
-            let rep = snap.graph.entity_label(snap.rep(ea));
-            Response::Same { a, b, rep }
-        } else {
-            Response::NotSame { a, b }
-        }
-    }
-
-    fn exec_dups(&self, snap: &IndexState, entity_name: String) -> Response {
-        let e = match entity(snap, &entity_name) {
-            Ok(e) => e,
-            Err(e) => return e,
-        };
-        match snap.cluster(e) {
-            None => Response::NoDups {
-                entity: entity_name,
-            },
-            Some(class) => Response::Dups {
-                entity: entity_name,
-                others: class
-                    .iter()
-                    .filter(|&&m| m != e)
-                    .map(|&m| snap.graph.entity_label(m))
-                    .collect(),
-            },
-        }
-    }
-
-    fn exec_rep(&self, snap: &IndexState, entity_name: String) -> Response {
-        match entity(snap, &entity_name) {
-            Ok(e) => Response::Rep {
-                rep: snap.graph.entity_label(snap.rep(e)),
-            },
-            Err(e) => e,
-        }
     }
 
     fn exec_explain(&self, a: String, b: String, span: &Span) -> Response {
@@ -923,17 +775,17 @@ impl Server {
         }
     }
 
-    /// `SHARDCHASE <cursor>`: re-chase this shard's owned slice to a local
-    /// fixpoint, then answer the merge log from `cursor` on. The chase is
-    /// a no-op at fixpoint (no version bump), so the coordinator polls it
-    /// freely each round.
+    /// `SHARDCHASE`: re-chase this shard's owned slice to a local fixpoint,
+    /// then answer the merge log from `cursor` on. The chase is a no-op at
+    /// fixpoint (no version bump), so the coordinator polls it freely each
+    /// round.
     fn exec_shardchase(&self, cursor: u64, span: &Span) -> Response {
         self.shard_exchange(cursor, &[], span)
     }
 
-    /// `MERGES <cursor> <entries>`: absorb external merges shipped by the
-    /// coordinator, re-chase the owned slice seeded with them, answer the
-    /// merge log from `cursor` on.
+    /// `MERGES`: absorb external merges shipped by the coordinator,
+    /// re-chase the owned slice seeded with them, answer the merge log
+    /// from `cursor` on.
     fn exec_merges(&self, cursor: u64, merges: &[MergeEntry], span: &Span) -> Response {
         self.shard_exchange(cursor, merges, span)
     }
@@ -1140,6 +992,66 @@ fn split_batch(args: &str) -> String {
         out.push(c);
     }
     out
+}
+
+/// Answers a [`Class::Lookup`] request from `snap`: the one body behind
+/// the plain, cached and traced paths. An unknown name answers `ERR`
+/// (the first one, in argument order).
+fn lookup(snap: &IndexState, req: Request) -> Response {
+    // Slots past the request's arity stay unread.
+    let mut ids = [EntityId(0); 2];
+    for (id, name) in ids.iter_mut().zip(req.entities().into_iter().flatten()) {
+        match entity(snap, name) {
+            Ok(e) => *id = e,
+            Err(resp) => return resp,
+        }
+    }
+    let [e, other] = ids;
+    let label = |e| snap.graph.entity_label(e);
+    match req {
+        Request::Same { a, b } if snap.same(e, other) => Response::Same {
+            a,
+            b,
+            rep: label(snap.rep(e)),
+        },
+        Request::Same { a, b } => Response::NotSame { a, b },
+        Request::Dups { entity } => match snap.cluster(e) {
+            None => Response::NoDups { entity },
+            Some(class) => Response::Dups {
+                entity,
+                others: class
+                    .iter()
+                    .filter(|&&m| m != e)
+                    .map(|&m| label(m))
+                    .collect(),
+            },
+        },
+        Request::Rep { .. } => Response::Rep {
+            rep: label(snap.rep(e)),
+        },
+        other => unreachable!("{} is not a lookup", other.verb()),
+    }
+}
+
+/// The EXPLAIN-ANALYZE phase of a traced lookup: replays the candidate
+/// funnel around each entity the request names under the terminal
+/// relation (read-only; unknown names are skipped — the lookup phase
+/// already answered the error).
+fn analyze_phase(span: &Span, snap: &IndexState, req: &Request) {
+    let analyze = span.child("analyze");
+    for name in req.entities().into_iter().flatten() {
+        if let Some(e) = resolve_entity(&snap.graph, name) {
+            gk_core::analyze_entity(
+                &snap.graph,
+                &snap.compiled,
+                snap.degrees(),
+                &snap.eq,
+                e,
+                &analyze,
+            );
+        }
+    }
+    analyze.finish();
 }
 
 fn entity(snap: &IndexState, name: &str) -> Result<EntityId, Response> {

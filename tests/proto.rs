@@ -10,7 +10,9 @@
 
 use keys_for_graphs::core::KeySet;
 use keys_for_graphs::prelude::*;
+use keys_for_graphs::server::{MergeEntry, Registry, VERBS};
 use proptest::prelude::*;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Generated requests
@@ -41,10 +43,22 @@ fn batch(seed: u8, n: u8) -> String {
         .join(" ; ")
 }
 
+/// A merge list whose key names carry the characters the wire must quote.
+fn merges(a: u8, b: u8) -> Vec<MergeEntry> {
+    (0..b % 3)
+        .map(|k| MergeEntry {
+            a: token(a, k),
+            b: token(b, k),
+            key: format!("K{a} ; \"{k}\" \\ {b}"),
+        })
+        .collect()
+}
+
 /// Decodes an integer tuple into a `Request` — the shimmed proptest has
-/// no `prop_oneof`, so variants are chosen arithmetically.
+/// no `prop_oneof`, so variants are chosen arithmetically. Kinds `0..19`
+/// cover every row of [`VERBS`].
 fn decode_request(kind: u8, a: u8, b: u8) -> Request {
-    match kind % 16 {
+    match kind % 19 {
         0 => Request::Same {
             a: token(a, 0),
             b: token(b, 1),
@@ -71,10 +85,18 @@ fn decode_request(kind: u8, a: u8, b: u8) -> Request {
         11 => Request::Stats,
         12 => Request::Ping,
         13 => Request::Help,
-        // TRACE wraps any non-TRACE request; recurse with a shifted kind
-        // that can never land back on 14.
-        14 => Request::Trace {
-            inner: Box::new(decode_request(kind.wrapping_add(a) % 14, b, a)),
+        14 => Request::Metrics,
+        15 => Request::ShardChase {
+            cursor: a as u64 * b as u64,
+        },
+        16 => Request::Merges {
+            cursor: b as u64,
+            merges: merges(a, b),
+        },
+        // TRACE wraps any request but the tracing verbs (17 and 18);
+        // recurse with a shifted kind that can never land on them.
+        17 => Request::Trace {
+            inner: Box::new(decode_request(kind.wrapping_add(a) % 17, b, a)),
         },
         _ => Request::Traces {
             n: a.is_multiple_of(2).then_some(b as usize),
@@ -83,7 +105,16 @@ fn decode_request(kind: u8, a: u8, b: u8) -> Request {
 }
 
 fn request() -> impl Strategy<Value = Request> {
-    (0u8..16, 0u8..255, 0u8..255).prop_map(|(kind, a, b)| decode_request(kind, a, b))
+    (0u8..19, 0u8..255, 0u8..255).prop_map(|(kind, a, b)| decode_request(kind, a, b))
+}
+
+#[test]
+fn the_generator_covers_every_verb() {
+    let mut seen: Vec<&str> = (0..19).map(|k| decode_request(k, 1, 2).verb()).collect();
+    seen.sort_unstable();
+    let mut all: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+    all.sort_unstable();
+    assert_eq!(seen, all);
 }
 
 proptest! {
@@ -204,6 +235,66 @@ fn every_server_response_reparses_losslessly() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Decoders on hostile input
+// ---------------------------------------------------------------------------
+
+/// One server shared by every case, answering whatever the generated
+/// requests ask. Its registry is disabled: a full `METRICS` exposition
+/// would make the every-prefix sweep quadratic in tens of kilobytes.
+fn live_server() -> &'static Server {
+    static SERVER: OnceLock<Server> = OnceLock::new();
+    SERVER.get_or_init(|| {
+        let index = EmIndex::with_engine_registry(
+            parse_graph(GRAPH).unwrap(),
+            KeySet::parse(KEYS).unwrap(),
+            ChaseEngine::default(),
+            Arc::new(Registry::disabled()),
+        );
+        let mut server = Server::from_index(index);
+        server.set_trace_buffer(4);
+        server
+    })
+}
+
+/// Every char-boundary prefix of `text`, the empty and the whole one
+/// included.
+fn prefixes(text: &str) -> impl Iterator<Item = &str> {
+    (0..=text.len())
+        .filter(|&i| text.is_char_boundary(i))
+        .map(|i| &text[..i])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decoders_return_on_any_input(
+        bytes in prop::collection::vec(any::<u8>(), 0..96),
+        req in request(),
+        n in 0u64..1000,
+    ) {
+        let noise = String::from_utf8_lossy(&bytes).into_owned();
+        let line = req.render();
+        let answer = live_server().handle(&line);
+        let reg = Registry::new();
+        reg.counter("gk_demo_total", "Demo counter.").add(n);
+        reg.histogram("gk_demo_micros", "Demo latency.").observe(n);
+        let metrics = Response::Metrics(reg.snapshot()).render();
+        let merge_log = Response::MergeLog {
+            next: n,
+            merges: merges(n as u8, 2),
+        }
+        .render();
+        for text in [&noise, &line, &answer, &metrics, &merge_log] {
+            for prefix in prefixes(text) {
+                let _ = Request::parse(prefix);
+                let _ = Response::parse(prefix);
+            }
+        }
+    }
 }
 
 /// `handle` is exactly `parse → execute → render`, including the error
