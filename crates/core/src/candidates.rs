@@ -168,39 +168,43 @@ fn blocked_candidates_for_key<V: GraphView>(
     if !degrees.possible(target, req) {
         return;
     }
-    let admitted = g
+    let admitted: Vec<EntityId> = g
         .entities_of_type(target)
         .iter()
-        .filter(|&e| degrees.satisfies(e, req));
-    match block_triple(q) {
-        Some(block) => {
-            // Pairs must share a block value, so same-value buckets cover
-            // all candidates.
-            let mut buckets: FxHashMap<ValueId, Vec<EntityId>> = FxHashMap::default();
-            for e in admitted {
-                for v in block_values(g, e, block) {
-                    buckets.entry(v).or_default().push(e);
-                }
-            }
-            for bucket in buckets.values() {
-                for (i, &a) in bucket.iter().enumerate() {
-                    for &b in &bucket[i + 1..] {
-                        out.insert(norm(a, b));
-                    }
-                }
+        .filter(|&e| degrees.satisfies(e, req))
+        .collect();
+    block_pairs(g, &admitted, block_triple(q), |a, b| {
+        out.insert(norm(a, b));
+    });
+}
+
+/// Hands `pair` every pair of `members` a key with blocking triple `block`
+/// could identify: pairs must share a block value, so same-value buckets
+/// cover them all; with no block triple (no value attribute on `x`), every
+/// pair. A pair sharing several values comes once per value.
+pub(crate) fn block_pairs<V: GraphView>(
+    g: &V,
+    members: &[EntityId],
+    block: Option<(PredId, Option<ValueId>)>,
+    mut pair: impl FnMut(EntityId, EntityId),
+) {
+    let mut cross = |bucket: &[EntityId]| {
+        for (i, &a) in bucket.iter().enumerate() {
+            for &b in &bucket[i + 1..] {
+                pair(a, b);
             }
         }
-        None => {
-            // No value attribute on x: fall back to the cross-product of
-            // the degree-admitted entities of the target type.
-            let admitted: Vec<EntityId> = admitted.collect();
-            for (i, &a) in admitted.iter().enumerate() {
-                for &b in &admitted[i + 1..] {
-                    out.insert(norm(a, b));
-                }
-            }
+    };
+    let Some(block) = block else {
+        return cross(members);
+    };
+    let mut buckets: FxHashMap<ValueId, Vec<EntityId>> = FxHashMap::default();
+    for &e in members {
+        for v in block_values(g, e, block) {
+            buckets.entry(v).or_default().push(e);
         }
     }
+    buckets.values().for_each(|bucket| cross(bucket));
 }
 
 /// Per-pair pairing metadata computed while filtering `L` (§4.2): which keys

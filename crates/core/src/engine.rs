@@ -2,16 +2,18 @@
 //! decision every resident caller goes through ([`ChaseEngine::advance`]).
 //!
 //! A change to `(G, Σ)` either keeps the previous relation valid (inserted
-//! triples and added keys are monotone: `chase` can only grow) or does not
-//! (deletions, dropped keys, a cold start). That fact ([`ChaseStart`]), the
-//! configured engine and the process's shard role pick the chase
-//! configuration, the [`AdvanceMode`] the caller reports and the span the
-//! chase is traced under — `ChaseEngine::plan` is the table.
+//! triples and added keys are monotone: `chase` can only grow), bounds the
+//! next one from above (deleted triples and dropped keys: it can only
+//! shrink), or leaves nothing to start from (a cold start, a replayed WAL
+//! suffix). That fact ([`ChaseStart`]), the configured engine and the
+//! process's shard role pick the chase configuration, the [`AdvanceMode`]
+//! the caller reports and the span the chase is traced under —
+//! `ChaseEngine::plan` is the table.
 
-use crate::chase::{chase_reference_traced, ChaseOrder, ChaseResult};
+use crate::chase::{chase_reference_traced, ChaseOrder, ChaseResult, ChaseStep};
 use crate::distributed::ShardRole;
 use crate::eqrel::EqRel;
-use crate::incremental::chase_delta;
+use crate::incremental::{chase_delta, chase_shrink};
 use crate::kernel::Pair;
 use crate::keyset::CompiledKeySet;
 use crate::parallel::{chase_enumerated, ParallelOpts};
@@ -23,11 +25,11 @@ use gk_metrics::trace::Span;
 /// * `Reference` — every advance is a full sequential re-chase through the
 ///   oracle, [`chase_reference`](crate::chase_reference) (baseline).
 /// * `Incremental` — insert-only batches ride the monotone delta chase;
-///   full (re)chases — startup and the deletion fallback — are the
-///   enumerated kernel chase over value-blocked candidates on one thread.
-///   The serving default.
-/// * `Parallel` — `Incremental` with the full chases on `threads` workers
-///   ([`chase_parallel`](crate::chase_parallel)).
+///   deletions and dropped keys re-chase inside the old classes; full
+///   chases — startup and recovery — are the enumerated kernel chase over
+///   value-blocked candidates on one thread. The serving default.
+/// * `Parallel` — `Incremental` with the full and bounded chases on
+///   `threads` workers ([`chase_parallel`](crate::chase_parallel)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ChaseEngine {
     /// Full sequential re-chase through the oracle on every advance.
@@ -87,9 +89,20 @@ impl std::fmt::Display for AdvanceMode {
 /// the engine and the shard role do not.
 #[derive(Clone, Copy, Debug)]
 pub enum ChaseStart<'a> {
-    /// The previous relation may no longer hold (deleted triples, a dropped
-    /// key) or there is none (cold start): chase from the identity.
+    /// There is no previous relation to lean on (cold start, a replayed WAL
+    /// suffix that may insert after it deletes): chase from the identity.
     Restart,
+    /// The change only removed something (deleted triples, a dropped key),
+    /// so the new relation lies inside `prev`: re-chase within its classes,
+    /// seeded by the steps of `log` that still re-derive. The new steps
+    /// replace the log.
+    Shrink {
+        /// The terminal `Eq` before the change.
+        prev: &'a EqRel,
+        /// Its step log, with key indices remapped to the new compile
+        /// (steps whose key has no image dropped).
+        log: &'a [ChaseStep],
+    },
     /// The change was monotone (inserted triples, added keys), so `prev`
     /// still holds and only entities near `touched` can seed new steps.
     Continue {
@@ -119,6 +132,13 @@ enum Config<'a> {
         touched: &'a [EntityId],
         role: Option<ShardRole>,
     },
+    /// The kernel chase inside the classes of `prev`, seeded by the steps
+    /// of `log` that still re-derive, on `threads` workers.
+    Shrink {
+        prev: &'a [Pair],
+        log: &'a [ChaseStep],
+        threads: usize,
+    },
 }
 
 impl Config<'_> {
@@ -144,6 +164,9 @@ impl Config<'_> {
                 touched,
                 role,
             } => chase_delta(g, keys, prev, touched, role, span),
+            Config::Shrink { prev, log, threads } => {
+                chase_shrink(g, keys, prev, log, threads, span)
+            }
         }
     }
 }
@@ -168,8 +191,12 @@ impl ChaseEngine {
         };
         match (shard, start, self) {
             // A shard recomputes or continues only the slice it owns; the
-            // coordinator's exchange converges the cluster.
-            (Some(_), ChaseStart::Restart, _) => (full(1), FullRechase, "slice_rechase"),
+            // coordinator's exchange converges the cluster. Its `Eq` bounds
+            // the next one only once the cluster has converged, so a
+            // shrinking change recomputes the slice too.
+            (Some(_), ChaseStart::Restart | ChaseStart::Shrink { .. }, _) => {
+                (full(1), FullRechase, "slice_rechase")
+            }
             (Some(_), ChaseStart::Continue { prev, touched }, _) => {
                 (delta(prev, touched), Incremental, "slice_chase")
             }
@@ -179,6 +206,15 @@ impl ChaseEngine {
             // work than a full chase.
             (None, ChaseStart::Continue { prev, touched }, _) => {
                 (delta(prev, touched), Incremental, "delta_chase")
+            }
+            // Bounded by the old classes, but its steps replace the log.
+            (None, ChaseStart::Shrink { prev, log }, _) => {
+                let bounded = Config::Shrink {
+                    prev: prev.merges(),
+                    log,
+                    threads: self.threads(),
+                };
+                (bounded, FullRechase, "full_rechase")
             }
             (None, ChaseStart::Restart, _) => (full(self.threads()), FullRechase, "full_rechase"),
         }
@@ -191,7 +227,8 @@ impl ChaseEngine {
     /// appended to the previous log; under [`AdvanceMode::FullRechase`]
     /// they replace it. `eq` is always the full relation.
     ///
-    /// Traced as one child of `parent` — `delta_chase`, `full_rechase`,
+    /// Traced as one child of `parent` — `delta_chase`, `full_rechase`
+    /// (also the bounded re-chase of a [`ChaseStart::Shrink`]),
     /// `slice_chase` or `slice_rechase` — carrying `rounds`, `iso_checks`
     /// and `merges` and nesting the chase's own spans.
     pub fn advance<V: GraphView>(
@@ -349,11 +386,19 @@ mod tests {
         let mut prev = EqRel::identity(4);
         prev.union(EntityId(0), EntityId(1));
         let touched = [EntityId(2)];
+        let log = [ChaseStep {
+            pair: (EntityId(0), EntityId(1)),
+            key: 0,
+        }];
         let role = ShardRole::new(1, 2).unwrap();
         let restart = ChaseStart::Restart;
         let cont = ChaseStart::Continue {
             prev: &prev,
             touched: &touched,
+        };
+        let shrink = ChaseStart::Shrink {
+            prev: &prev,
+            log: &log,
         };
         let full = |role, threads| Config::Enumerated { role, threads };
         let delta = |role| Config::Delta {
@@ -361,12 +406,18 @@ mod tests {
             touched: &touched,
             role,
         };
+        let bounded = |threads| Config::Shrink {
+            prev: prev.merges(),
+            log: &log,
+            threads,
+        };
         let par = ChaseEngine::Parallel { threads: 3 };
         use ChaseEngine::{Incremental as Inc, Reference as Ref};
         let reference = || (Config::Reference, FullRechase, "full_rechase");
         let table = [
             (Ref, None, restart, reference()),
             (Ref, None, cont, reference()),
+            (Ref, None, shrink, reference()),
             (
                 Inc,
                 None,
@@ -374,6 +425,7 @@ mod tests {
                 (full(None, 1), FullRechase, "full_rechase"),
             ),
             (Inc, None, cont, (delta(None), Incremental, "delta_chase")),
+            (Inc, None, shrink, (bounded(1), FullRechase, "full_rechase")),
             (
                 par,
                 None,
@@ -381,6 +433,7 @@ mod tests {
                 (full(None, 3), FullRechase, "full_rechase"),
             ),
             (par, None, cont, (delta(None), Incremental, "delta_chase")),
+            (par, None, shrink, (bounded(3), FullRechase, "full_rechase")),
         ];
         for (engine, shard, start, expected) in table {
             assert_eq!(
@@ -389,13 +442,16 @@ mod tests {
                 "{engine} {shard:?} {start:?}"
             );
         }
-        // A shard chases its slice the same way under every engine.
+        // A shard chases its slice the same way under every engine, and a
+        // shrinking change recomputes it.
         for engine in [Ref, Inc, par] {
-            assert_eq!(
-                engine.plan(restart, Some(role)),
-                (full(Some(role), 1), FullRechase, "slice_rechase"),
-                "{engine}"
-            );
+            for start in [restart, shrink] {
+                assert_eq!(
+                    engine.plan(start, Some(role)),
+                    (full(Some(role), 1), FullRechase, "slice_rechase"),
+                    "{engine} {start:?}"
+                );
+            }
             assert_eq!(
                 engine.plan(cont, Some(role)),
                 (delta(Some(role)), Incremental, "slice_chase"),

@@ -24,21 +24,29 @@
 //! the enumerated chase (§4.2), read off the graph's in-adjacency instead
 //! of a bucket pass over the type.
 //!
-//! Deletions are *not* monotone (they can invalidate prior merges); for
-//! them, fall back to a full re-chase.
+//! Deletions and dropped keys are *not* monotone — they can invalidate
+//! prior merges — but the same fact bounds them from the other side:
+//! `chase(G′, Σ′) ⊆ chase(G, Σ)` whenever `G′ ⊆ G` and `Σ′ ⊆ Σ`, so every
+//! pair the new chase identifies lies inside one of the *old* classes.
+//! [`chase_shrink`] re-chases inside them: it keeps the old log's steps
+//! that still re-derive under the steps kept before them, then chases the
+//! value-blocked pairs of each old class those leave apart. Church–Rosser
+//! makes the result exactly the new chase, with no candidate enumeration.
 //!
 //! Entity ids must be stable across the update — extend graphs with
 //! [`GraphBuilder::from_graph`](gk_graph::GraphBuilder::from_graph).
 
-use crate::candidates::{block_triple, block_values, norm};
+use crate::candidates::{block_pairs, block_triple, block_values, norm};
 use crate::chase::{ChaseResult, ChaseStep};
 use crate::distributed::ShardRole;
 use crate::eqrel::EqRel;
 use crate::kernel::{self, Pair, Parked};
 use crate::keyset::CompiledKeySet;
+use crate::proof::{rederive, ProofError};
 use gk_graph::{d_neighborhood, EntityId, GraphView, NodeId};
 use gk_metrics::trace::Span;
 use rustc_hash::FxHashSet;
+use std::convert::Infallible;
 
 /// Continues a chase on an extended graph.
 ///
@@ -101,6 +109,89 @@ pub(crate) fn chase_delta<V: GraphView>(
         r.rounds = 1;
     }
     r
+}
+
+/// The bounded re-chase after a change that only removed triples or keys,
+/// as a kernel configuration over the new `(g, keys)`:
+///
+/// * **seed** — the old step `log` (attributed against `keys`), walked in
+///   order: a step stays when its key is still compiled and it re-derives
+///   a witness under the closure of the steps kept before it (one
+///   evaluation each, counted in `iso_checks`). The kept steps keep the
+///   log-prefix invariant by construction, so they open the new log in
+///   their old order;
+/// * **open list** — inside each class of the old relation `prev`, the
+///   pairs the seed left apart that share a block value under some key on
+///   the class's type (every cross pair, for a key without a
+///   [`block_triple`]);
+/// * **frontier** — the blocked-test watches of [`kernel::run_watched`],
+///   on `threads` workers.
+///
+/// Traced as a `seed` and an `enumerate` child of `span` plus the kernel's
+/// `round` spans (none when the seed leaves nothing open).
+pub(crate) fn chase_shrink<V: GraphView>(
+    g: &V,
+    keys: &CompiledKeySet,
+    prev: &[Pair],
+    log: &[ChaseStep],
+    threads: usize,
+    span: &Span,
+) -> ChaseResult {
+    let seed_span = span.child("seed");
+    let mut eq = EqRel::identity(g.num_entities());
+    let mut kept: Vec<ChaseStep> = Vec::new();
+    let mut seed_checks = 0u64;
+    let Ok(()) = rederive(g, keys, log, &mut eq, |i, witness| {
+        seed_checks += u64::from(!matches!(witness, Err(ProofError::BadKey { .. })));
+        let keep = witness.is_ok();
+        if keep {
+            kept.push(log[i]);
+        }
+        Ok::<_, Infallible>(keep)
+    });
+    seed_span.count("log_steps", log.len() as u64);
+    seed_span.count("kept", kept.len() as u64);
+    seed_span.count("iso_checks", seed_checks);
+    seed_span.finish();
+
+    let enum_span = span.child("enumerate");
+    let old = kernel::seeded(g.num_entities(), prev);
+    let open = pairs_within(g, keys, &old.classes(), &eq);
+    enum_span.count("candidates", open.len() as u64);
+    enum_span.finish();
+
+    let mut r = kernel::run_watched(g, keys, eq, open, threads, span);
+    kept.append(&mut r.steps);
+    r.steps = kept;
+    r.iso_checks += seed_checks;
+    r
+}
+
+/// The pairs inside `classes` that `eq` leaves apart and some key on the
+/// class's type could identify, sorted: per key, the members sharing a
+/// block value, or every member for a key without a [`block_triple`].
+fn pairs_within<V: GraphView>(
+    g: &V,
+    keys: &CompiledKeySet,
+    classes: &[Vec<EntityId>],
+    eq: &EqRel,
+) -> Vec<Pair> {
+    let mut out: Vec<Pair> = Vec::new();
+    for class in classes {
+        // A key identifies only same-type pairs, so a class has one type.
+        for &ki in keys.keys_on(g.entity_type(class[0])) {
+            let block = block_triple(&keys.keys[ki].pattern);
+            block_pairs(g, class, block, |a, b| {
+                if !eq.same(a, b) {
+                    out.push(norm(a, b));
+                }
+            });
+        }
+    }
+    // Sorted: the sweep order decides the reported `iso_checks`.
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// The not yet identified pairs `role` owns (`None`: all) that a key could
@@ -315,6 +406,227 @@ mod tests {
             prev = inc.eq;
             g = g2;
         }
+    }
+
+    /// `g` without its triple `s p "v"`, entity ids unchanged.
+    fn without(g: Graph, s: &str, p: &str, v: &str) -> gk_graph::OverlayGraph {
+        let t = gk_graph::Triple {
+            s: g.entity_named(s).unwrap(),
+            p: g.pred(p).unwrap(),
+            o: gk_graph::Obj::Value(g.value(v).unwrap()),
+        };
+        let mut g2 = gk_graph::OverlayGraph::new(g);
+        assert!(g2.delete_triple(t));
+        g2
+    }
+
+    /// Shrinks a relation to `(g2, keys2)`: `log` (attributed against
+    /// `old_keys`, remapped by key name, so a dropped key's steps go) both
+    /// generates the old relation and seeds the bounded re-chase, on one
+    /// and on three workers. Each run must reach the reference chase of
+    /// `(g2, keys2)` with a log whose every step re-derives under the ones
+    /// before it. Returns the one-worker run.
+    fn shrink_checked<V: GraphView>(
+        g2: &V,
+        keys2: &CompiledKeySet,
+        old_keys: &CompiledKeySet,
+        log: &[ChaseStep],
+    ) -> ChaseResult {
+        let prev: Vec<Pair> = log.iter().map(|s| s.pair).collect();
+        let remapped: Vec<ChaseStep> = log
+            .iter()
+            .filter_map(|s| {
+                let name = &old_keys.keys[s.key].name;
+                let key = keys2.keys.iter().position(|k| k.name == *name)?;
+                Some(ChaseStep { pair: s.pair, key })
+            })
+            .collect();
+        let expected = chase_reference(g2, keys2, ChaseOrder::Deterministic);
+        let runs = [1, 3].map(|threads| {
+            let r = chase_shrink(g2, keys2, &prev, &remapped, threads, &Span::disabled());
+            assert_eq!(r.eq.classes(), expected.eq.classes(), "threads={threads}");
+            let mut replayed = EqRel::identity(g2.num_entities());
+            let Ok(()) = rederive(g2, keys2, &r.steps, &mut replayed, |i, witness| {
+                assert!(witness.is_ok(), "step {i} of {:?}", r.steps);
+                Ok::<_, Infallible>(true)
+            });
+            assert_eq!(replayed.classes(), r.eq.classes(), "threads={threads}");
+            r
+        });
+        let [one, _] = runs;
+        one
+    }
+
+    fn step(keys: &CompiledKeySet, g: &Graph, a: &str, b: &str, key: &str) -> ChaseStep {
+        let e = |n: &str| g.entity_named(n).unwrap();
+        ChaseStep {
+            pair: norm(e(a), e(b)),
+            key: keys.keys.iter().position(|k| k.name == key).unwrap(),
+        }
+    }
+
+    #[test]
+    fn shrink_splits_a_cascade_whose_first_step_lost_its_only_witness() {
+        // The artists were identified only through `same(alb1, alb2)`;
+        // once alb2 loses its year, that step has no witness, and the
+        // artist step must go with it although its own triples stand.
+        let g = parse_graph(
+            r#"
+            alb1:album  name_of "Anthology 2"
+            alb1:album  release_year "1996"
+            alb1:album  recorded_by art1:artist
+            art1:artist name_of "The Beatles"
+            alb2:album  name_of "Anthology 2"
+            alb2:album  release_year "1996"
+            alb2:album  recorded_by art2:artist
+            art2:artist name_of "The Beatles"
+            "#,
+        )
+        .unwrap();
+        let ks = KeySet::parse(KEYS).unwrap();
+        let keys = ks.compile(&g);
+        let old = chase_reference(&g, &keys, ChaseOrder::Deterministic);
+        assert_eq!(old.steps.len(), 2, "albums, then artists");
+
+        let g2 = without(g, "alb2", "release_year", "1996");
+        let r = shrink_checked(&g2, &ks.compile(&g2), &keys, &old.steps);
+        assert!(r.eq.classes().is_empty());
+        assert!(r.steps.is_empty());
+    }
+
+    #[test]
+    fn shrink_reopens_a_three_member_class_under_a_key_without_a_block_triple() {
+        // Both chains run through alb2 / art2. Deleting alb2's year drops
+        // every old step, so alb1 ~ alb3 comes from the name block and
+        // art1 ~ art3 from the class's cross pairs: "R" has no value on
+        // its anchor to block by.
+        let g = parse_graph(
+            r#"
+            alb1:album name_of "A"
+            alb1:album release_year "1996"
+            alb1:album recorded_by art1:artist
+            alb2:album name_of "A"
+            alb2:album release_year "1996"
+            alb2:album recorded_by art2:artist
+            alb3:album name_of "A"
+            alb3:album release_year "1996"
+            alb3:album recorded_by art3:artist
+            "#,
+        )
+        .unwrap();
+        let ks = KeySet::parse(
+            r#"
+            key "Q2" album(x) { x -name_of-> n*; x -release_year-> y*; }
+            key "R" artist(x) { a:album -recorded_by-> x; }
+            "#,
+        )
+        .unwrap();
+        let keys = ks.compile(&g);
+        let log = [
+            step(&keys, &g, "alb1", "alb2", "Q2"),
+            step(&keys, &g, "alb2", "alb3", "Q2"),
+            step(&keys, &g, "art1", "art2", "R"),
+            step(&keys, &g, "art2", "art3", "R"),
+        ];
+
+        let g2 = without(g, "alb2", "release_year", "1996");
+        let r = shrink_checked(&g2, &ks.compile(&g2), &keys, &log);
+        let e = |n: &str| g2.entity_named(n).unwrap();
+        assert_eq!(
+            r.eq.classes(),
+            [vec![e("alb1"), e("alb3")], vec![e("art1"), e("art3")]]
+        );
+        assert!(r.rounds > 0, "the open list, not the seed, found them");
+    }
+
+    #[test]
+    fn shrink_blocks_a_constant_key_on_its_constant() {
+        // "G" blocks streets on the constant nation "UK". s2 loses it, so
+        // the chain s1-s2-s3 breaks and the shops located there split
+        // with it; s1 ~ s3 (and the shops) return through the UK block.
+        let g = parse_graph(
+            r#"
+            s1:street zip "Z1"
+            s1:street nation "UK"
+            s2:street zip "Z1"
+            s2:street nation "UK"
+            s2:street nation "FR"
+            s3:street zip "Z1"
+            s3:street nation "UK"
+            h1:shop name_of "Corner"
+            h1:shop located_at s1:street
+            h2:shop name_of "Corner"
+            h2:shop located_at s2:street
+            h3:shop name_of "Corner"
+            h3:shop located_at s3:street
+            "#,
+        )
+        .unwrap();
+        let ks = KeySet::parse(
+            r#"
+            key "G" street(x) { x -nation-> "UK"; x -zip-> z*; }
+            key "H" shop(x) { x -name_of-> n*; x -located_at-> s:street; }
+            "#,
+        )
+        .unwrap();
+        let keys = ks.compile(&g);
+        let log = [
+            step(&keys, &g, "s1", "s2", "G"),
+            step(&keys, &g, "h1", "h2", "H"),
+            step(&keys, &g, "s2", "s3", "G"),
+            step(&keys, &g, "h2", "h3", "H"),
+        ];
+
+        let g2 = without(g, "s2", "nation", "UK");
+        let r = shrink_checked(&g2, &ks.compile(&g2), &keys, &log);
+        let e = |n: &str| g2.entity_named(n).unwrap();
+        assert_eq!(
+            r.eq.classes(),
+            [vec![e("s1"), e("s3")], vec![e("h1"), e("h3")]]
+        );
+    }
+
+    #[test]
+    fn shrink_after_a_dropped_key_loses_the_steps_it_enabled() {
+        // Q2's album steps enabled Q3's artist steps. Without Q2, only the
+        // albums Q4 also identifies keep their artists.
+        let g = parse_graph(
+            r#"
+            alb1:album  name_of "Anthology 2"
+            alb1:album  release_year "1996"
+            alb1:album  recorded_by art1:artist
+            art1:artist name_of "The Beatles"
+            alb2:album  name_of "Anthology 2"
+            alb2:album  release_year "1996"
+            alb2:album  recorded_by art2:artist
+            art2:artist name_of "The Beatles"
+            alb3:album  name_of "Help!"
+            alb3:album  release_year "1965"
+            alb3:album  label "Parlophone"
+            alb3:album  recorded_by art3:artist
+            art3:artist name_of "Beatles"
+            alb4:album  name_of "Help!"
+            alb4:album  release_year "1965"
+            alb4:album  label "Parlophone"
+            alb4:album  recorded_by art4:artist
+            art4:artist name_of "Beatles"
+            "#,
+        )
+        .unwrap();
+        let q4 = r#"key "Q4" album(x) { x -name_of-> n*; x -label-> l*; }"#;
+        let keys = KeySet::parse(&format!("{KEYS}\n{q4}")).unwrap().compile(&g);
+        let old = chase_reference(&g, &keys, ChaseOrder::Deterministic);
+        assert_eq!(old.eq.classes().len(), 4);
+        assert!(old.steps.iter().any(|s| keys.keys[s.key].name == "Q2"));
+
+        let q3 = r#"key "Q3" artist(x) { x -name_of-> n*; a:album -recorded_by-> x; }"#;
+        let keys2 = KeySet::parse(&format!("{q3}\n{q4}")).unwrap().compile(&g);
+        let r = shrink_checked(&g, &keys2, &keys, &old.steps);
+        let e = |n: &str| g.entity_named(n).unwrap();
+        assert_eq!(
+            r.eq.classes(),
+            [vec![e("alb3"), e("alb4")], vec![e("art3"), e("art4")]]
+        );
     }
 
     /// Tiny deterministic RNG for the mini-fuzz above.

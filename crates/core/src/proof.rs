@@ -361,32 +361,51 @@ pub fn replay<V: GraphView>(
 ) -> Result<Proof, ProofError> {
     let mut eq = EqRel::identity(g.num_entities());
     let mut steps = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        let ck = keys
-            .keys
-            .get(line.key)
-            .ok_or(ProofError::BadKey { step: i })?;
-        let (a, b) = line.pair;
-        let scope = MatchScope::whole_graph();
-        let witness = eval_pair_witness(g, &ck.pattern, a, b, &eq, scope).ok_or_else(|| {
-            ProofError::BadWitness {
-                step: i,
-                reason: "no witness under the lines before it".into(),
-            }
-        })?;
-        eq.union(a, b);
+    rederive(g, keys, lines, &mut eq, |i, witness| {
         steps.push(ProofStep {
-            pair: line.pair,
-            key: line.key,
-            witness,
+            pair: lines[i].pair,
+            key: lines[i].key,
+            witness: witness?,
         });
-    }
+        Ok(true)
+    })?;
     let proof = Proof {
         target: norm(target.0, target.1),
         steps,
     };
     verify(g, keys, &proof)?;
     Ok(proof)
+}
+
+/// The loop [`replay`] and the shrinking chase's seed share: walks `lines`
+/// in order and re-derives each line's witness under `eq`, the closure of
+/// the lines accepted before it. `accept(i, witness)` sees line `i`'s
+/// witness — or why it has none: [`ProofError::BadKey`] when `keys` lacks
+/// the cited key (no search ran), [`ProofError::BadWitness`] when the
+/// search found nothing — and answers whether the line enters `eq`; an
+/// `Err` stops the walk.
+pub(crate) fn rederive<V: GraphView, E>(
+    g: &V,
+    keys: &CompiledKeySet,
+    lines: &[ChaseStep],
+    eq: &mut EqRel,
+    mut accept: impl FnMut(usize, Result<Vec<(NodeId, NodeId)>, ProofError>) -> Result<bool, E>,
+) -> Result<(), E> {
+    for (i, line) in lines.iter().enumerate() {
+        let (a, b) = line.pair;
+        let witness = match keys.keys.get(line.key) {
+            None => Err(ProofError::BadKey { step: i }),
+            Some(ck) => eval_pair_witness(g, &ck.pattern, a, b, &*eq, MatchScope::whole_graph())
+                .ok_or_else(|| ProofError::BadWitness {
+                    step: i,
+                    reason: "no witness under the lines before it".into(),
+                }),
+        };
+        if accept(i, witness)? {
+            eq.union(a, b);
+        }
+    }
+    Ok(())
 }
 
 /// Verifies a proof in PTIME: no search, just witness checking.

@@ -7,8 +7,9 @@
 //! `Arc`, and queries clone the `Arc` out of a `parking_lot::RwLock` whose
 //! critical section is that clone. Updates build the *next* state off to
 //! the side (insert-only batches advance via [`gk_core::chase_incremental`]; a
-//! deletion batch falls back to **one** full re-chase, since deletions are
-//! not monotone) and swap it in under the write lock. A query therefore
+//! deletion batch or a dropped key re-chases **once**, inside the previous
+//! duplicate classes, since a removal can only shrink the closure) and swap
+//! it in under the write lock. A query therefore
 //! always sees either the complete pre-update or the complete post-update
 //! `Eq` — never a torn intermediate.
 //!
@@ -491,8 +492,8 @@ impl EmIndex {
     /// Like [`EmIndex::new`], but selecting the chase engine: `Reference`
     /// re-chases fully on every update, `Incremental` (default) rides the
     /// monotone delta chase for inserts, `Parallel { threads }` additionally
-    /// runs all full chases — startup and the deletion fallback — on worker
-    /// threads via [`gk_core::chase_parallel`].
+    /// runs the full chases and the bounded re-chases — startup, recovery,
+    /// deletions and dropped keys — on worker threads.
     pub fn with_engine(graph: Graph, keys: KeySet, engine: ChaseEngine) -> Self {
         Self::with_engine_registry(graph, keys, engine, Arc::new(Registry::new()))
     }
@@ -1132,15 +1133,19 @@ impl EmIndex {
     }
 
     /// Deletes a batch of triples — tombstones in the delta overlay, no
-    /// CSR rebuild — and recomputes the chase from scratch **once** for
-    /// the whole batch.
+    /// CSR rebuild — and re-chases **once** for the whole batch, inside the
+    /// previous duplicate classes.
     ///
-    /// Keys are monotone only under *insertions*; a deletion can invalidate
-    /// prior merges, so this is the documented full re-chase fallback. A
-    /// batch of consecutive deletions therefore costs one re-chase, not
-    /// one per triple; the physical rebuild is deferred to compaction. A
-    /// batch whose doomed set turns out empty is a no-op: no re-chase, no
-    /// version bump.
+    /// A deletion can invalidate prior merges, but it can only *shrink*
+    /// the closure: every pair the new chase identifies was identified
+    /// before. So the re-chase keeps the previous log's steps that still
+    /// re-derive under the steps kept before them, and chases only the
+    /// value-blocked pairs inside the previous classes — no candidate
+    /// enumeration. Its steps replace the log (`mode=full-rechase`). A
+    /// batch of consecutive deletions costs one re-chase, not one per
+    /// triple; the physical rebuild is deferred to compaction. A batch
+    /// whose doomed set turns out empty is a no-op: no re-chase, no version
+    /// bump.
     pub fn delete(&self, specs: &[TripleSpec]) -> Result<AdvanceReport, String> {
         self.delete_traced(specs, &Span::disabled())
     }
@@ -1195,10 +1200,12 @@ impl EmIndex {
     /// `g2`: fold an oversized delta, advance the degree rows of `touched`
     /// (the only ones that changed; new entities append their own),
     /// recompile Σ, chase and commit. Inserts are monotone, so the previous
-    /// relation seeds the chase; a deletion restarts it (a shard recomputes
-    /// its owned slice, and the coordinator resets its global view and
-    /// re-converges the cluster). All of it runs without the state lock:
-    /// readers keep serving the previous snapshot.
+    /// relation seeds the chase; a deletion can only shrink it, so the
+    /// chase re-runs inside the previous classes, seeded by the steps of
+    /// the previous log that still re-derive (a shard recomputes its owned
+    /// slice, and the coordinator resets its global view and re-converges
+    /// the cluster). All of it runs without the state lock: readers keep
+    /// serving the previous snapshot.
     fn commit_triples(
         &self,
         snap: &IndexState,
@@ -1214,8 +1221,14 @@ impl EmIndex {
         let compile = span.child("compile");
         let compiled2 = snap.keys.compile(&g2);
         compile.finish();
+        let log;
         let (start, op) = if deleting {
-            (ChaseStart::Restart, WalOp::Delete(specs.to_vec()))
+            log = remap_steps(&snap.compiled, &compiled2, snap.steps.to_vec());
+            let start = ChaseStart::Shrink {
+                prev: &snap.eq,
+                log: &log,
+            };
+            (start, WalOp::Delete(specs.to_vec()))
         } else {
             let prev = &snap.eq;
             let start = ChaseStart::Continue { prev, touched };
@@ -1308,9 +1321,10 @@ impl EmIndex {
     /// [`EmIndex::add_keys`] recording phase spans (`validate`, `compile`,
     /// `delta_chase` / `full_rechase`, `wal_append`) into `span`.
     pub fn add_keys_traced(&self, new: Vec<Key>, span: &Span) -> Result<KeyChange, String> {
-        if new.is_empty() {
+        let Some(first) = new.first() else {
             return Err("no key definition given".into());
-        }
+        };
+        let name = first.name.clone();
         let _writer = self.ingest.lock();
         let snap = self.snapshot();
         let validate = span.child("validate");
@@ -1358,7 +1372,6 @@ impl EmIndex {
             prev: &snap.eq,
             touched: &touched,
         };
-        let name = new.first().expect("non-empty").name.clone();
         self.commit_keys(
             &snap,
             name,
@@ -1373,10 +1386,11 @@ impl EmIndex {
     /// Removes the key named `name` from the live Σ at runtime.
     ///
     /// Dropping a key is **not** monotone — merges it certified (and
-    /// everything that cascaded from them) may no longer hold — so the
-    /// closure is recomputed with one full chase under the configured
-    /// engine, exactly like the deletion fallback. WAL-logged (`DROPKEY`
-    /// record) before the swap; bumps version and key epoch.
+    /// everything that cascaded from them) may no longer hold — but it can
+    /// only shrink the closure, so it re-chases inside the previous classes
+    /// exactly like a deletion: the previous log minus the dropped key's
+    /// steps seeds it, and each kept step re-derives first. WAL-logged
+    /// (`DROPKEY` record) before the swap; bumps version and key epoch.
     pub fn drop_key(&self, name: &str) -> Result<KeyChange, String> {
         self.drop_key_traced(name, &Span::disabled())
     }
@@ -1396,17 +1410,15 @@ impl EmIndex {
         let compile = span.child("compile");
         let compiled2 = keys2.compile(&snap.graph);
         compile.finish();
-        // Non-monotone, like deletion: restart from identity.
+        // Shrinking, like deletion: the dropped key's steps have no image
+        // in the new compile, so the remap leaves them out of the seed.
+        let log = remap_steps(&snap.compiled, &compiled2, snap.steps.to_vec());
+        let start = ChaseStart::Shrink {
+            prev: &snap.eq,
+            log: &log,
+        };
         let op = WalOp::DropKey(name.to_string());
-        self.commit_keys(
-            &snap,
-            name.to_string(),
-            keys2,
-            compiled2,
-            ChaseStart::Restart,
-            op,
-            span,
-        )
+        self.commit_keys(&snap, name.to_string(), keys2, compiled2, start, op, span)
     }
 
     /// The shared tail of `ADDKEY`/`DROPKEY`: chase the unchanged graph
@@ -1471,8 +1483,8 @@ impl EmIndex {
     /// An incremental result reports only the new steps; the accumulated
     /// log shares its prefix with the previous state. When the recompile
     /// shifted active-key indices (a key activated on new vocabulary, or a
-    /// compaction pruned one), the prefix is remapped through the stable
-    /// source-key indices first. A full re-chase replaces the log.
+    /// compaction pruned one), the prefix is remapped through the key names
+    /// first. A full or bounded re-chase replaces the log.
     ///
     /// Write-ahead: `op` must be on the log before the new state becomes
     /// visible, or a crash could lose an acknowledged update — so a failed
@@ -1557,11 +1569,12 @@ fn fold_if_over_threshold(g: OverlayGraph, threshold: usize, stats: &IndexStats)
 
 /// Remaps a step log's key attribution from one compiled key set to
 /// another. Compiled indices are dense over the *active* keys, so a key
-/// activating (new vocabulary) or deactivating (compaction pruned its
-/// vocabulary) shifts every later index; the `source` index into the
-/// declared `KeySet` is stable and bridges the two. Returns the log
-/// unchanged (shared, not copied) when the active sets coincide — the
-/// steady-state case.
+/// activating (new vocabulary), deactivating (compaction pruned its
+/// vocabulary) or leaving Σ (`DROPKEY`, which also shifts the declared
+/// positions of every later key) moves indices; the key's name — unique in
+/// Σ, and what the wire and the merge exchange cite — bridges the two.
+/// Returns the log unchanged (shared, not copied) when the active sets
+/// coincide — the steady-state case.
 fn remap_step_log(old: &CompiledKeySet, new: &CompiledKeySet, log: &StepLog) -> StepLog {
     if same_active_keys(old, new) {
         return log.clone();
@@ -1569,18 +1582,20 @@ fn remap_step_log(old: &CompiledKeySet, new: &CompiledKeySet, log: &StepLog) -> 
     StepLog::from_steps(remap_steps(old, new, log.to_vec()))
 }
 
-/// Do two compiled key sets activate the same declared keys in the same
-/// order (⇔ identical step attribution)?
+/// Do two compiled key sets activate the same keys in the same order (⇔
+/// identical step attribution)?
 fn same_active_keys(old: &CompiledKeySet, new: &CompiledKeySet) -> bool {
     old.keys.len() == new.keys.len()
         && old
             .keys
             .iter()
             .zip(&new.keys)
-            .all(|(a, b)| a.source == b.source)
+            .all(|(a, b)| a.name == b.name)
 }
 
-/// [`remap_step_log`] on a materialized step vector.
+/// [`remap_step_log`] on a materialized step vector. A step whose key has
+/// no image in `new` — a dropped key, or one whose vocabulary left the
+/// graph — is dropped: no index could attribute it.
 fn remap_steps(
     old: &CompiledKeySet,
     new: &CompiledKeySet,
@@ -1589,19 +1604,14 @@ fn remap_steps(
     if same_active_keys(old, new) {
         return steps;
     }
-    let by_source: FxHashMap<usize, usize> = new.keys.iter().map(|k| (k.source, k.idx)).collect();
+    let by_name: FxHashMap<&str, usize> =
+        new.keys.iter().map(|k| (k.name.as_str(), k.idx)).collect();
     steps
         .into_iter()
-        .map(|s| ChaseStep {
-            pair: s.pair,
-            // A cited key with no image can only happen if its witnesses
-            // vanished — in which case the log was already rebuilt by the
-            // deleting re-chase; keep the old index as a harmless fallback.
-            key: old
-                .keys
-                .get(s.key)
-                .and_then(|k| by_source.get(&k.source).copied())
-                .unwrap_or(s.key),
+        .filter_map(|s| {
+            let old_key = old.keys.get(s.key)?;
+            let key = *by_name.get(old_key.name.as_str())?;
+            Some(ChaseStep { pair: s.pair, key })
         })
         .collect()
 }
@@ -1862,6 +1872,34 @@ mod tests {
         // Empty segments add nothing (and no chain node).
         let same = base.appended(Vec::new());
         assert_eq!(same.len(), base.len());
+    }
+
+    #[test]
+    fn remap_drops_the_steps_of_a_key_without_an_image() {
+        // Dropping Q1 shifts Q2 down to index 0. Q2's steps follow it; Q1's
+        // have no image and go, instead of keeping index 0 and citing Q2.
+        let g = gk_graph::parse_graph(
+            r#"
+            a1:album name_of "X"
+            a1:album release_year "1996"
+            "#,
+        )
+        .unwrap();
+        let q1 = r#"key "Q1" album(x) { x -name_of-> n*; }"#;
+        let q2 = r#"key "Q2" album(x) { x -release_year-> y*; }"#;
+        let both = KeySet::parse(&format!("{q1}\n{q2}")).unwrap().compile(&g);
+        let without_q1 = KeySet::parse(q2).unwrap().compile(&g);
+        let on = |pair: (u32, u32), key| ChaseStep {
+            pair: (EntityId(pair.0), EntityId(pair.1)),
+            key,
+        };
+        let log = vec![on((0, 1), 0), on((2, 3), 1), on((0, 4), 0)];
+        assert_eq!(
+            remap_steps(&both, &without_q1, log.clone()),
+            [on((2, 3), 0)]
+        );
+        // Nothing moves when the active keys coincide.
+        assert_eq!(remap_steps(&both, &both, log.clone()), log);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! * **monotonicity** — keys are positive patterns, so insert-only updates
 //!   can only grow `Eq`; [`gk_core::chase_incremental`] advances the
 //!   previous terminal relation by waking only entities within radius `d`
-//!   of the touched nodes. Deletions are not monotone and fall back to a
-//!   documented full re-chase.
+//!   of the touched nodes. Deletions and dropped keys are not monotone,
+//!   but they can only shrink `Eq`: they re-chase inside the previous
+//!   duplicate classes, seeded by the previous log's surviving steps.
 //! * **stable entity ids** — the delta overlay
 //!   ([`gk_graph::OverlayGraph`]) appends entities with fresh, larger ids
 //!   and never moves existing ones (compaction preserves them too), so

@@ -202,9 +202,9 @@ pub static VERBS: [Verb; 19] = [
     verb("rep",        Lookup,   Name(|entity| Request::Rep { entity }),       "REP <e>",                                    "REP <e>               canonical representative of <e>"),
     verb("explain",    Read,     Pair(|a, b| Request::Explain { a, b }),       "EXPLAIN <a> <b>",                            "EXPLAIN <a> <b>       verified key-application proof for <a> <=> <b>"),
     verb("insert",     Mutation, Text(|batch| Request::Insert { batch }),      "INSERT <s:T> <p> <o> [; <s:T> <p> <o> ...]", "INSERT <s:T> <p> <o>  insert triple(s); separate several with ';'"),
-    verb("delete",     Mutation, Text(|batch| Request::Delete { batch }),      "DELETE <s:T> <p> <o> [; <s:T> <p> <o> ...]", "DELETE <s:T> <p> <o>  delete triple(s); ';' separates; one re-chase per batch"),
+    verb("delete",     Mutation, Text(|batch| Request::Delete { batch }),      "DELETE <s:T> <p> <o> [; <s:T> <p> <o> ...]", "DELETE <s:T> <p> <o>  delete triple(s); ';' separates; one re-chase per batch, bounded by the old classes"),
     verb("addkey",     Mutation, Text(|dsl| Request::AddKey { dsl }),          "ADDKEY key \"<name>\" <type>(x) { ... }",    "ADDKEY key \"N\" T(x) { ... }  install a key into the live Σ (monotone delta chase)"),
-    verb("dropkey",    Mutation, Text(|name| Request::DropKey { name }),       "DROPKEY <name>",                             "DROPKEY <name>        remove a key from the live Σ (one full re-chase)"),
+    verb("dropkey",    Mutation, Text(|name| Request::DropKey { name }),       "DROPKEY <name>",                             "DROPKEY <name>        remove a key from the live Σ (one re-chase, bounded by the old classes)"),
     verb("keys",       Read,     Bare(Request::Keys),                          "KEYS",                                       "KEYS                  list the declared keys and the key epoch"),
     verb("snapshot",   Admin,    Bare(Request::Snapshot),                      "SNAPSHOT",                                   "SNAPSHOT              persist a point-in-time snapshot (needs --data-dir)"),
     verb("compact",    Admin,    Bare(Request::Compact),                       "COMPACT",                                    "COMPACT               snapshot + fold the delta overlay, truncate the WAL, prune old snapshots"),

@@ -120,7 +120,7 @@ fn main() {
         },
     );
 
-    println!("\n== deletion is non-monotone: the server falls back to a full re-chase ==");
+    println!("\n== deletion is non-monotone: the server re-chases inside the old classes ==");
     ask(
         &server,
         Request::Delete {

@@ -9,7 +9,8 @@
 //!   on the anchor, a constant, a multi-valued blocking attribute);
 //! * deletions are **not** monotone — reusing a stale `Eq` after removing a
 //!   witness provably over-approximates, which is exactly why the serving
-//!   layer's delete path falls back to a full re-chase.
+//!   layer's delete path re-derives every step it keeps and replaces the
+//!   log (`mode=full-rechase`).
 
 use gk_datagen::{generate, GenConfig};
 use keys_for_graphs::core::{chase_incremental, chase_reference, ChaseOrder, EqRel};
@@ -352,8 +353,8 @@ fn deletion_is_not_monotone_so_stale_eq_overapproximates() {
 #[test]
 fn server_delete_path_catches_the_non_monotone_case() {
     // The same scenario through the serving layer: DELETE must retract the
-    // merge via the full-rechase fallback, and STATS must attribute it to
-    // that path.
+    // merge through the re-chase that replaces the log, and STATS must
+    // attribute it to that path.
     let g = parse_graph(
         r#"
         a1:album name_of "X"
