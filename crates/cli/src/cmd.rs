@@ -719,11 +719,11 @@ fn recovery_line(r: &gk_server::RecoveryReport, dir: &str) -> String {
         } else {
             String::new()
         };
+        let chase = if r.chased { "one chase" } else { "no chase" };
         format!(
-            "recovered from {dir}: snapshot_seq={} + {} WAL record(s) replayed ({}{torn}{skipped})",
+            "recovered from {dir}: snapshot_seq={} + {} WAL record(s) replayed ({chase}{torn}{skipped})",
             r.snapshot_seq.unwrap_or(0),
             r.wal_replayed,
-            r.replay_mode,
         )
     } else {
         format!("bootstrapped {dir}: startup chase + initial snapshot written")
@@ -765,6 +765,14 @@ fn cmd_recover(args: &[String], out: &mut String) -> Result<(), String> {
     };
     let elapsed = t0.elapsed();
     let _ = writeln!(out, "{}", recovery_line(&report, dir));
+    let _ = writeln!(
+        out,
+        "phases: wal_scan={}us snapshot_load={}us replay={}us index_build={}us",
+        report.wal_scan_micros,
+        report.snapshot_load_micros,
+        report.replay_micros,
+        report.index_build_micros,
+    );
     let snap = index.snapshot();
     let _ = writeln!(
         out,
@@ -1279,6 +1287,9 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("recovered from"), "{out}");
+        assert!(out.contains("(no chase)"), "{out}");
+        assert!(out.contains("\nphases: wal_scan="), "{out}");
+        assert!(out.contains(" index_build="), "{out}");
         assert!(out.contains("version=1"), "{out}");
         assert!(out.contains("VERIFIED"), "{out}");
 

@@ -113,6 +113,21 @@ impl Conn {
         })
     }
 
+    /// Whether the server has already closed this idle connection (it
+    /// restarted since the last call): a non-blocking peek reads end of
+    /// stream, or the socket reports an error.
+    fn closed_by_peer(&self) -> bool {
+        let sock = self.reader.get_ref();
+        if !self.reader.buffer().is_empty() || sock.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let closed = match sock.peek(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+        };
+        sock.set_nonblocking(false).is_err() || closed
+    }
+
     /// Reads one response paragraph (without the terminating blank line).
     ///
     /// With a deadline, every socket refill is armed with what's *left*
@@ -222,6 +237,20 @@ impl Client {
     /// How many times the connection was re-established after breaking.
     pub fn reconnects(&self) -> u64 {
         self.reconnects
+    }
+
+    /// Drops the kept connection when the server has already closed it —
+    /// it restarted since the last call — so the next call redials
+    /// (counted in [`Client::reconnects`]). Nothing was sent on the dead
+    /// connection, so this is safe ahead of an update, which the client
+    /// never resends once written. Returns whether it dropped one.
+    pub fn discard_if_closed(&mut self) -> bool {
+        if !self.conn.as_ref().is_some_and(Conn::closed_by_peer) {
+            return false;
+        }
+        self.conn = None;
+        self.reconnects += 1;
+        true
     }
 
     fn ensure(&mut self) -> std::io::Result<&mut Conn> {
@@ -708,6 +737,36 @@ mod tests {
         assert_eq!(c.reconnects(), 0);
         // The connection is cleanly re-established for the next call.
         assert_eq!(c.request(&Request::Ping).unwrap(), Response::Pong);
+        handle2.stop();
+    }
+
+    #[test]
+    fn a_connection_the_server_closed_is_discarded_before_sending() {
+        let (handle, addr) = spawn();
+        let mut c = Client::connect(&addr).unwrap();
+        assert_eq!(c.request(&Request::Ping).unwrap(), Response::Pong);
+        assert!(!c.discard_if_closed(), "a live connection is kept");
+        handle.stop();
+        let server = Arc::new(Server::new(
+            parse_graph(G).unwrap(),
+            KeySet::parse(KEYS).unwrap(),
+        ));
+        let handle2 = serve(server, &addr, 2).unwrap();
+        // The restart is seen before anything is written, so an update
+        // goes out once, on a fresh connection.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !c.discard_if_closed() {
+            assert!(
+                Instant::now() < deadline,
+                "the closed socket never read EOF"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(c.reconnects(), 1);
+        let insert = Request::Insert {
+            batch: r#"alb9:album name_of "Anthology 2""#.into(),
+        };
+        assert!(matches!(c.request(&insert).unwrap(), Response::Updated(_)));
         handle2.stop();
     }
 

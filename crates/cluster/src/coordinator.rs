@@ -259,8 +259,9 @@ impl Coordinator {
                 };
                 if next < cursor {
                     // The shard's log shrank under our cursor: it restarted
-                    // (recovery re-chases from its own WAL only, losing
-                    // un-snapshotted external merges).  Rewind and re-ship.
+                    // (recovery rebuilds the log from its own snapshot and
+                    // WAL, losing the externals absorbed since its last
+                    // record).  Rewind and re-ship.
                     ex.rewind(i);
                     progressed = true;
                     continue;
@@ -350,6 +351,10 @@ impl Coordinator {
 
     /// One raw-line round-trip to shard `i`, timed like `rpc`.
     fn raw(&self, ex: &mut Exchange, i: usize, line: &str) -> io::Result<String> {
+        // The line is never resent once written, so a shard that restarted
+        // since the last exchange must be redialed before it goes out (the
+        // redial also marks the shard for a rewind).
+        ex.clients[i].discard_if_closed();
         let t0 = Instant::now();
         let resp = ex.clients[i]
             .request_line(line)

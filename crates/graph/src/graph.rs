@@ -9,6 +9,8 @@
 use crate::ids::{EntityId, NodeId, Obj, PredId, TypeId, ValueId};
 use crate::interner::Interner;
 use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
 
 /// A single edge of the graph: subject entity, predicate, object.
 ///
@@ -49,8 +51,8 @@ pub struct GraphBuilder {
     preds: Interner,
     types: Interner,
     ent_types: Vec<TypeId>,
-    ent_names: Vec<Option<Box<str>>>,
-    ent_by_name: FxHashMap<Box<str>, EntityId>,
+    ent_names: Vec<Option<Arc<str>>>,
+    ent_by_name: FxHashMap<Arc<str>, EntityId>,
     triples: Vec<Triple>,
 }
 
@@ -76,8 +78,7 @@ impl GraphBuilder {
             return e;
         }
         let e = self.fresh_entity(tid);
-        self.ent_names[e.idx()] = Some(name.into());
-        self.ent_by_name.insert(name.into(), e);
+        self.set_entity_name(e, name);
         e
     }
 
@@ -165,15 +166,38 @@ impl GraphBuilder {
     /// Panics if `e` already has a name or `name` is taken.
     pub fn set_entity_name(&mut self, e: EntityId, name: &str) {
         assert!(
-            self.ent_names[e.idx()].is_none(),
-            "entity {e:?} already has a name"
+            self.try_set_entity_name(e, name),
+            "entity {e:?} already has a name, or {name:?} is already registered"
         );
-        assert!(
-            !self.ent_by_name.contains_key(name),
-            "entity name {name:?} is already registered"
-        );
-        self.ent_names[e.idx()] = Some(name.into());
-        self.ent_by_name.insert(name.into(), e);
+    }
+
+    /// [`set_entity_name`](Self::set_entity_name) for untrusted input:
+    /// returns `false`, changing nothing, when `e` already has a name or
+    /// `name` is taken. One hash lookup and one allocation per name.
+    pub fn try_set_entity_name(&mut self, e: EntityId, name: &str) -> bool {
+        if self.ent_names[e.idx()].is_some() {
+            return false;
+        }
+        let shared: Arc<str> = name.into();
+        match self.ent_by_name.entry(Arc::clone(&shared)) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(e);
+                self.ent_names[e.idx()] = Some(shared);
+                true
+            }
+        }
+    }
+
+    /// Makes room for `values` more value strings, `entities` more
+    /// entities (named) and `triples` more triples, so a caller that knows
+    /// its sizes up front — a decoder — builds without regrowing.
+    pub fn reserve(&mut self, values: usize, entities: usize, triples: usize) {
+        self.values.reserve(values);
+        self.ent_types.reserve(entities);
+        self.ent_names.reserve(entities);
+        self.ent_by_name.reserve(entities);
+        self.triples.reserve(triples);
     }
 
     /// Interns a type name.
@@ -324,8 +348,8 @@ impl GraphBuilder {
 /// * the type index `entities_of_type(τ)`.
 pub struct Graph {
     ent_types: Vec<TypeId>,
-    ent_names: Vec<Option<Box<str>>>,
-    ent_by_name: FxHashMap<Box<str>, EntityId>,
+    ent_names: Vec<Option<Arc<str>>>,
+    ent_by_name: FxHashMap<Arc<str>, EntityId>,
     num_triples: usize,
     out_off: Vec<u32>,
     out_edg: Vec<(PredId, Obj)>,

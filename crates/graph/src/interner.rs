@@ -7,15 +7,17 @@
 //! test O(1) during matching.
 
 use rustc_hash::FxHashMap;
+use std::sync::Arc;
 
 /// A deduplicating string table handing out dense `u32` ids.
 ///
 /// Ids are assigned in first-seen order starting at 0, so they can index
-/// side arrays directly.
+/// side arrays directly. The table and the id list share one allocation
+/// per string.
 #[derive(Default, Clone)]
 pub struct Interner {
-    map: FxHashMap<Box<str>, u32>,
-    strings: Vec<Box<str>>,
+    map: FxHashMap<Arc<str>, u32>,
+    strings: Vec<Arc<str>>,
 }
 
 impl Interner {
@@ -30,10 +32,16 @@ impl Interner {
             return id;
         }
         let id = self.strings.len() as u32;
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.map.insert(boxed, id);
+        let shared: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&shared));
+        self.map.insert(shared, id);
         id
+    }
+
+    /// Makes room for `additional` more strings without rehashing.
+    pub fn reserve(&mut self, additional: usize) {
+        self.map.reserve(additional);
+        self.strings.reserve(additional);
     }
 
     /// Looks up the id of `s` without interning it.

@@ -34,11 +34,11 @@
 //! acknowledged update survives a process crash (machine-crash durability
 //! is governed by the configured [`gk_store::FsyncMode`]: `always` loses
 //! nothing, the default `batch` bounds the loss to one sync window).
-//! [`EmIndex::open_durable`]
-//! recovers by loading the newest valid on-disk snapshot and replaying the
-//! WAL suffix through the incremental chase (or one full chase when the
-//! suffix deletes triples), turning restart cost from `O(chase)` into
-//! `O(load + replay)`.
+//! Each record carries the commit's outcome — what it did to the chase-step
+//! log — so [`EmIndex::open_durable`] recovers by loading the newest valid
+//! on-disk snapshot and applying the WAL suffix's graph, Σ and log edits:
+//! no chase runs, restart costs `O(load + replay)`, and the recovered log
+//! is the history the live server served (so are its `EXPLAIN` proofs).
 
 use gk_core::proof::slice_traced;
 pub use gk_core::AdvanceMode;
@@ -51,10 +51,12 @@ use gk_graph::{
 };
 use gk_metrics::{Counter, Gauge, Histogram, Registry, Span};
 use gk_store::{
-    CompactReport, Durability, FsyncMode, Recovered, SnapshotData, Store, WalOp, WalRecord,
+    CompactReport, Durability, FsyncMode, Kept, Outcome, Recovered, SnapshotData, Store, WalOp,
+    WalRecord,
 };
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -97,7 +99,8 @@ pub struct KeyChange {
     pub iso_checks: u64,
 }
 
-/// How a durable startup obtained its serving state.
+/// How a durable startup obtained its serving state, and where its time
+/// went.
 #[derive(Clone, Debug)]
 pub struct RecoveryReport {
     /// True when state came from disk; false when the data directory was
@@ -107,12 +110,25 @@ pub struct RecoveryReport {
     pub snapshot_seq: Option<u64>,
     /// WAL records replayed on top of the snapshot.
     pub wal_replayed: usize,
-    /// How the replayed suffix advanced the snapshot state.
-    pub replay_mode: AdvanceMode,
+    /// Whether startup ran a chase: the bootstrap of a fresh directory, or
+    /// one chase from the identity after replaying a suffix that holds a
+    /// record without a logged outcome. A suffix whose records all carry
+    /// their outcomes replays without one.
+    pub chased: bool,
     /// Whether a torn or corrupt WAL tail was discarded.
     pub wal_torn: bool,
     /// Snapshot files skipped because they failed validation.
     pub skipped_snapshots: usize,
+    /// Microseconds reading and decoding the WAL.
+    pub wal_scan_micros: u64,
+    /// Microseconds loading and validating snapshot files.
+    pub snapshot_load_micros: u64,
+    /// Microseconds applying the suffix to the graph, Σ and step log and
+    /// rebuilding `Eq` (chase included, when one ran).
+    pub replay_micros: u64,
+    /// Microseconds building the serving indexes: degree buckets,
+    /// representatives and clusters.
+    pub index_build_micros: u64,
 }
 
 /// The accumulated chase-step log, stored as a persistent (structurally
@@ -162,18 +178,36 @@ impl StepLog {
         self.len == 0
     }
 
-    /// Materializes the log in application order.
-    pub fn to_vec(&self) -> Vec<ChaseStep> {
+    /// The segments in application order, each a run of steps.
+    fn segments(&self) -> Vec<&[ChaseStep]> {
         let mut segs = Vec::new();
         let mut cur = self.head.as_deref();
         while let Some(seg) = cur {
-            segs.push(&seg.steps);
+            segs.push(seg.steps.as_slice());
             cur = seg.prev.as_deref();
         }
-        let mut out = Vec::with_capacity(self.len);
-        for seg in segs.into_iter().rev() {
-            out.extend_from_slice(seg);
+        segs.reverse();
+        segs
+    }
+
+    /// Materializes the log in application order.
+    pub fn to_vec(&self) -> Vec<ChaseStep> {
+        self.segments().concat()
+    }
+
+    /// The steps from index `from` on, in order: O(suffix), walking back
+    /// from the newest segment only as far as `from`.
+    fn suffix(&self, from: usize) -> Vec<ChaseStep> {
+        let mut segs = Vec::new();
+        let mut start = self.len;
+        let mut cur = self.head.as_deref();
+        while let Some(seg) = cur.filter(|_| start > from) {
+            start -= seg.steps.len();
+            segs.push(seg.steps.as_slice());
+            cur = seg.prev.as_deref();
         }
+        let mut out: Vec<ChaseStep> = segs.into_iter().rev().flatten().copied().collect();
+        out.drain(..from.saturating_sub(start).min(out.len()));
         out
     }
 }
@@ -459,6 +493,10 @@ pub struct EmIndex {
     ingest: Mutex<()>,
     /// The durable write-through store; `None` runs purely in memory.
     store: Option<Store>,
+    /// Where the steps a shard absorbed since its last WAL record start in
+    /// its step log ([`ALL_LOGGED`]: nowhere). Absorptions write no record;
+    /// their steps ride in the next one. Accessed under `ingest`.
+    unlogged_from: AtomicUsize,
     /// Fold the delta into a fresh base CSR once
     /// `delta_triples + tombstones` reaches this; 0 disables automatic
     /// compaction.
@@ -476,6 +514,10 @@ pub struct EmIndex {
     /// Cumulative update counters (handles into [`EmIndex::registry`]).
     pub stats: IndexStats,
 }
+
+/// [`EmIndex`]'s `unlogged_from` when the WAL (with the snapshot it
+/// extends) reproduces the whole step log.
+const ALL_LOGGED: usize = usize::MAX;
 
 /// Default [`EmIndex::set_compact_threshold`]: the delta stays small
 /// enough that per-batch clone cost is negligible while compactions stay
@@ -556,6 +598,7 @@ impl EmIndex {
             engine,
             state: RwLock::new(Arc::new(state)),
             ingest: Mutex::new(()),
+            unlogged_from: AtomicUsize::new(ALL_LOGGED),
             store,
             compact_threshold,
             registry,
@@ -683,9 +726,13 @@ impl EmIndex {
                         recovered: false,
                         snapshot_seq: Some(0),
                         wal_replayed: 0,
-                        replay_mode: AdvanceMode::NoOp,
+                        chased: true,
                         wal_torn: false,
                         skipped_snapshots: 0,
+                        wal_scan_micros: 0,
+                        snapshot_load_micros: 0,
+                        replay_micros: 0,
+                        index_build_micros: 0,
                     },
                 ))
             }
@@ -693,8 +740,10 @@ impl EmIndex {
     }
 
     /// Recovers an index purely from a data directory — graph *and* keys
-    /// come from the persisted snapshot. Returns `Ok(None)` when the
-    /// directory holds no state.
+    /// come from the persisted snapshot, and the closure from the
+    /// snapshot's step log edited by each WAL record's logged outcome
+    /// (see [`replay`]): no chase runs unless a record carries no outcome.
+    /// Returns `Ok(None)` when the directory holds no state.
     pub fn recover_durable(
         dur: &Durability,
         engine: ChaseEngine,
@@ -759,13 +808,30 @@ impl EmIndex {
         let wal_replayed = rec.wal.len();
         let wal_torn = rec.wal_torn;
         let skipped_snapshots = rec.skipped_snapshots;
+        let wal_scan_micros = rec.wal_scan.as_micros() as u64;
+        let snapshot_load_micros = rec.snapshot_load.as_micros() as u64;
         let stats = IndexStats::register(&registry);
-        let (state, replay_mode) = replay(rec, engine, compact_threshold, &stats, shard)?;
+        let r = replay(rec, engine, compact_threshold, &stats, shard)?;
+        let replay_micros = t0.elapsed().as_micros() as u64;
+        let t1 = Instant::now();
+        let degrees = DegreeBuckets::build(&r.graph);
+        let state = IndexState::build(
+            r.graph,
+            r.keys,
+            r.compiled,
+            r.eq,
+            StepLog::from_steps(r.steps),
+            degrees,
+            r.version,
+            r.key_epoch,
+        );
+        let index_build_micros = t1.elapsed().as_micros() as u64;
         stats.startup_micros.set(t0.elapsed().as_micros() as u64);
         let index = EmIndex {
             engine,
             state: RwLock::new(Arc::new(state)),
             ingest: Mutex::new(()),
+            unlogged_from: AtomicUsize::new(ALL_LOGGED),
             store: Some(store),
             compact_threshold,
             registry,
@@ -778,9 +844,13 @@ impl EmIndex {
                 recovered: true,
                 snapshot_seq: Some(snapshot_seq),
                 wal_replayed,
-                replay_mode,
+                chased: r.chased,
                 wal_torn,
                 skipped_snapshots,
+                wal_scan_micros,
+                snapshot_load_micros,
+                replay_micros,
+                index_build_micros,
             },
         ))
     }
@@ -1030,6 +1100,12 @@ impl EmIndex {
                 steps: &steps,
             },
         )?;
+        // WAL positions index the live log, and recovery rebuilds it from
+        // this snapshot: the two must agree step for step. (A key has steps
+        // only while its vocabulary has live triples, so the remap drops
+        // none.)
+        debug_assert_eq!(steps.len(), snap.steps().len());
+        self.unlogged_from.store(ALL_LOGGED, Ordering::Relaxed);
         Ok((
             FrozenState {
                 snap,
@@ -1074,39 +1150,7 @@ impl EmIndex {
         let snap = self.snapshot();
 
         let validate = span.child("validate");
-        // Validate entity types against the graph and within the batch
-        // before touching the overlay (OverlayGraph panics on a clash).
-        fn check<'a>(
-            g: &OverlayGraph,
-            batch: &mut FxHashMap<&'a str, &'a str>,
-            name: &'a str,
-            ty: &'a str,
-        ) -> Result<(), String> {
-            if let Some(e) = g.entity_named(name) {
-                let have = g.type_str(g.entity_type(e));
-                if have != ty {
-                    return Err(format!(
-                        "entity {name:?} already has type {have:?}, not {ty:?}"
-                    ));
-                }
-            }
-            match batch.get(name) {
-                Some(&have) if have != ty => Err(format!(
-                    "entity {name:?} used with types {have:?} and {ty:?}"
-                )),
-                _ => {
-                    batch.insert(name, ty);
-                    Ok(())
-                }
-            }
-        }
-        let mut batch_types: FxHashMap<&str, &str> = FxHashMap::default();
-        for s in specs {
-            check(&snap.graph, &mut batch_types, &s.subject, &s.subject_type)?;
-            if let ObjSpec::Entity { name, ty } = &s.object {
-                check(&snap.graph, &mut batch_types, name, ty)?;
-            }
-        }
+        check_entity_types(&snap.graph, specs)?;
         validate.count("triples", specs.len() as u64);
         validate.finish();
 
@@ -1287,15 +1331,22 @@ impl EmIndex {
         }
     }
 
-    /// Appends an accepted update to the WAL, returning the framed bytes
-    /// written (0 without durability).
-    fn log_op(&self, op: WalOp, seq: u64) -> Result<u64, String> {
+    /// Appends an accepted update and its `outcome` to the WAL in one
+    /// record, returning the framed bytes written (0 without durability,
+    /// and the outcome is then never computed).
+    fn log_op(
+        &self,
+        op: WalOp,
+        seq: u64,
+        outcome: impl FnOnce() -> Outcome,
+    ) -> Result<u64, String> {
         let Some(store) = &self.store else {
             return Ok(0);
         };
+        let outcome = outcome();
         let t0 = Instant::now();
         let out = store
-            .append(&WalRecord { seq, op })
+            .append_commit(&WalRecord { seq, op }, &outcome)
             .map_err(|e| format!("write-ahead log append failed; update not applied: {e}"));
         self.stats.wal_fsync_micros.observe_micros(t0.elapsed());
         out
@@ -1488,7 +1539,9 @@ impl EmIndex {
     ///
     /// Write-ahead: `op` must be on the log before the new state becomes
     /// visible, or a crash could lose an acknowledged update — so a failed
-    /// append returns the error and changes nothing.
+    /// append returns the error and changes nothing. The record carries
+    /// the log edit too ([`EmIndex::outcome`]), so recovery replays this
+    /// history instead of chasing a new one.
     fn commit(
         &self,
         snap: &IndexState,
@@ -1498,18 +1551,24 @@ impl EmIndex {
         op: Option<WalOp>,
         span: &Span,
     ) -> Result<(), String> {
+        if let Some(op) = op {
+            let wal = span.child("wal_append");
+            let outcome = || self.outcome(snap, &staged.compiled, &result.steps, mode);
+            let bytes = self.log_op(op, snap.version + 1, outcome)?;
+            wal.count("bytes", bytes);
+            wal.finish();
+            self.unlogged_from.store(ALL_LOGGED, Ordering::Relaxed);
+        } else if self.unlogged_from.load(Ordering::Relaxed) == ALL_LOGGED {
+            // An absorption: its steps start where the previous log ends.
+            let from = snap.steps.len();
+            self.unlogged_from.store(from, Ordering::Relaxed);
+        }
         let steps = match mode {
             AdvanceMode::Incremental => {
                 remap_step_log(&snap.compiled, &staged.compiled, &snap.steps).appended(result.steps)
             }
             _ => StepLog::from_steps(result.steps),
         };
-        if let Some(op) = op {
-            let wal = span.child("wal_append");
-            let bytes = self.log_op(op, snap.version + 1)?;
-            wal.count("bytes", bytes);
-            wal.finish();
-        }
         let next = IndexState::build(
             staged.graph,
             staged.keys,
@@ -1529,6 +1588,120 @@ impl EmIndex {
         .inc();
         Ok(())
     }
+
+    /// What a commit does to the step log, as the WAL records it, keys
+    /// named by declared-Σ position: an incremental result appends to the
+    /// whole previous log; a re-chase keeps a subsequence of it
+    /// ([`split_kept`]) and appends the rest. A shard's re-chase starts
+    /// from the identity and keeps nothing. The steps a shard absorbed
+    /// since its last record head what an incremental record appends, so
+    /// the WAL reproduces its log — in order, each step after the merges
+    /// its witness used — up to the absorptions since the last record,
+    /// which the coordinator re-ships after a restart.
+    fn outcome(
+        &self,
+        snap: &IndexState,
+        compiled: &CompiledKeySet,
+        steps: &[ChaseStep],
+        mode: AdvanceMode,
+    ) -> Outcome {
+        let (kept, appended) = match mode {
+            AdvanceMode::Incremental => (Kept::All, steps),
+            _ if self.shard.is_some() => (Kept::Nothing, steps),
+            _ => split_kept(&snap.compiled, compiled, &snap.steps, steps),
+        };
+        let declared = |keys: &CompiledKeySet, s: &ChaseStep| ChaseStep {
+            pair: s.pair,
+            key: keys.keys[s.key].source,
+        };
+        // An incremental commit can only grow Σ, and ADDKEY appends: the
+        // declared positions of the unlogged steps' keys still hold.
+        let unlogged = match (mode, self.unlogged_from.load(Ordering::Relaxed)) {
+            (AdvanceMode::Incremental, from) if from != ALL_LOGGED => snap.steps.suffix(from),
+            _ => Vec::new(),
+        };
+        let steps = unlogged
+            .iter()
+            .map(|s| declared(&snap.compiled, s))
+            .chain(appended.iter().map(|s| declared(compiled, s)))
+            .collect();
+        Outcome { kept, steps }
+    }
+}
+
+/// Splits a re-chase's `new` log (attributed against `new_keys`) into what
+/// it kept of the `old` one (attributed against `old_keys`) and what it
+/// appended: `new`'s head is matched against `old` as a subsequence,
+/// greedily step by step, keys compared by name. Any such split is exact —
+/// the kept steps of `old` followed by the rest of `new` are `new` — and
+/// for a bounded re-chase, whose log is the old steps that still re-derive
+/// followed by the new ones, it finds O(change) edits.
+fn split_kept<'a>(
+    old_keys: &CompiledKeySet,
+    new_keys: &CompiledKeySet,
+    old: &StepLog,
+    new: &'a [ChaseStep],
+) -> (Kept, &'a [ChaseStep]) {
+    let image: Vec<Option<usize>> = old_keys
+        .keys
+        .iter()
+        .map(|k| new_keys.keys.iter().position(|n| n.name == k.name))
+        .collect();
+    let mut matched = 0;
+    let mut dropped: Vec<u32> = Vec::new();
+    for (i, s) in old.segments().into_iter().flatten().enumerate() {
+        match new.get(matched) {
+            Some(n) if n.pair == s.pair && image.get(s.key) == Some(&Some(n.key)) => matched += 1,
+            _ => dropped.push(i as u32),
+        }
+    }
+    let kept = if dropped.is_empty() {
+        Kept::All
+    } else if matched == 0 {
+        Kept::Nothing
+    } else {
+        Kept::AllBut(dropped)
+    };
+    (kept, &new[matched..])
+}
+
+/// Validates a batch's entity types against the graph and within the
+/// batch — an entity keeps one type — before anything touches the overlay
+/// (which panics on a clash). The accept path and the WAL replay both run
+/// it.
+fn check_entity_types(g: &OverlayGraph, specs: &[TripleSpec]) -> Result<(), String> {
+    fn check<'a>(
+        g: &OverlayGraph,
+        batch: &mut FxHashMap<&'a str, &'a str>,
+        name: &'a str,
+        ty: &'a str,
+    ) -> Result<(), String> {
+        if let Some(e) = g.entity_named(name) {
+            let have = g.type_str(g.entity_type(e));
+            if have != ty {
+                return Err(format!(
+                    "entity {name:?} already has type {have:?}, not {ty:?}"
+                ));
+            }
+        }
+        match batch.get(name) {
+            Some(&have) if have != ty => Err(format!(
+                "entity {name:?} used with types {have:?} and {ty:?}"
+            )),
+            _ => {
+                batch.insert(name, ty);
+                Ok(())
+            }
+        }
+    }
+    let mut batch_types: FxHashMap<&str, &str> = FxHashMap::default();
+    for s in specs {
+        check(g, &mut batch_types, &s.subject, &s.subject_type)?;
+        if let ObjSpec::Entity { name, ty } = &s.object {
+            check(g, &mut batch_types, name, ty)?;
+        }
+    }
+    Ok(())
 }
 
 /// The next version a mutation prepared off to the side — everything but
@@ -1686,52 +1859,72 @@ fn resolve_triple<V: GraphView>(g: &V, spec: &TripleSpec) -> Result<Triple, Stri
     Ok(Triple { s, p, o })
 }
 
-/// Replays the recovered WAL suffix on top of the snapshot state.
+/// The serving state [`replay`] recovered, before the indexes are built.
+struct Replayed {
+    graph: OverlayGraph,
+    keys: Arc<KeySet>,
+    compiled: CompiledKeySet,
+    eq: EqRel,
+    steps: Vec<ChaseStep>,
+    version: u64,
+    key_epoch: u64,
+    /// Whether a chase had to recompute the history.
+    chased: bool,
+}
+
+/// Replays the recovered WAL suffix on top of the snapshot state, applying
+/// each commit's logged history instead of recomputing it.
 ///
-/// The snapshot graph becomes the overlay's frozen base and every WAL
-/// record applies as O(batch) delta appends / tombstones — recovery never
-/// rebuilds the CSR, no matter how records interleave. Key-management
+/// The snapshot graph becomes the overlay's frozen base and every record
+/// applies as O(batch) delta appends / tombstones — recovery never
+/// rebuilds the CSR, no matter how records interleave, and entity ids are
+/// allocated in the order the live server allocated them. Key-management
 /// records evolve Σ the same way: `ADDKEY` appends to the declared set,
-/// `DROPKEY` removes by name, and the final Σ is what the recovered state
-/// serves. The chase then runs once over the final `(G, Σ)`, decided by
-/// [`ChaseEngine::advance`] exactly like a live update: continuing from
-/// the persisted `Eq` when the suffix was monotone (inserts and added keys
-/// only — both can only grow the closure), restarting when any record
-/// deleted triples or dropped a key.
+/// `DROPKEY` removes by name. Each record's [`Outcome`] then edits the step
+/// log rebuilt from the snapshot — the steps it kept, in order, then the
+/// ones it appended — and the final log regenerates `Eq`. No chase runs:
+/// the recovered log *is* the live history, so by Church–Rosser (Prop. 1)
+/// recovery reaches the same relation and the same `EXPLAIN` proofs.
+///
+/// A record without an outcome (a version-1 log, or one written by a bare
+/// [`Store::append`]) leaves the history unknown from there on, so the
+/// suffix ends in one [`ChaseStart::Restart`] chase over the final
+/// `(G, Σ)` — the only chase recovery runs. A record that does not replay
+/// (an entity type clash, a triple that is not there, an outcome step
+/// outside the graph or the log) is an error, never a panic.
 fn replay(
     rec: Recovered,
     engine: ChaseEngine,
     compact_threshold: usize,
     stats: &IndexStats,
     shard: Option<ShardRole>,
-) -> Result<(IndexState, AdvanceMode), String> {
-    let snapshot_steps = rec.snapshot.steps;
+) -> Result<Replayed, String> {
     let snapshot_keys = KeySet::parse(&rec.snapshot.keys_dsl)
         .map_err(|e| format!("persisted key set does not parse: {e}"))?;
     let mut g = OverlayGraph::new(rec.snapshot.graph);
-    // The persisted steps were attributed against a compile of exactly
-    // this graph under exactly this Σ; capture that mapping before the
-    // WAL mutates either.
-    let snapshot_compiled = snapshot_keys.compile(&g);
     let mut declared: Vec<Key> = snapshot_keys.keys().to_vec();
     let mut key_epoch = rec.snapshot.key_epoch;
-    let mut added_types: Vec<String> = Vec::new();
-    let mut touched: Vec<EntityId> = Vec::new();
-    let mut monotone = true;
-    let records = rec.wal;
-    let version = records
+    let version = rec
+        .wal
         .last()
         .map_or(rec.snapshot.seq, |r| r.seq.max(rec.snapshot.seq));
+    // The persisted steps are attributed against a compile of exactly the
+    // snapshot graph under the snapshot Σ; from here on the log names keys
+    // by name, which no later vocabulary or Σ change can shift.
+    let mut history = Some(History::from_snapshot(
+        &snapshot_keys.compile(&g),
+        &declared,
+        rec.snapshot.steps,
+    )?);
 
-    for record in &records {
+    for (i, record) in rec.wal.iter().enumerate() {
         let replay_err =
             |e: String| -> String { format!("WAL record {} does not replay: {e}", record.seq) };
         match &record.op {
             WalOp::Insert(specs) => {
+                check_entity_types(&g, specs).map_err(replay_err)?;
                 for s in specs {
-                    let (subj, obj, _) = s.apply_overlay(&mut g);
-                    touched.push(subj);
-                    touched.extend(obj);
+                    s.apply_overlay(&mut g);
                 }
             }
             WalOp::Delete(specs) => {
@@ -1747,7 +1940,6 @@ fn replay(
                 for t in doomed {
                     g.delete_triple(t);
                 }
-                monotone = false;
             }
             WalOp::AddKey(dsl) => {
                 let new = parse_keys(dsl).map_err(|e| replay_err(e.to_string()))?;
@@ -1755,7 +1947,6 @@ fn replay(
                     if declared.iter().any(|d| d.name == k.name) {
                         return Err(replay_err(format!("duplicate key name {:?}", k.name)));
                     }
-                    added_types.push(k.target_type.clone());
                     declared.push(k);
                 }
                 key_epoch += 1;
@@ -1767,79 +1958,170 @@ fn replay(
                     .ok_or_else(|| replay_err(format!("no key named {name:?}")))?;
                 declared.remove(at);
                 key_epoch += 1;
-                monotone = false;
             }
         }
+        history = match (history, rec.outcomes.get(i).and_then(Option::as_ref)) {
+            (Some(mut h), Some(outcome)) => {
+                h.apply(outcome, &declared, g.num_entities())
+                    .map_err(replay_err)?;
+                Some(h)
+            }
+            // The history is unknown from here on: chase at the end.
+            _ => None,
+        };
     }
     let keys = Arc::new(KeySet::new(declared).map_err(|e| e.to_string())?);
-    // Keys added in the suffix wake the entities they are defined on,
-    // exactly like the live ADDKEY path (resolved against the *final*
-    // graph: inserts later in the suffix may have created the type).
-    for ty in added_types {
-        if let Some(t) = g.etype(&ty) {
-            touched.extend(g.entities_of_type(t));
-        }
-    }
-    touched.sort_unstable();
-    touched.dedup();
 
     // A long WAL suffix can leave a delta far past the configured
-    // compaction threshold; fold it into a fresh base once before chasing,
-    // so the recovered serving state starts compact instead of dragging
-    // the oversized delta until the first accepted write.
+    // compaction threshold; fold it into a fresh base once, so the
+    // recovered serving state starts compact instead of dragging the
+    // oversized delta until the first accepted write.
     let g = fold_if_over_threshold(g, compact_threshold, stats);
-
     let compiled = keys.compile(&g);
-    // The persisted step log regenerates the snapshot's terminal Eq.
-    let mut base = EqRel::identity(g.num_entities());
-    for s in &snapshot_steps {
-        base.union(s.pair.0, s.pair.1);
-    }
-    let start = if !monotone {
-        // Deletions and dropped keys are not monotone: one full chase over
-        // the final graph under the final Σ.
-        Some(ChaseStart::Restart)
-    } else if !touched.is_empty() {
-        // Monotone suffix (inserts and/or added keys): the persisted Eq
-        // seeds a chase woken around the inserted triples and the added
-        // keys' target-type entities.
-        Some(ChaseStart::Continue {
-            prev: &base,
-            touched: &touched,
-        })
-    } else {
-        None // nothing to replay: the snapshot is the state
-    };
-    let (eq, steps, mode) = match start {
-        Some(start) => {
-            // A recovering shard chases only its owned slice either way;
-            // the coordinator re-syncs externals after the restart.
-            let (r, mode) = engine.advance(&g, &compiled, start, shard, &Span::disabled());
+    let chased = history.is_none();
+    let (eq, steps) = match history {
+        Some(h) => {
+            let steps = h.attributed(&compiled);
+            let mut eq = EqRel::identity(g.num_entities());
+            for s in &steps {
+                eq.union(s.pair.0, s.pair.1);
+            }
+            (eq, steps)
+        }
+        None => {
+            // A recovering shard chases only its owned slice; the
+            // coordinator re-syncs externals after the restart.
+            let start = ChaseStart::Restart;
+            let (r, _) = engine.advance(&g, &compiled, start, shard, &Span::disabled());
             stats.startup_rounds.set(r.rounds as u64);
             stats.startup_iso_checks.set(r.iso_checks);
             stats.chase.record(&r);
-            let log = match mode {
-                // New vocabulary or new keys can have shifted compiled
-                // indices — remap the persisted prefix's attribution
-                // before appending.
-                AdvanceMode::Incremental => {
-                    StepLog::from_steps(remap_steps(&snapshot_compiled, &compiled, snapshot_steps))
-                        .appended(r.steps)
-                }
-                _ => StepLog::from_steps(r.steps),
-            };
-            (r.eq, log, mode)
-        }
-        None => {
-            let prefix = remap_steps(&snapshot_compiled, &compiled, snapshot_steps);
-            (base, StepLog::from_steps(prefix), AdvanceMode::NoOp)
+            (r.eq, r.steps)
         }
     };
-    let degrees = DegreeBuckets::build(&g);
-    Ok((
-        IndexState::build(g, keys, compiled, eq, steps, degrees, version, key_epoch),
-        mode,
-    ))
+    Ok(Replayed {
+        graph: g,
+        keys,
+        compiled,
+        eq,
+        steps,
+        version,
+        key_epoch,
+        chased,
+    })
+}
+
+/// The chase-step log while [`replay`] edits it. Each step's `key` is the
+/// id `ids` gave its key's name: a name — unique in Σ, and what the wire
+/// and the merge exchange cite — is the one attribution that no vocabulary
+/// or Σ change shifts.
+struct History {
+    steps: Vec<ChaseStep>,
+    ids: FxHashMap<String, usize>,
+}
+
+impl History {
+    /// The snapshot's log, attributed against `compiled`: the snapshot Σ
+    /// (`declared`) compiled against the snapshot graph.
+    fn from_snapshot(
+        compiled: &CompiledKeySet,
+        declared: &[Key],
+        steps: Vec<ChaseStep>,
+    ) -> Result<History, String> {
+        // Ids start in declared order, so a key's id is its declared
+        // position.
+        let ids = declared.iter().map(|k| k.name.clone()).zip(0..).collect();
+        let steps = steps
+            .into_iter()
+            .map(|s| match compiled.keys.get(s.key) {
+                Some(k) => Ok(ChaseStep {
+                    pair: s.pair,
+                    key: k.source,
+                }),
+                None => Err(format!(
+                    "snapshot step {:?} cites compiled key {} of {}",
+                    s.pair,
+                    s.key,
+                    compiled.keys.len()
+                )),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(History { steps, ids })
+    }
+
+    /// Applies one commit's outcome: keep the steps it kept, then append
+    /// its steps, whose keys are positions in `declared` (Σ after the
+    /// commit) and whose entities are below `entities`. Anything out of
+    /// range is an error.
+    fn apply(
+        &mut self,
+        outcome: &Outcome,
+        declared: &[Key],
+        entities: usize,
+    ) -> Result<(), String> {
+        match &outcome.kept {
+            Kept::All => {}
+            Kept::Nothing => self.steps.clear(),
+            Kept::AllBut(dropped) => {
+                // Ascending by decode, so the last index bounds them all.
+                if let Some(&last) = dropped.last().filter(|&&i| i as usize >= self.steps.len()) {
+                    let len = self.steps.len();
+                    return Err(format!("outcome drops step {last} of a {len}-step log"));
+                }
+                let mut dropped = dropped.iter().copied().peekable();
+                let mut i = 0u32;
+                self.steps.retain(|_| {
+                    let gone = dropped.next_if_eq(&i).is_some();
+                    i += 1;
+                    !gone
+                });
+            }
+        }
+        for s in &outcome.steps {
+            let Some(key) = declared.get(s.key) else {
+                let n = declared.len();
+                return Err(format!("outcome step cites key {} of {n} declared", s.key));
+            };
+            if s.pair.0.idx() >= entities || s.pair.1.idx() >= entities {
+                return Err(format!(
+                    "outcome step {:?} is outside the graph's {entities} entities",
+                    s.pair
+                ));
+            }
+            let key = self.name_id(&key.name);
+            self.steps.push(ChaseStep { pair: s.pair, key });
+        }
+        Ok(())
+    }
+
+    fn name_id(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.ids.len();
+        self.ids.insert(name.to_string(), id);
+        id
+    }
+
+    /// The log attributed against `compiled`. A step whose key is not
+    /// active there has no index and drops, as the live remap drops it.
+    fn attributed(self, compiled: &CompiledKeySet) -> Vec<ChaseStep> {
+        let mut index: Vec<Option<usize>> = vec![None; self.ids.len()];
+        for k in &compiled.keys {
+            if let Some(&id) = self.ids.get(&k.name) {
+                index[id] = Some(k.idx);
+            }
+        }
+        self.steps
+            .into_iter()
+            .filter_map(|s| {
+                Some(ChaseStep {
+                    pair: s.pair,
+                    key: index[s.key]?,
+                })
+            })
+            .collect()
+    }
 }
 
 /// Opens the durable store for a config, mapping errors to protocol text.
@@ -1869,6 +2151,10 @@ mod tests {
         assert_eq!(longest.len(), 5);
         assert_eq!(longest.to_vec(), (0..5).map(step).collect::<Vec<_>>());
         assert_eq!(base.to_vec(), vec![step(0), step(1)]);
+        // A suffix reads back only as far as it starts, across segments.
+        for from in 0..=5 {
+            assert_eq!(longest.suffix(from), longest.to_vec()[from..], "{from}");
+        }
         // Empty segments add nothing (and no chain node).
         let same = base.appended(Vec::new());
         assert_eq!(same.len(), base.len());

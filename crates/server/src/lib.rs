@@ -569,8 +569,8 @@ mod tests {
         let before: Vec<String> = queries.iter().map(|q| s1.handle(q)).collect();
         drop(s1);
 
-        // Restart: the WAL suffix replays through the incremental chase on
-        // top of the bootstrap snapshot — no full chase.
+        // Restart: the WAL suffix's logged outcome replays on top of the
+        // bootstrap snapshot — no chase at all.
         let (s2, rep) = Server::with_durability(
             parse_graph(G).unwrap(),
             KeySet::parse(KEYS).unwrap(),
@@ -581,7 +581,7 @@ mod tests {
         assert!(rep.recovered);
         assert_eq!(rep.snapshot_seq, Some(0));
         assert_eq!(rep.wal_replayed, 1);
-        assert_eq!(rep.replay_mode, AdvanceMode::Incremental);
+        assert!(!rep.chased);
         let after: Vec<String> = queries.iter().map(|q| s2.handle(q)).collect();
         assert_eq!(before, after, "answers must be byte-identical");
         let stats = s2.handle("STATS");
@@ -1071,7 +1071,7 @@ mod tests {
             .unwrap()
             .expect("state persisted");
         assert!(rep.recovered);
-        assert_eq!(rep.replay_mode, AdvanceMode::FullRechase);
+        assert!(!rep.chased, "the DROPKEY's re-chase is logged, not redone");
         assert_eq!(idx.keys().cardinality(), 1);
         let snap = idx.snapshot();
         assert_eq!(snap.key_epoch, 1);

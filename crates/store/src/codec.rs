@@ -40,35 +40,77 @@ fn err<T>(msg: impl Into<String>) -> Result<T, CodecError> {
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
 // ---------------------------------------------------------------------------
 
-/// The byte-at-a-time CRC-32 lookup table, built at first use.
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// The slicing-by-8 lookup tables: `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table, and `CRC_TABLES[k][i]` is the CRC register after
+/// byte `i` is followed by `k` zero bytes — so eight table reads fold eight
+/// input bytes at once.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-/// CRC-32 checksum of `bytes` (IEEE, as used by gzip/PNG).
+/// CRC-32 checksum of `bytes` (IEEE, as used by gzip/PNG), eight bytes per
+/// step (slicing-by-8). Bit-identical to the byte-at-a-time definition.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// The little-endian `u32` at `bytes[at..at + 4]`, if the slice reaches.
+pub fn le_u32(bytes: &[u8], at: usize) -> Option<u32> {
+    let b = bytes.get(at..at.checked_add(4)?)?;
+    Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+}
+
+/// The little-endian `u64` at `bytes[at..at + 8]`, if the slice reaches.
+pub fn le_u64(bytes: &[u8], at: usize) -> Option<u64> {
+    let lo = le_u32(bytes, at)? as u64;
+    let hi = le_u32(bytes, at.checked_add(4)?)? as u64;
+    Some(lo | hi << 32)
 }
 
 // ---------------------------------------------------------------------------
@@ -131,12 +173,17 @@ impl<'a> Dec<'a> {
         self.pos == self.buf.len()
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return err(format!(
                 "truncated: need {n} bytes at offset {}, have {}",
                 self.pos,
-                self.buf.len() - self.pos
+                self.remaining()
             ));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -151,21 +198,41 @@ impl<'a> Dec<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        let b = self.take(4)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        let lo = self.u32()? as u64;
+        let hi = self.u32()? as u64;
+        Ok(lo | hi << 32)
     }
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input —
+    /// still UTF-8-checked, but with no allocation.
+    pub fn str_ref(&mut self) -> Result<&'a str, CodecError> {
         let n = self.u32()? as usize;
         let bytes = self.take(n)?;
-        match std::str::from_utf8(bytes) {
-            Ok(s) => Ok(s.to_owned()),
-            Err(_) => err("invalid UTF-8 in string"),
+        std::str::from_utf8(bytes).or_else(|_| err("invalid UTF-8 in string"))
+    }
+
+    /// Checks an element count read off the input against the bytes left:
+    /// `n` elements of at least `min_bytes` each must fit, so a hostile
+    /// count can neither over-allocate nor spin. Returns `n` as a `usize`.
+    pub fn count(&self, n: u64, min_bytes: usize) -> Result<usize, CodecError> {
+        match usize::try_from(n) {
+            Ok(n) if n.saturating_mul(min_bytes) <= self.remaining() => Ok(n),
+            _ => err(format!(
+                "count {n} exceeds the {} bytes left at offset {}",
+                self.remaining(),
+                self.pos
+            )),
         }
     }
 }
@@ -227,31 +294,32 @@ pub fn encode_graph(g: &Graph, out: &mut Enc) {
 }
 
 /// Decodes a graph encoded by [`encode_graph`], rebuilding every interner
-/// in id order so all ids round-trip.
+/// in id order so all ids round-trip. Strings are interned straight from
+/// the input, and the tables are sized once from the section's counts
+/// (each checked against the bytes left).
 pub fn decode_graph(d: &mut Dec<'_>) -> Result<Graph, CodecError> {
     let mut b = GraphBuilder::new();
     let ntypes = d.u32()?;
     for want in 0..ntypes {
-        let got = b.intern_type(&d.str()?);
-        if got.0 != want {
+        if b.intern_type(d.str_ref()?).0 != want {
             return err("duplicate type string breaks id order");
         }
     }
     let npreds = d.u32()?;
     for want in 0..npreds {
-        let got = b.intern_pred(&d.str()?);
-        if got.0 != want {
+        if b.intern_pred(d.str_ref()?).0 != want {
             return err("duplicate predicate string breaks id order");
         }
     }
     let nvalues = d.u32()?;
+    b.reserve(d.count(nvalues.into(), 4)?, 0, 0);
     for want in 0..nvalues {
-        let got = b.intern_value(&d.str()?);
-        if got.0 != want {
+        if b.intern_value(d.str_ref()?).0 != want {
             return err("duplicate value string breaks id order");
         }
     }
     let nentities = d.u32()?;
+    b.reserve(0, d.count(nentities.into(), 5)?, 0);
     for _ in 0..nentities {
         let ty = d.u32()?;
         if ty >= ntypes {
@@ -259,10 +327,14 @@ pub fn decode_graph(d: &mut Dec<'_>) -> Result<Graph, CodecError> {
         }
         let e = b.fresh_entity(TypeId(ty));
         if d.u8()? == 1 {
-            b.set_entity_name(e, &d.str()?);
+            let name = d.str_ref()?;
+            if !b.try_set_entity_name(e, name) {
+                return err(format!("duplicate entity name {name:?}"));
+            }
         }
     }
     let ntriples = d.u64()?;
+    b.reserve(0, 0, d.count(ntriples, 13)?);
     for _ in 0..ntriples {
         let s = d.u32()?;
         let p = d.u32()?;
@@ -298,8 +370,8 @@ pub fn encode_steps(steps: &[ChaseStep], out: &mut Enc) {
 
 /// Decodes a step list encoded by [`encode_steps`].
 pub fn decode_steps(d: &mut Dec<'_>) -> Result<Vec<ChaseStep>, CodecError> {
-    let n = d.u64()? as usize;
-    let mut steps = Vec::with_capacity(n.min(1 << 20));
+    let n = d.u64()?;
+    let mut steps = Vec::with_capacity(d.count(n, 12)?);
     for _ in 0..n {
         let a = d.u32()?;
         let b = d.u32()?;
@@ -360,11 +432,92 @@ mod tests {
     use super::*;
     use gk_graph::parse_graph;
 
+    /// The byte-at-a-time definition the sliced CRC must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic filler bytes (an LCG), so the CRC tests need no RNG.
+    fn noise(n: usize) -> Vec<u8> {
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        (0..n)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (s >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard check value for the IEEE polynomial.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_definition() {
+        let buf = noise(64 + 8);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+            }
+        }
+        let big = noise(1 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
+    #[test]
+    fn little_endian_helpers_stop_at_the_end() {
+        let b = [1u8, 0, 0, 0, 2, 0, 0, 0, 9];
+        assert_eq!(le_u32(&b, 0), Some(1));
+        assert_eq!(le_u64(&b, 0), Some(1 | 2 << 32));
+        assert_eq!(le_u32(&b, 6), None);
+        assert_eq!(le_u64(&b, 2), None);
+        assert_eq!(le_u32(&b, usize::MAX), None);
+    }
+
+    #[test]
+    fn hostile_counts_error_without_allocating() {
+        // A value count of 2^32-1 over a three-byte remainder.
+        let mut e = Enc::new();
+        e.u32(0);
+        e.u32(0);
+        e.u32(u32::MAX);
+        e.u8(0);
+        e.u8(0);
+        e.u8(0);
+        let bytes = e.into_bytes();
+        assert!(decode_graph(&mut Dec::new(&bytes)).is_err());
+        let mut e = Enc::new();
+        e.u64(u64::MAX);
+        assert!(decode_steps(&mut Dec::new(&e.into_bytes())).is_err());
+    }
+
+    #[test]
+    fn duplicate_entity_name_is_an_error_not_a_panic() {
+        let mut e = Enc::new();
+        e.u32(1);
+        e.str("album");
+        e.u32(0); // predicates
+        e.u32(0); // values
+        e.u32(2); // entities, both named "a1"
+        for _ in 0..2 {
+            e.u32(0);
+            e.u8(1);
+            e.str("a1");
+        }
+        e.u64(0); // triples
+        let bytes = e.into_bytes();
+        let got = decode_graph(&mut Dec::new(&bytes));
+        assert!(matches!(&got, Err(CodecError(m)) if m.contains("duplicate entity name")));
     }
 
     #[test]

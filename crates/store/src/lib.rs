@@ -13,7 +13,7 @@
 //! | module | role |
 //! |--------|------|
 //! | [`codec`] | hand-rolled binary encoding (length-prefixed, CRC-32-checked frames; fixed-width LE integers) for graphs, key sets, chase steps and triple specs |
-//! | [`wal`] | the append-only log: fsync policies ([`FsyncMode`]), torn-tail detection and truncation on reopen |
+//! | [`wal`] | the append-only log: each record's update and commit [`Outcome`], fsync policies ([`FsyncMode`]), torn-tail detection and truncation on reopen |
 //! | [`store`] | the data directory: snapshot selection, WAL-suffix recovery, compaction |
 //!
 //! No serialization framework is involved — the build environment has no
@@ -21,9 +21,10 @@
 //! shims), so the format is written by hand and documented in DESIGN.md.
 //!
 //! The crate stores **generators, not caches**: a snapshot holds the
-//! graph, the Σ DSL text and the chase's merge log; compiled keys,
-//! canonical representatives and duplicate clusters are rebuilt at load.
-//! Applying the log through the incremental chase is the server's job
+//! graph, the Σ DSL text and the chase's merge log, and each WAL record
+//! holds its update plus the commit's edit of that log ([`Outcome`]);
+//! compiled keys, canonical representatives and duplicate clusters are
+//! rebuilt at load. Applying the records is the server's job
 //! (`gk-server`), keeping this crate free of matching logic.
 
 #![warn(missing_docs)]
@@ -35,4 +36,4 @@ pub mod wal;
 
 pub use snapshot::{LoadedSnapshot, SnapshotData};
 pub use store::{CompactReport, Durability, Recovered, Store};
-pub use wal::{scan_wal, FsyncMode, WalOp, WalRecord, WalScan, WAL_HEADER_LEN};
+pub use wal::{scan_wal, FsyncMode, Kept, Outcome, WalOp, WalRecord, WalScan, WAL_HEADER_LEN};

@@ -30,11 +30,16 @@
 //! The terminal `EqRel` is not stored as a parent array: the step list is
 //! its generating merge log (every non-trivial union with the key that
 //! certified it), and replaying the log reproduces the closure exactly.
-//! Derived structures — compiled keys, canonical representatives,
-//! duplicate clusters — are likewise rebuilt from the graph and Σ at load
-//! time; the file stores generators, not caches.
+//! The log is also the history recovery extends: each WAL record past the
+//! snapshot carries what its commit did to the log (the steps it kept and
+//! the ones it appended), so the recovered log — and with it `EqRel` — is
+//! rebuilt without a chase. Derived structures — compiled keys, canonical
+//! representatives, duplicate clusters, degree buckets — are rebuilt from
+//! the graph and Σ at load time; the file stores generators, not caches.
 
-use crate::codec::{crc32, decode_graph, decode_steps, encode_graph, encode_steps, Dec, Enc};
+use crate::codec::{
+    crc32, decode_graph, decode_steps, encode_graph, encode_steps, le_u32, le_u64, Dec, Enc,
+};
 use gk_core::ChaseStep;
 use gk_graph::Graph;
 use std::io::Write;
@@ -87,11 +92,10 @@ fn frame(payload: &[u8], out: &mut Vec<u8>) {
 
 fn read_framed<'a>(bytes: &'a [u8], at: &mut usize) -> std::io::Result<&'a [u8]> {
     let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let header = bytes
-        .get(*at..*at + 8)
-        .ok_or_else(|| bad("truncated section header"))?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    let want_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    let (Some(len), Some(want_crc)) = (le_u32(bytes, *at), le_u32(bytes, *at + 4)) else {
+        return Err(bad("truncated section header"));
+    };
+    let len = len as usize;
     let payload = bytes
         .get(*at + 8..*at + 8 + len)
         .ok_or_else(|| bad("truncated section payload"))?;
@@ -167,16 +171,14 @@ pub fn load_snapshot(path: &Path) -> std::io::Result<LoadedSnapshot> {
             SNAPSHOT_VERSION
         )));
     }
-    let seq = u64::from_le_bytes(bytes[7..15].try_into().unwrap());
+    let seq = le_u64(&bytes, 7).ok_or_else(|| bad("truncated snapshot header".into()))?;
     let mut at = 15usize;
     // v2 adds the key epoch and a CRC over the seq + epoch words between
     // the header and the first section.
     let key_epoch = if version >= 2 {
-        let raw = bytes
-            .get(15..27)
-            .ok_or_else(|| bad("truncated snapshot header".into()))?;
-        let epoch = u64::from_le_bytes(raw[..8].try_into().unwrap());
-        let want_crc = u32::from_le_bytes(raw[8..].try_into().unwrap());
+        let (Some(epoch), Some(want_crc)) = (le_u64(&bytes, 15), le_u32(&bytes, 23)) else {
+            return Err(bad("truncated snapshot header".into()));
+        };
         if crc32(&bytes[7..23]) != want_crc {
             return Err(bad("snapshot header CRC mismatch".into()));
         }

@@ -24,10 +24,11 @@
 use crate::snapshot::{
     list_snapshots, load_snapshot, write_snapshot, LoadedSnapshot, SnapshotData,
 };
-use crate::wal::{scan_wal, FsyncMode, WalRecord, WalWriter};
+use crate::wal::{scan_wal, FsyncMode, Outcome, WalRecord, WalScan, WalWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// Sentinel for "no snapshot on disk yet" in the atomic seq cell.
 const NO_SNAPSHOT: u64 = u64::MAX;
@@ -63,10 +64,18 @@ pub struct Recovered {
     pub snapshot: LoadedSnapshot,
     /// WAL records newer than the snapshot, in append order.
     pub wal: Vec<WalRecord>,
+    /// Each record's logged commit outcome, parallel to `wal` (`None` for
+    /// a record written without one).
+    pub outcomes: Vec<Option<Outcome>>,
     /// Whether a torn or corrupt WAL tail was discarded.
     pub wal_torn: bool,
     /// Snapshot files that failed validation and were skipped.
     pub skipped_snapshots: usize,
+    /// Time spent reading and decoding the WAL.
+    pub wal_scan: Duration,
+    /// Time spent loading and validating snapshot files (skipped ones
+    /// included).
+    pub snapshot_load: Duration,
 }
 
 /// Report of a [`Store::compact`] call.
@@ -95,9 +104,9 @@ pub struct Store {
     /// [`Store::recover`] can report it (the file itself is clean by
     /// then).
     wal_was_torn: bool,
-    /// The records scanned at open, handed to the first [`Store::recover`]
-    /// so startup decodes the log once, not twice.
-    open_records: Mutex<Option<Vec<WalRecord>>>,
+    /// The scan taken at open and how long it took, handed to the first
+    /// [`Store::recover`] so startup decodes the log once, not twice.
+    open_scan: Mutex<Option<(WalScan, Duration)>>,
     /// Exclusive advisory lock on `LOCK`, held for the store's lifetime
     /// so two processes can never truncate/append the same WAL.
     _lock: std::fs::File,
@@ -140,7 +149,9 @@ impl Store {
             }
         }
         let wal_path = cfg.dir.join("wal.log");
+        let t0 = Instant::now();
         let scan = scan_wal(&wal_path)?;
+        let scan_time = t0.elapsed();
         let writer = WalWriter::open(&wal_path, cfg.fsync, &scan)?;
         let records = writer.records();
         let newest = list_snapshots(&cfg.dir)?
@@ -154,7 +165,7 @@ impl Store {
             wal_records: AtomicU64::new(records),
             snapshot_seq: AtomicU64::new(newest.unwrap_or(NO_SNAPSHOT)),
             wal_was_torn: scan.torn,
-            open_records: Mutex::new(Some(scan.records)),
+            open_scan: Mutex::new(Some((scan, scan_time))),
             _lock: lock,
         })
     }
@@ -189,31 +200,41 @@ impl Store {
     /// records or corrupt snapshot files but *no* loadable snapshot is an
     /// error: treating it as fresh would silently discard persisted state.
     pub fn recover(&self) -> std::io::Result<Option<Recovered>> {
-        // Startup reuses the records decoded at open (the file was
-        // truncated to exactly that prefix); a later call — after appends
-        // have invalidated them — re-scans.
-        let records = match self.open_records.lock().expect("open records").take() {
-            Some(records) if records.len() as u64 == self.wal_records() => records,
-            _ => scan_wal(&self.dir.join("wal.log"))?.records,
+        // Startup reuses the scan decoded at open (the file was truncated
+        // to exactly that prefix); a later call — after appends have
+        // invalidated it — re-scans.
+        let (scan, wal_scan) = match self.open_scan.lock().expect("open scan").take() {
+            Some((scan, took)) if scan.records.len() as u64 == self.wal_records() => (scan, took),
+            _ => {
+                let t0 = Instant::now();
+                let scan = scan_wal(&self.dir.join("wal.log"))?;
+                (scan, t0.elapsed())
+            }
         };
+        let records = scan.records;
+        let t0 = Instant::now();
         let mut skipped = 0usize;
         let mut snapshots = list_snapshots(&self.dir)?;
         while let Some((_, path)) = snapshots.pop() {
             match load_snapshot(&path) {
                 Ok(snapshot) => {
+                    let snapshot_load = t0.elapsed();
                     // The filename-derived seq seeded at open is only a
                     // hint; report the snapshot that actually validated.
                     self.snapshot_seq.store(snapshot.seq, Ordering::Relaxed);
-                    let wal: Vec<WalRecord> = records
-                        .iter()
-                        .filter(|r| r.seq > snapshot.seq)
-                        .cloned()
-                        .collect();
+                    let (wal, outcomes) = records
+                        .into_iter()
+                        .zip(scan.outcomes)
+                        .filter(|(r, _)| r.seq > snapshot.seq)
+                        .unzip();
                     return Ok(Some(Recovered {
                         snapshot,
                         wal,
+                        outcomes,
                         wal_torn: self.wal_was_torn,
                         skipped_snapshots: skipped,
+                        wal_scan,
+                        snapshot_load,
                     }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
@@ -243,10 +264,20 @@ impl Store {
         ))
     }
 
-    /// Appends one accepted update batch, honoring the fsync policy.
+    /// Appends one accepted update batch without its outcome, honoring
+    /// the fsync policy: recovery re-chases once after replaying it.
     /// Returns the framed size in bytes written to the WAL.
     pub fn append(&self, record: &WalRecord) -> std::io::Result<u64> {
         let bytes = self.wal.lock().expect("wal writer lock").append(record)?;
+        self.wal_records.fetch_add(1, Ordering::Relaxed);
+        Ok(bytes)
+    }
+
+    /// Appends one accepted update with what it did to the step log, in
+    /// one frame: recovery applies the outcome instead of chasing.
+    pub fn append_commit(&self, record: &WalRecord, outcome: &Outcome) -> std::io::Result<u64> {
+        let mut wal = self.wal.lock().expect("wal writer lock");
+        let bytes = wal.append_commit(record, outcome)?;
         self.wal_records.fetch_add(1, Ordering::Relaxed);
         Ok(bytes)
     }

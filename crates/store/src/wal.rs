@@ -1,20 +1,40 @@
 //! The append-only write-ahead log.
 //!
 //! One file per data directory (`wal.log`): a header (`GKWAL` magic + a
-//! version byte) followed by frames, one per **accepted** update:
+//! version byte, 2) followed by frames, one per **accepted** update:
 //!
 //! ```text
 //! [u32 payload_len] [u32 crc32(payload)] [payload]
-//! payload = u8 kind · u64 seq · body
+//! payload = u8 kind · u64 seq · body [· outcome]
 //!   kind 1 = INSERT  body = u32 n · n triple specs
 //!   kind 2 = DELETE  body = u32 n · n triple specs
 //!   kind 3 = ADDKEY  body = str (key DSL text)
 //!   kind 4 = DROPKEY body = str (key name)
+//!   kind | 0x80      an outcome section follows the body
+//! outcome = u8 kept · [u32 n · n × u32 index] · u64 m · m × (u32 a · u32 b · u32 key)
+//!   kept 0 = every step of the previous log survives
+//!   kept 1 = all but the n listed indices (strictly ascending)
+//!   kept 2 = none survive
+//!   then the m steps the commit appended; `key` is the certifying key's
+//!   position in the declared Σ after the commit, never a compiled index
 //! ```
 //!
 //! Kinds 3/4 are the runtime key-management records: Σ changes made
 //! through `ADDKEY`/`DROPKEY` are logged exactly like triple batches, so
 //! a crash after an acknowledged key change replays it on recovery.
+//!
+//! The **outcome** is what the commit did to the chase-step log
+//! ([`Outcome`]): recovery applies it to the log rebuilt from the snapshot
+//! instead of chasing again, so the recovered history — and every
+//! `EXPLAIN` proof sliced from it — is the one the live server served. A
+//! record without one (written by version 1, or by a bare
+//! [`WalWriter::append`]) makes recovery chase once at the end.
+//!
+//! **Versions.** Version 1 files hold only outcome-less records; this build
+//! reads them, and rewrites the header byte to 2 when it opens one for
+//! appending. A build that reads only version 1 refuses a version-2 file
+//! instead of truncating its flagged records as a torn tail, and this
+//! build refuses any later version the same way.
 //!
 //! The seq is the index version the batch produced, so replay can skip
 //! records a snapshot already covers. Appends go to the OS immediately;
@@ -29,7 +49,10 @@
 //! the file to that offset before appending, so a recovered log never
 //! carries garbage in the middle.
 
-use crate::codec::{crc32, decode_spec, encode_spec, CodecError, Dec, Enc};
+use crate::codec::{
+    crc32, decode_spec, decode_steps, encode_spec, encode_steps, le_u32, CodecError, Dec, Enc,
+};
+use gk_core::ChaseStep;
 use gk_graph::TripleSpec;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -37,8 +60,12 @@ use std::path::{Path, PathBuf};
 
 /// File magic of a WAL, followed by the format version byte.
 pub const WAL_MAGIC: &[u8; 5] = b"GKWAL";
-/// Current WAL format version.
-pub const WAL_VERSION: u8 = 1;
+/// Current WAL format version (v2 added the per-record [`Outcome`]).
+pub const WAL_VERSION: u8 = 2;
+/// Oldest WAL format version this build still reads.
+pub const WAL_MIN_VERSION: u8 = 1;
+/// Kind-byte flag: an outcome section follows the record body.
+const HAS_OUTCOME: u8 = 0x80;
 /// Header length in bytes (magic + version).
 pub const WAL_HEADER_LEN: u64 = 6;
 /// Upper bound on a single record payload; longer length prefixes are
@@ -129,10 +156,77 @@ pub struct WalRecord {
     pub op: WalOp,
 }
 
+/// Which steps of the previous chase-step log a commit kept.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Kept {
+    /// Every step: a monotone commit only appends.
+    All,
+    /// Every step but these indices, strictly ascending: a bounded
+    /// re-chase keeps a subsequence of the old log.
+    AllBut(Vec<u32>),
+    /// None: a chase from the identity replaced the log.
+    Nothing,
+}
+
+/// What a commit did to the chase-step log, logged in the same frame as
+/// its [`WalOp`]: the new log is the kept steps of the previous one, in
+/// their old order, followed by `steps`. Its size is O(change), not
+/// O(log).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Outcome {
+    /// The surviving steps of the previous log.
+    pub kept: Kept,
+    /// The steps the commit appended. Here `key` is the certifying key's
+    /// position in the declared Σ *after* the commit (`CompiledKey::source`),
+    /// not a compiled index: compiled indices shift whenever vocabulary
+    /// activates a key.
+    pub steps: Vec<ChaseStep>,
+}
+
+impl Outcome {
+    fn encode(&self, e: &mut Enc) {
+        match &self.kept {
+            Kept::All => e.u8(0),
+            Kept::AllBut(dropped) => {
+                e.u8(1);
+                e.u32(dropped.len() as u32);
+                for &i in dropped {
+                    e.u32(i);
+                }
+            }
+            Kept::Nothing => e.u8(2),
+        }
+        encode_steps(&self.steps, e);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Outcome, CodecError> {
+        let kept = match d.u8()? {
+            0 => Kept::All,
+            1 => {
+                let n = d.u32()?;
+                let mut dropped = Vec::with_capacity(d.count(n.into(), 4)?);
+                for _ in 0..n {
+                    let i = d.u32()?;
+                    if dropped.last().is_some_and(|&last| last >= i) {
+                        return Err(CodecError("dropped step indices not ascending".into()));
+                    }
+                    dropped.push(i);
+                }
+                Kept::AllBut(dropped)
+            }
+            2 => Kept::Nothing,
+            other => return Err(CodecError(format!("unknown kept tag {other}"))),
+        };
+        let steps = decode_steps(d)?;
+        Ok(Outcome { kept, steps })
+    }
+}
+
 impl WalRecord {
-    fn encode(&self) -> Vec<u8> {
+    fn encode(&self, outcome: Option<&Outcome>) -> Vec<u8> {
         let mut e = Enc::new();
-        e.u8(self.op.kind_byte());
+        let flag = if outcome.is_some() { HAS_OUTCOME } else { 0 };
+        e.u8(self.op.kind_byte() | flag);
         e.u64(self.seq);
         match &self.op {
             WalOp::Insert(specs) | WalOp::Delete(specs) => {
@@ -143,17 +237,22 @@ impl WalRecord {
             }
             WalOp::AddKey(text) | WalOp::DropKey(text) => e.str(text),
         }
+        if let Some(outcome) = outcome {
+            outcome.encode(&mut e);
+        }
         e.into_bytes()
     }
 
-    fn decode(payload: &[u8]) -> Result<WalRecord, CodecError> {
+    fn decode(payload: &[u8]) -> Result<(WalRecord, Option<Outcome>), CodecError> {
         let mut d = Dec::new(payload);
-        let kind = d.u8()?;
+        let flagged = d.u8()?;
         let seq = d.u64()?;
+        let kind = flagged & !HAS_OUTCOME;
         let op = match kind {
             1 | 2 => {
-                let n = d.u32()? as usize;
-                let mut specs = Vec::with_capacity(n.min(1 << 16));
+                // A spec is at least 13 bytes: three strings and a tag.
+                let n = d.u32()?;
+                let mut specs = Vec::with_capacity(d.count(n.into(), 13)?);
                 for _ in 0..n {
                     specs.push(decode_spec(&mut d)?);
                 }
@@ -167,18 +266,29 @@ impl WalRecord {
             4 => WalOp::DropKey(d.str()?),
             other => return Err(CodecError(format!("unknown WAL record kind {other}"))),
         };
+        let outcome = if flagged & HAS_OUTCOME != 0 {
+            Some(Outcome::decode(&mut d)?)
+        } else {
+            None
+        };
         if !d.is_done() {
             return Err(CodecError("trailing bytes inside WAL record".into()));
         }
-        Ok(WalRecord { seq, op })
+        Ok((WalRecord { seq, op }, outcome))
     }
 }
 
 /// The outcome of reading a WAL file front to back.
 #[derive(Debug, Default)]
 pub struct WalScan {
+    /// The file's format version (0 when the file is missing or its
+    /// header torn).
+    pub version: u8,
     /// Every record of the valid prefix, in append order.
     pub records: Vec<WalRecord>,
+    /// Each record's logged [`Outcome`], parallel to `records`: `None`
+    /// for a record written without one.
+    pub outcomes: Vec<Option<Outcome>>,
     /// Byte offset where the valid prefix ends (the safe truncation
     /// point). Equal to the file length when the whole log is clean.
     pub valid_len: u64,
@@ -209,28 +319,31 @@ pub fn scan_wal(path: &Path) -> std::io::Result<WalScan> {
             format!("{} is not a graphkeys WAL (bad magic)", path.display()),
         ));
     }
-    if bytes[5] != WAL_VERSION {
+    let version = bytes[5];
+    if !(WAL_MIN_VERSION..=WAL_VERSION).contains(&version) {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             format!(
-                "{}: unsupported WAL version {} (this build reads {})",
+                "{}: unsupported WAL version {version} (this build reads {WAL_MIN_VERSION}..={WAL_VERSION})",
                 path.display(),
-                bytes[5],
-                WAL_VERSION
             ),
         ));
     }
     let mut records = Vec::new();
+    let mut outcomes = Vec::new();
     let mut at = WAL_HEADER_LEN as usize;
     while let Some(frame) = read_frame(&bytes, at) {
-        let Ok(record) = WalRecord::decode(frame.payload) else {
+        let Ok((record, outcome)) = WalRecord::decode(frame.payload) else {
             break;
         };
         records.push(record);
+        outcomes.push(outcome);
         at = frame.end;
     }
     Ok(WalScan {
+        version,
         records,
+        outcomes,
         valid_len: at as u64,
         torn: at < bytes.len(),
     })
@@ -243,20 +356,17 @@ struct Frame<'a> {
 
 /// Reads the frame starting at `at`, or `None` when truncated / corrupt.
 fn read_frame(bytes: &[u8], at: usize) -> Option<Frame<'_>> {
-    let header = bytes.get(at..at + 8)?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap());
-    let want_crc = u32::from_le_bytes(header[4..].try_into().unwrap());
+    let len = le_u32(bytes, at)?;
+    let want_crc = le_u32(bytes, at + 4)?;
     if len > MAX_RECORD_LEN {
         return None;
     }
-    let payload = bytes.get(at + 8..at + 8 + len as usize)?;
+    let end = at + 8 + len as usize;
+    let payload = bytes.get(at + 8..end)?;
     if crc32(payload) != want_crc {
         return None;
     }
-    Some(Frame {
-        payload,
-        end: at + 8 + len as usize,
-    })
+    Some(Frame { payload, end })
 }
 
 /// The appending half of the log. One writer per data directory, guarded
@@ -280,15 +390,25 @@ impl WalWriter {
             .write(true)
             .open(path)?;
         let fresh = file.metadata()?.len() < WAL_HEADER_LEN;
+        // An older file's records are all valid in this version, so
+        // claiming the current one before appending keeps it readable
+        // here and refused by builds that could not read what follows.
+        let upgrade = !fresh && scan.version < WAL_VERSION;
         if fresh {
             file.set_len(0)?;
             file.write_all(WAL_MAGIC)?;
             file.write_all(&[WAL_VERSION])?;
-        } else if scan.torn {
-            file.set_len(scan.valid_len)?;
+        } else {
+            if scan.torn {
+                file.set_len(scan.valid_len)?;
+            }
+            if upgrade {
+                file.seek(SeekFrom::Start(WAL_MAGIC.len() as u64))?;
+                file.write_all(&[WAL_VERSION])?;
+            }
         }
         file.seek(SeekFrom::End(0))?;
-        if fresh || scan.torn {
+        if fresh || scan.torn || upgrade {
             file.sync_all()?;
         }
         Ok(WalWriter {
@@ -300,11 +420,21 @@ impl WalWriter {
         })
     }
 
-    /// Appends one record frame and applies the fsync policy. The record
-    /// is on disk (or at least with the OS) before this returns. Returns
-    /// the framed size in bytes (payload plus length/CRC header).
+    /// Appends one record frame without an outcome (recovery chases once
+    /// after replaying it) and applies the fsync policy. The record is on
+    /// disk (or at least with the OS) before this returns. Returns the
+    /// framed size in bytes (payload plus length/CRC header).
     pub fn append(&mut self, record: &WalRecord) -> std::io::Result<u64> {
-        let payload = record.encode();
+        self.append_frame(record.encode(None))
+    }
+
+    /// [`WalWriter::append`] with the commit's [`Outcome`] in the same
+    /// frame, so the record is replayed whole or not at all.
+    pub fn append_commit(&mut self, record: &WalRecord, outcome: &Outcome) -> std::io::Result<u64> {
+        self.append_frame(record.encode(Some(outcome)))
+    }
+
+    fn append_frame(&mut self, payload: Vec<u8>) -> std::io::Result<u64> {
         let mut frame = Vec::with_capacity(payload.len() + 8);
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -410,6 +540,91 @@ mod tests {
         let scan = scan_wal(&path).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records, vec![r1, r2]);
+    }
+
+    #[test]
+    fn outcomes_roundtrip_beside_their_records() {
+        let path = tmp("outcomes");
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.version, 0, "a missing file has no version");
+        let mut w = WalWriter::open(&path, FsyncMode::Always, &scan).unwrap();
+        let step = |a, b, key| ChaseStep {
+            pair: (gk_graph::EntityId(a), gk_graph::EntityId(b)),
+            key,
+        };
+        let outcomes = [
+            Outcome {
+                kept: Kept::All,
+                steps: vec![step(0, 1, 0)],
+            },
+            Outcome {
+                kept: Kept::AllBut(vec![0, 3, 9]),
+                steps: vec![step(2, 5, 1), step(4, 6, 0)],
+            },
+            Outcome {
+                kept: Kept::Nothing,
+                steps: Vec::new(),
+            },
+        ];
+        let records: Vec<WalRecord> = (1..=4)
+            .map(|seq| rec(seq, WalOp::Insert, "a:t p \"v\""))
+            .collect();
+        for (r, o) in records.iter().zip(&outcomes) {
+            w.append_commit(r, o).unwrap();
+        }
+        w.append(&records[3]).unwrap();
+        drop(w);
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.version, WAL_VERSION);
+        assert_eq!(scan.records, records);
+        let want: Vec<Option<Outcome>> = outcomes.into_iter().map(Some).chain([None]).collect();
+        assert_eq!(scan.outcomes, want);
+    }
+
+    #[test]
+    fn outcome_decoding_rejects_unordered_drops() {
+        let mut e = Enc::new();
+        e.u8(1);
+        e.u32(2);
+        e.u32(4);
+        e.u32(4);
+        encode_steps(&[], &mut e);
+        let bytes = e.into_bytes();
+        assert!(Outcome::decode(&mut Dec::new(&bytes)).is_err());
+    }
+
+    #[test]
+    fn a_version_1_log_is_read_and_upgraded_when_opened_for_append() {
+        let path = tmp("v1");
+        // A version-1 file: the old header and an outcome-less record,
+        // framed by hand.
+        let old = rec(1, WalOp::Insert, "a:t p \"v\"");
+        let payload = old.encode(None);
+        let mut v1 = WAL_MAGIC.to_vec();
+        v1.push(1);
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&crc32(&payload).to_le_bytes());
+        v1.extend_from_slice(&payload);
+        std::fs::write(&path, &v1).unwrap();
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(scan.version, 1);
+        assert_eq!(scan.records, vec![old.clone()]);
+        assert_eq!(scan.outcomes, vec![None]);
+        let mut w = WalWriter::open(&path, FsyncMode::Always, &scan).unwrap();
+        let new = rec(2, WalOp::Insert, "b:t p \"v\"");
+        let outcome = Outcome {
+            kept: Kept::All,
+            steps: Vec::new(),
+        };
+        w.append_commit(&new, &outcome).unwrap();
+        drop(w);
+        let scan = scan_wal(&path).unwrap();
+        assert_eq!(
+            scan.version, WAL_VERSION,
+            "the header now claims the new format"
+        );
+        assert_eq!(scan.records, vec![old, new]);
+        assert_eq!(scan.outcomes, vec![None, Some(outcome)]);
     }
 
     #[test]
