@@ -350,7 +350,10 @@ fn cmd_match(args: &[String], out: &mut String) -> Result<(), String> {
                         "  {} <=> {} by {}",
                         g.entity_label(s.pair.0),
                         g.entity_label(s.pair.1),
-                        compiled.keys[s.key].name
+                        compiled
+                            .get(s.key)
+                            .expect("a verified proof cites compiled keys")
+                            .name
                     );
                 }
             }

@@ -11,7 +11,7 @@
 
 use crate::candidates::{candidate_pairs, norm, CandidateMode};
 use crate::eqrel::EqRel;
-use crate::keyset::CompiledKeySet;
+use crate::keyset::{CompiledKeySet, KeyId};
 use gk_graph::{EntityId, GraphView};
 use gk_isomorph::{eval_pair, MatchScope};
 use gk_metrics::trace::Span;
@@ -21,8 +21,10 @@ use gk_metrics::trace::Span;
 pub struct ChaseStep {
     /// The identified pair (normalized).
     pub pair: (EntityId, EntityId),
-    /// Index into [`CompiledKeySet::keys`] of the certifying key.
-    pub key: usize,
+    /// The certifying key, by its stable id: the same across every
+    /// recompile and Σ edit, so a log's steps never need re-attributing.
+    /// Resolve it with [`CompiledKeySet::get`].
+    pub key: KeyId,
 }
 
 /// Result of a chase run.
@@ -34,6 +36,11 @@ pub struct ChaseResult {
     /// subset of) the closure of the steps before it — the log-prefix
     /// invariant [`proof::slice`](crate::proof::slice) reads proofs off.
     pub steps: Vec<ChaseStep>,
+    /// Under a [`ChaseStart::Shrink`](crate::ChaseStart::Shrink), the
+    /// indices of the seed log's steps that still re-derive, ascending:
+    /// those steps head [`ChaseResult::steps`], in that order. Empty for
+    /// every other chase.
+    pub kept: Vec<usize>,
     /// Number of fixpoint sweeps over the candidate list.
     pub rounds: usize,
     /// Number of key evaluations performed (subgraph-isomorphism checks).
@@ -134,7 +141,7 @@ pub fn chase_reference_traced<V: GraphView>(
                     eq.union(a, b);
                     steps.push(ChaseStep {
                         pair: norm(a, b),
-                        key: ki,
+                        key: keys.keys[ki].id,
                     });
                     progressed = true;
                 }
@@ -152,6 +159,7 @@ pub fn chase_reference_traced<V: GraphView>(
     ChaseResult {
         eq,
         steps,
+        kept: Vec::new(),
         rounds,
         iso_checks,
         candidates,

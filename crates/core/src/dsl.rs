@@ -197,11 +197,24 @@ fn tokenize(text: &str) -> Result<Vec<(Tok, usize)>, DslError> {
                             closed = true;
                             break;
                         }
+                        // The escapes `write_keys` emits (Rust's string
+                        // `Debug`), so rendered Σ text always re-parses.
                         '\\' => match chars.next() {
                             Some('"') => s.push('"'),
                             Some('\\') => s.push('\\'),
                             Some('n') => s.push('\n'),
                             Some('t') => s.push('\t'),
+                            Some('r') => s.push('\r'),
+                            Some('0') => s.push('\0'),
+                            Some('u') => match unicode_escape(&mut chars) {
+                                Some(c) => s.push(c),
+                                None => {
+                                    return Err(DslError {
+                                        line,
+                                        msg: "bad escape \\u: expected \\u{hex}".into(),
+                                    })
+                                }
+                            },
                             other => {
                                 return Err(DslError {
                                     line,
@@ -228,11 +241,8 @@ fn tokenize(text: &str) -> Result<Vec<(Tok, usize)>, DslError> {
             }
             c if c.is_alphanumeric() || c == '_' => {
                 let mut w = String::new();
-                while chars
-                    .peek()
-                    .is_some_and(|&c| c.is_alphanumeric() || c == '_')
-                {
-                    w.push(chars.next().expect("peeked"));
+                while let Some(c) = chars.next_if(|&c| c.is_alphanumeric() || c == '_') {
+                    w.push(c);
                 }
                 toks.push((Tok::Ident(w), line));
             }
@@ -245,6 +255,18 @@ fn tokenize(text: &str) -> Result<Vec<(Tok, usize)>, DslError> {
         }
     }
     Ok(toks)
+}
+
+/// The `{hex}` tail of a `\u{hex}` escape: one to six hex digits naming a
+/// char.
+fn unicode_escape(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<char> {
+    chars.next_if_eq(&'{')?;
+    let mut hex = String::new();
+    while let Some(c) = chars.next_if(|c| c.is_ascii_hexdigit() && hex.len() < 6) {
+        hex.push(c);
+    }
+    chars.next_if_eq(&'}')?;
+    char::from_u32(u32::from_str_radix(&hex, 16).ok()?)
 }
 
 struct Parser {
@@ -276,7 +298,7 @@ impl Parser {
         Ok(t.0)
     }
 
-    fn expect(&mut self, want: Tok) -> Result<(), DslError> {
+    fn eat(&mut self, want: Tok) -> Result<(), DslError> {
         let line = self.line();
         let got = self.next()?;
         if got == want {
@@ -309,17 +331,19 @@ impl Parser {
                 msg: format!("expected 'key', found {kw:?}"),
             });
         }
-        let name = if let Some(Tok::Str(_)) = self.peek() {
-            match self.next()? {
-                Tok::Str(s) => s,
-                _ => unreachable!("peeked string"),
+        let name = match self.peek() {
+            Some(Tok::Str(s)) => {
+                let s = s.clone();
+                self.pos += 1;
+                s
             }
-        } else {
-            *anon += 1;
-            format!("key#{anon}")
+            _ => {
+                *anon += 1;
+                format!("key#{anon}")
+            }
         };
         let target = self.ident("target type")?;
-        self.expect(Tok::LParen)?;
+        self.eat(Tok::LParen)?;
         let xline = self.line();
         let x = self.ident("'x'")?;
         if x != "x" {
@@ -328,19 +352,19 @@ impl Parser {
                 msg: format!("the designated variable must be named 'x', found {x:?}"),
             });
         }
-        self.expect(Tok::RParen)?;
-        self.expect(Tok::LBrace)?;
+        self.eat(Tok::RParen)?;
+        self.eat(Tok::LBrace)?;
         let mut triples = Vec::new();
         while self.peek() != Some(&Tok::RBrace) {
             let s = self.term()?;
-            self.expect(Tok::Dash)?;
+            self.eat(Tok::Dash)?;
             let p = self.ident("predicate")?;
-            self.expect(Tok::Arrow)?;
+            self.eat(Tok::Arrow)?;
             let o = self.term()?;
-            self.expect(Tok::Semi)?;
+            self.eat(Tok::Semi)?;
             triples.push(KeyTriple { s, p, o });
         }
-        self.expect(Tok::RBrace)?;
+        self.eat(Tok::RBrace)?;
         Ok(Key {
             name,
             target_type: target,
@@ -354,7 +378,7 @@ impl Parser {
             Tok::Str(v) => Ok(Term::Const { value: v }),
             Tok::Tilde => {
                 let name = self.ident("wildcard name")?;
-                self.expect(Tok::Colon)?;
+                self.eat(Tok::Colon)?;
                 let ty = self.ident("wildcard type")?;
                 Ok(Term::Wildcard { name, ty })
             }

@@ -95,12 +95,12 @@ pub enum ChaseStart<'a> {
     /// The change only removed something (deleted triples, a dropped key),
     /// so the new relation lies inside `prev`: re-chase within its classes,
     /// seeded by the steps of `log` that still re-derive. The new steps
-    /// replace the log.
+    /// replace the log, headed by the kept ones ([`ChaseResult::kept`]).
     Shrink {
         /// The terminal `Eq` before the change.
         prev: &'a EqRel,
-        /// Its step log, with key indices remapped to the new compile
-        /// (steps whose key has no image dropped).
+        /// Its step log as it stands. A step whose key the new compile
+        /// lacks (a dropped key) cannot re-derive, so it leaves the seed.
         log: &'a [ChaseStep],
     },
     /// The change was monotone (inserted triples, added keys), so `prev`
@@ -388,7 +388,7 @@ mod tests {
         let touched = [EntityId(2)];
         let log = [ChaseStep {
             pair: (EntityId(0), EntityId(1)),
-            key: 0,
+            key: crate::KeyId(0),
         }];
         let role = ShardRole::new(1, 2).unwrap();
         let restart = ChaseStart::Restart;

@@ -114,12 +114,13 @@ pub(crate) fn chase_delta<V: GraphView>(
 /// The bounded re-chase after a change that only removed triples or keys,
 /// as a kernel configuration over the new `(g, keys)`:
 ///
-/// * **seed** — the old step `log` (attributed against `keys`), walked in
-///   order: a step stays when its key is still compiled and it re-derives
-///   a witness under the closure of the steps kept before it (one
-///   evaluation each, counted in `iso_checks`). The kept steps keep the
-///   log-prefix invariant by construction, so they open the new log in
-///   their old order;
+/// * **seed** — the old step `log`, walked in order: a step stays when
+///   its key is still compiled (a dropped key's steps fail here, with no
+///   evaluation) and it re-derives a witness under the closure of the
+///   steps kept before it (one evaluation each, counted in `iso_checks`).
+///   The kept steps keep the log-prefix invariant by construction, so they
+///   open the new log in their old order, and [`ChaseResult::kept`] names
+///   them by their index in `log`;
 /// * **open list** — inside each class of the old relation `prev`, the
 ///   pairs the seed left apart that share a block value under some key on
 ///   the class's type (every cross pair, for a key without a
@@ -139,13 +140,13 @@ pub(crate) fn chase_shrink<V: GraphView>(
 ) -> ChaseResult {
     let seed_span = span.child("seed");
     let mut eq = EqRel::identity(g.num_entities());
-    let mut kept: Vec<ChaseStep> = Vec::new();
+    let mut kept: Vec<usize> = Vec::new();
     let mut seed_checks = 0u64;
     let Ok(()) = rederive(g, keys, log, &mut eq, |i, witness| {
         seed_checks += u64::from(!matches!(witness, Err(ProofError::BadKey { .. })));
         let keep = witness.is_ok();
         if keep {
-            kept.push(log[i]);
+            kept.push(i);
         }
         Ok::<_, Infallible>(keep)
     });
@@ -161,8 +162,10 @@ pub(crate) fn chase_shrink<V: GraphView>(
     enum_span.finish();
 
     let mut r = kernel::run_watched(g, keys, eq, open, threads, span);
-    kept.append(&mut r.steps);
-    r.steps = kept;
+    let mut steps: Vec<ChaseStep> = kept.iter().map(|&i| log[i]).collect();
+    steps.append(&mut r.steps);
+    r.steps = steps;
+    r.kept = kept;
     r.iso_checks += seed_checks;
     r
 }
@@ -420,31 +423,23 @@ mod tests {
         g2
     }
 
-    /// Shrinks a relation to `(g2, keys2)`: `log` (attributed against
-    /// `old_keys`, remapped by key name, so a dropped key's steps go) both
-    /// generates the old relation and seeds the bounded re-chase, on one
-    /// and on three workers. Each run must reach the reference chase of
-    /// `(g2, keys2)` with a log whose every step re-derives under the ones
-    /// before it. Returns the one-worker run.
+    /// Shrinks a relation to `(g2, keys2)`: `log` both generates the old
+    /// relation and seeds the bounded re-chase, on one and on three
+    /// workers. Each run must reach the reference chase of `(g2, keys2)`
+    /// with a log whose every step re-derives under the ones before it,
+    /// headed by the seed steps it reports kept. Returns the one-worker run.
     fn shrink_checked<V: GraphView>(
         g2: &V,
         keys2: &CompiledKeySet,
-        old_keys: &CompiledKeySet,
         log: &[ChaseStep],
     ) -> ChaseResult {
         let prev: Vec<Pair> = log.iter().map(|s| s.pair).collect();
-        let remapped: Vec<ChaseStep> = log
-            .iter()
-            .filter_map(|s| {
-                let name = &old_keys.keys[s.key].name;
-                let key = keys2.keys.iter().position(|k| k.name == *name)?;
-                Some(ChaseStep { pair: s.pair, key })
-            })
-            .collect();
         let expected = chase_reference(g2, keys2, ChaseOrder::Deterministic);
         let runs = [1, 3].map(|threads| {
-            let r = chase_shrink(g2, keys2, &prev, &remapped, threads, &Span::disabled());
+            let r = chase_shrink(g2, keys2, &prev, log, threads, &Span::disabled());
             assert_eq!(r.eq.classes(), expected.eq.classes(), "threads={threads}");
+            let kept: Vec<ChaseStep> = r.kept.iter().map(|&i| log[i]).collect();
+            assert_eq!(r.steps[..kept.len()], kept, "threads={threads}");
             let mut replayed = EqRel::identity(g2.num_entities());
             let Ok(()) = rederive(g2, keys2, &r.steps, &mut replayed, |i, witness| {
                 assert!(witness.is_ok(), "step {i} of {:?}", r.steps);
@@ -461,7 +456,7 @@ mod tests {
         let e = |n: &str| g.entity_named(n).unwrap();
         ChaseStep {
             pair: norm(e(a), e(b)),
-            key: keys.keys.iter().position(|k| k.name == key).unwrap(),
+            key: keys.keys.iter().find(|k| k.name == key).unwrap().id,
         }
     }
 
@@ -489,7 +484,7 @@ mod tests {
         assert_eq!(old.steps.len(), 2, "albums, then artists");
 
         let g2 = without(g, "alb2", "release_year", "1996");
-        let r = shrink_checked(&g2, &ks.compile(&g2), &keys, &old.steps);
+        let r = shrink_checked(&g2, &ks.compile(&g2), &old.steps);
         assert!(r.eq.classes().is_empty());
         assert!(r.steps.is_empty());
     }
@@ -530,7 +525,7 @@ mod tests {
         ];
 
         let g2 = without(g, "alb2", "release_year", "1996");
-        let r = shrink_checked(&g2, &ks.compile(&g2), &keys, &log);
+        let r = shrink_checked(&g2, &ks.compile(&g2), &log);
         let e = |n: &str| g2.entity_named(n).unwrap();
         assert_eq!(
             r.eq.classes(),
@@ -578,7 +573,7 @@ mod tests {
         ];
 
         let g2 = without(g, "s2", "nation", "UK");
-        let r = shrink_checked(&g2, &ks.compile(&g2), &keys, &log);
+        let r = shrink_checked(&g2, &ks.compile(&g2), &log);
         let e = |n: &str| g2.entity_named(n).unwrap();
         assert_eq!(
             r.eq.classes(),
@@ -614,14 +609,16 @@ mod tests {
         )
         .unwrap();
         let q4 = r#"key "Q4" album(x) { x -name_of-> n*; x -label-> l*; }"#;
-        let keys = KeySet::parse(&format!("{KEYS}\n{q4}")).unwrap().compile(&g);
+        let ks = KeySet::parse(&format!("{KEYS}\n{q4}")).unwrap();
+        let keys = ks.compile(&g);
         let old = chase_reference(&g, &keys, ChaseOrder::Deterministic);
         assert_eq!(old.eq.classes().len(), 4);
-        assert!(old.steps.iter().any(|s| keys.keys[s.key].name == "Q2"));
+        let q2 = keys.keys.iter().find(|k| k.name == "Q2").unwrap().id;
+        assert!(old.steps.iter().any(|s| s.key == q2));
 
-        let q3 = r#"key "Q3" artist(x) { x -name_of-> n*; a:album -recorded_by-> x; }"#;
-        let keys2 = KeySet::parse(&format!("{q3}\n{q4}")).unwrap().compile(&g);
-        let r = shrink_checked(&g, &keys2, &keys, &old.steps);
+        let keys2 = ks.without("Q2").unwrap().compile(&g);
+        let r = shrink_checked(&g, &keys2, &old.steps);
+        assert!(r.steps.iter().all(|s| s.key != q2));
         let e = |n: &str| g.entity_named(n).unwrap();
         assert_eq!(
             r.eq.classes(),

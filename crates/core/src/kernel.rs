@@ -159,6 +159,7 @@ pub(crate) fn run<V: GraphView>(
     ChaseResult {
         eq,
         steps,
+        kept: Vec::new(),
         rounds,
         iso_checks,
         candidates,
@@ -220,9 +221,10 @@ fn sweep<V: GraphView>(
         });
         let mut blocked = seen.blocked.into_inner().expect("no panic under this lock");
         match hit {
-            Some(&key) => {
+            Some(&ki) => {
                 eq.union(a, b);
                 let pair = norm(a, b);
+                let key = keys.keys[ki].id;
                 steps.push(ChaseStep { pair, key });
             }
             None if blocked.is_empty() => {}

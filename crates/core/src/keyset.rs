@@ -13,34 +13,81 @@ use gk_graph::{GraphView, TypeId};
 use gk_isomorph::PairPattern;
 use petgraph::algo::{condensation, toposort};
 use petgraph::graph::DiGraph;
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
+
+/// A declared key's identity within one [`KeySet`] lineage: handed out
+/// once, when the key joins Σ, and never reused, so it names the same key
+/// across every Σ edit and every recompile. It is not a position — there
+/// is no conversion to `usize`; [`CompiledKeySet::get`] resolves it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct KeyId(pub u32);
 
 /// A validated set of keys `Σ`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct KeySet {
     keys: Vec<Key>,
+    /// `ids[i]` names `keys[i]`. Ascending: ids are handed out in order
+    /// and keys only ever join at the end.
+    ids: Vec<KeyId>,
+    /// The next id to hand out; never rewinds.
+    next: u32,
 }
 
 impl KeySet {
-    /// Validates every key and the set (names must be unique).
+    /// Validates every key and the set (names must be unique), numbering
+    /// the keys `0..n` in declared order.
     pub fn new(keys: Vec<Key>) -> Result<Self, KeyError> {
-        let mut seen = rustc_hash::FxHashSet::default();
-        for k in &keys {
-            k.validate()?;
-            assert!(
-                seen.insert(k.name.clone()),
-                "duplicate key name {:?}",
-                k.name
-            );
-        }
-        Ok(KeySet { keys })
+        KeySet::default().with_added(keys)
     }
 
     /// Parses a key set from the DSL (see [`crate::parse_keys`]).
     pub fn parse(dsl: &str) -> Result<Self, crate::dsl::DslError> {
-        Ok(KeySet {
-            keys: crate::dsl::parse_keys(dsl)?,
-        })
+        Ok(KeySet::new(crate::dsl::parse_keys(dsl)?)?)
+    }
+
+    /// This set plus `new`, appended in order under the next ids. Fails —
+    /// changing nothing — on an invalid key or a name Σ already has.
+    pub fn with_added(&self, new: Vec<Key>) -> Result<KeySet, KeyError> {
+        let mut names: FxHashSet<&str> = self.keys.iter().map(|k| k.name.as_str()).collect();
+        for k in &new {
+            k.validate()?;
+            if !names.insert(&k.name) {
+                return Err(KeyError::DuplicateName {
+                    key: k.name.clone(),
+                });
+            }
+        }
+        let mut out = self.clone();
+        for k in new {
+            out.ids.push(KeyId(out.next));
+            out.next += 1;
+            out.keys.push(k);
+        }
+        Ok(out)
+    }
+
+    /// This set without the key named `name`. The other keys keep their
+    /// ids, and the dropped id is never handed out again.
+    pub fn without(&self, name: &str) -> Result<KeySet, KeyError> {
+        let at = self
+            .keys
+            .iter()
+            .position(|k| k.name == name)
+            .ok_or_else(|| KeyError::UnknownName { key: name.into() })?;
+        let mut out = self.clone();
+        out.keys.remove(at);
+        out.ids.remove(at);
+        Ok(out)
+    }
+
+    /// The keys' ids, parallel to [`KeySet::keys`].
+    pub fn ids(&self) -> &[KeyId] {
+        &self.ids
+    }
+
+    /// The declared position of the key `id` names, if it is in Σ.
+    pub fn position(&self, id: KeyId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
     /// The keys, in declaration order.
@@ -139,7 +186,7 @@ impl KeySet {
             match k.compile(g) {
                 Some(pattern) => keys.push(CompiledKey {
                     idx: keys.len(),
-                    source: i,
+                    id: self.ids[i],
                     name: k.name.clone(),
                     target_type: pattern.anchor_type(),
                     radius: pattern.radius(),
@@ -168,10 +215,11 @@ impl KeySet {
 /// One key compiled against a specific graph.
 #[derive(Clone, Debug)]
 pub struct CompiledKey {
-    /// Dense index within the [`CompiledKeySet`].
+    /// Dense slot within the [`CompiledKeySet`]: the matcher's index,
+    /// which shifts whenever a recompile activates or drops a key.
     pub idx: usize,
-    /// Index of the originating [`Key`] in the source [`KeySet`].
-    pub source: usize,
+    /// The stable id of the originating [`Key`] in the source [`KeySet`].
+    pub id: KeyId,
     /// Display name.
     pub name: String,
     /// Resolved target type τ.
@@ -188,7 +236,7 @@ pub struct CompiledKey {
 /// vocabulary exists in the graph) plus per-type indexes.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledKeySet {
-    /// Active keys.
+    /// Active keys, in declared order.
     pub keys: Vec<CompiledKey>,
     /// Names of keys skipped because their vocabulary is absent.
     pub skipped: Vec<String>,
@@ -197,6 +245,14 @@ pub struct CompiledKeySet {
 }
 
 impl CompiledKeySet {
+    /// The active key `id` names, or `None` when Σ no longer has it or
+    /// its vocabulary is absent from the graph. The active keys keep Σ's
+    /// declared order, in which ids ascend, so this is a binary search.
+    pub fn get(&self, id: KeyId) -> Option<&CompiledKey> {
+        let slot = self.keys.binary_search_by_key(&id, |k| k.id).ok()?;
+        self.keys.get(slot)
+    }
+
     /// Indices of the keys *defined on* entities of type `t` (§4.1: a key
     /// `Q(x)` is defined on `e` when `x` and `e` share a type).
     pub fn keys_on(&self, t: TypeId) -> &[usize] {
@@ -297,10 +353,35 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate key name")]
     fn duplicate_names_rejected() {
         let k = Key::builder("K", "t").value("p", "v").build().unwrap();
-        let _ = KeySet::new(vec![k.clone(), k]);
+        let dup = Err(KeyError::DuplicateName { key: "K".into() });
+        assert_eq!(KeySet::new(vec![k.clone(), k.clone()]).map(|_| ()), dup);
+        let one = KeySet::new(vec![k.clone()]).unwrap();
+        assert_eq!(one.with_added(vec![k]).map(|_| ()), dup);
+        let twice = "key \"K\" t(x) { x -p-> v*; }\nkey \"K\" t(x) { x -q-> w*; }";
+        let err = KeySet::parse(twice).unwrap_err();
+        assert!(
+            err.msg.contains(r#"a key named "K" already exists"#),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn ids_are_stable_and_never_reused() {
+        let ks = paper_keys();
+        assert_eq!(ks.ids(), [KeyId(0), KeyId(1), KeyId(2)]);
+        let dropped = ks.without("Q2").unwrap();
+        assert_eq!(dropped.ids(), [KeyId(0), KeyId(2)]);
+        assert_eq!(dropped.position(KeyId(2)), Some(1));
+        assert_eq!(dropped.position(KeyId(1)), None);
+        let q2 = ks.keys()[1].clone();
+        let readded = dropped.with_added(vec![q2]).unwrap();
+        assert_eq!(readded.ids(), [KeyId(0), KeyId(2), KeyId(3)]);
+        assert_eq!(
+            dropped.without("Q2").map(|_| ()),
+            Err(KeyError::UnknownName { key: "Q2".into() })
+        );
     }
 
     #[test]
@@ -319,6 +400,8 @@ mod tests {
         assert_eq!(cks.skipped, vec!["Q1".to_string(), "Q3".to_string()]);
         let album = g.etype("album").unwrap();
         assert_eq!(cks.keys_on(album), &[0]);
+        assert_eq!(cks.get(KeyId(1)).map(|k| k.idx), Some(0));
+        assert!(cks.get(KeyId(0)).is_none() && cks.get(KeyId(7)).is_none());
         assert_eq!(cks.radius_of_type(album), 1);
         assert_eq!(cks.keyed_types().collect::<Vec<_>>(), vec![album]);
     }

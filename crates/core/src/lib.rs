@@ -73,7 +73,7 @@ pub use em_vc::{em_vc, em_vc_sim, VcVariant};
 pub use engine::{AdvanceMode, ChaseEngine, ChaseStart};
 pub use eqrel::EqRel;
 pub use incremental::chase_incremental;
-pub use keyset::{CompiledKey, CompiledKeySet, KeySet};
+pub use keyset::{CompiledKey, CompiledKeySet, KeyId, KeySet};
 pub use metrics::ChaseMetrics;
 pub use parallel::{chase_parallel, ParallelOpts};
 pub use pattern::{Key, KeyBuilder, KeyError, KeyTriple, Term};

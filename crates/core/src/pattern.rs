@@ -154,6 +154,16 @@ pub enum KeyError {
         /// Offending key name.
         key: String,
     },
+    /// A key set already has a key of this name.
+    DuplicateName {
+        /// The repeated name.
+        key: String,
+    },
+    /// A key set has no key of this name.
+    UnknownName {
+        /// The name looked for.
+        key: String,
+    },
 }
 
 impl std::fmt::Display for KeyError {
@@ -176,6 +186,8 @@ impl std::fmt::Display for KeyError {
                 write!(f, "key {key}: pattern is not connected to x")
             }
             KeyError::MissingX { key } => write!(f, "key {key}: x does not occur"),
+            KeyError::DuplicateName { key } => write!(f, "a key named {key:?} already exists"),
+            KeyError::UnknownName { key } => write!(f, "no key named {key:?}"),
         }
     }
 }

@@ -33,7 +33,7 @@
 use crate::candidates::norm;
 use crate::chase::ChaseStep;
 use crate::eqrel::EqRel;
-use crate::keyset::CompiledKeySet;
+use crate::keyset::{CompiledKeySet, KeyId};
 use crate::parallel::{chase_parallel, ParallelOpts};
 use gk_graph::{EntityId, GraphView, NodeId};
 use gk_isomorph::{eval_pair_witness, EqOracle, MatchScope, SlotKind};
@@ -45,8 +45,8 @@ use std::collections::BTreeMap;
 pub struct ProofStep {
     /// The identified pair (normalized).
     pub pair: (EntityId, EntityId),
-    /// Index of the certifying key in the compiled set.
-    pub key: usize,
+    /// The certifying key's stable id (see [`ChaseStep::key`]).
+    pub key: KeyId,
     /// The witness instantiation `m[slot] = (side-1 node, side-2 node)`,
     /// indexed by pattern slot.
     pub witness: Vec<(NodeId, NodeId)>,
@@ -79,7 +79,7 @@ impl Proof {
 /// Why verification rejected a proof.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProofError {
-    /// A step references a key index outside the compiled set.
+    /// A step cites a key the compiled set does not have.
     BadKey {
         /// The offending step index.
         step: usize,
@@ -313,9 +313,8 @@ pub fn slice_traced<V: GraphView>(
         }
         let no_replay = |reason| ProofError::LogDoesNotReplay { step: s, reason };
         let pattern = &keys
-            .keys
             .get(step.key)
-            .ok_or_else(|| no_replay("unknown key index"))?
+            .ok_or_else(|| no_replay("unknown key"))?
             .pattern;
         let scope = MatchScope::whole_graph();
         let witness = eval_pair_witness(g, pattern, step.pair.0, step.pair.1, &before, scope)
@@ -393,7 +392,7 @@ pub(crate) fn rederive<V: GraphView, E>(
 ) -> Result<(), E> {
     for (i, line) in lines.iter().enumerate() {
         let (a, b) = line.pair;
-        let witness = match keys.keys.get(line.key) {
+        let witness = match keys.get(line.key) {
             None => Err(ProofError::BadKey { step: i }),
             Some(ck) => eval_pair_witness(g, &ck.pattern, a, b, &*eq, MatchScope::whole_graph())
                 .ok_or_else(|| ProofError::BadWitness {
@@ -412,7 +411,7 @@ pub(crate) fn rederive<V: GraphView, E>(
 pub fn verify<V: GraphView>(g: &V, keys: &CompiledKeySet, proof: &Proof) -> Result<(), ProofError> {
     let mut eq = EqRel::identity(g.num_entities());
     for (i, step) in proof.steps.iter().enumerate() {
-        let Some(ck) = keys.keys.get(step.key) else {
+        let Some(ck) = keys.get(step.key) else {
             return Err(ProofError::BadKey { step: i });
         };
         let q = &ck.pattern;
@@ -638,7 +637,7 @@ mod tests {
         let g = g1();
         let keys = sigma(&g);
         let mut p = prove(&g, &keys, e(&g, "alb1"), e(&g, "alb2")).unwrap();
-        p.steps[0].key = 99;
+        p.steps[0].key = KeyId(99);
         assert_eq!(
             verify(&g, &keys, &p).unwrap_err(),
             ProofError::BadKey { step: 0 }
@@ -663,7 +662,7 @@ mod tests {
             .iter()
             .map(|&(a, b)| ChaseStep {
                 pair: norm(EntityId(a), EntityId(b)),
-                key: 0,
+                key: KeyId(0),
             })
             .collect()
     }
@@ -746,7 +745,7 @@ mod tests {
         let keys = sigma(&g);
         let step = |a: &str, b: &str, key: &str| ChaseStep {
             pair: norm(e(&g, a), e(&g, b)),
-            key: keys.keys.iter().position(|k| k.name == key).unwrap(),
+            key: keys.keys.iter().find(|k| k.name == key).unwrap().id,
         };
         let log = [
             step("alb8", "alb9", "Q2"),
@@ -769,11 +768,11 @@ mod tests {
         let (art1, art2) = (e(&g, "art1"), e(&g, "art2"));
         let q2 = ChaseStep {
             pair: norm(alb1, alb2),
-            key: 0,
+            key: KeyId(0),
         };
         let q3 = ChaseStep {
             pair: norm(art1, art2),
-            key: 1,
+            key: KeyId(1),
         };
         let failure = |log: &[ChaseStep], a, b| slice(&g, &keys, log, a, b).unwrap_err();
         // The artist step ahead of the album step it leans on: no witness
@@ -783,7 +782,10 @@ mod tests {
             ProofError::LogDoesNotReplay { step: 0, .. }
         ));
         // A key the compiled set does not have.
-        let bad_key = ChaseStep { key: 99, ..q2 };
+        let bad_key = ChaseStep {
+            key: KeyId(99),
+            ..q2
+        };
         assert!(matches!(
             failure(&[bad_key], alb1, alb2),
             ProofError::LogDoesNotReplay { step: 0, .. }
@@ -791,7 +793,7 @@ mod tests {
         // An entity the graph does not have.
         let outside = ChaseStep {
             pair: (alb1, EntityId(g.num_entities() as u32)),
-            key: 0,
+            key: KeyId(0),
         };
         assert!(matches!(
             failure(&[q2, outside], alb1, alb2),

@@ -51,8 +51,8 @@ use gk_graph::{
 };
 use gk_metrics::{Counter, Gauge, Histogram, Registry, Span};
 use gk_store::{
-    CompactReport, Durability, FsyncMode, Kept, Outcome, Recovered, SnapshotData, Store, WalOp,
-    WalRecord,
+    CompactReport, Durability, FsyncMode, Kept, Outcome, Recovered, SnapshotData, StepRow, Store,
+    WalOp, WalRecord,
 };
 use parking_lot::{Mutex, RwLock};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -209,6 +209,40 @@ impl StepLog {
         let mut out: Vec<ChaseStep> = segs.into_iter().rev().flatten().copied().collect();
         out.drain(..from.saturating_sub(start).min(out.len()));
         out
+    }
+
+    /// The steps in application order, without materializing the log.
+    fn iter(&self) -> impl Iterator<Item = &ChaseStep> {
+        self.segments().into_iter().flatten()
+    }
+}
+
+/// The one fold of the step log: the next log is the steps of `prev` that
+/// `kept` keeps, in their old order, then `appended`. The live commit and
+/// [`replay`] derive every log through it, so a recovered log is built the
+/// way the live one was. Keeping everything shares `prev` as the prefix;
+/// a drop past `prev`'s end is an error.
+fn apply(prev: &StepLog, kept: &Kept, appended: Vec<ChaseStep>) -> Result<StepLog, String> {
+    match kept {
+        Kept::All => Ok(prev.appended(appended)),
+        Kept::Nothing => Ok(StepLog::from_steps(appended)),
+        Kept::AllBut(dropped) => {
+            // Ascending (by decode, and by construction when live), so the
+            // last index bounds them all.
+            if let Some(&last) = dropped.last().filter(|&&i| i as usize >= prev.len()) {
+                let len = prev.len();
+                return Err(format!("outcome drops step {last} of a {len}-step log"));
+            }
+            let mut dropped = dropped.iter().map(|&i| i as usize).peekable();
+            let mut steps: Vec<ChaseStep> = prev
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| dropped.next_if_eq(&i).is_none())
+                .map(|(_, s)| *s)
+                .collect();
+            steps.extend(appended);
+            Ok(StepLog::from_steps(steps))
+        }
     }
 }
 
@@ -820,7 +854,7 @@ impl EmIndex {
             r.keys,
             r.compiled,
             r.eq,
-            StepLog::from_steps(r.steps),
+            r.steps,
             degrees,
             r.version,
             r.key_epoch,
@@ -883,13 +917,16 @@ impl EmIndex {
         let steps = snap.steps().to_vec();
         let next = steps.len() as u64;
         let from = (cursor as usize).min(steps.len());
+        // Every logged step's key is compiled (the log contract); an
+        // unnamed one would be refused by the absorbing shard.
+        let key_name = |s: &ChaseStep| snap.compiled.get(s.key).map_or("", |k| &k.name);
         let entries = steps[from..]
             .iter()
             .map(|s| {
                 (
                     entity_label(&snap.graph, s.pair.0),
                     entity_label(&snap.graph, s.pair.1),
-                    snap.compiled.keys[s.key].name.clone(),
+                    key_name(s).to_string(),
                 )
             })
             .collect();
@@ -931,17 +968,17 @@ impl EmIndex {
                 .entity_named(b)
                 .ok_or_else(|| format!("unknown entity {b:?}"))?;
             // Shards replicate the same graph and Σ, so the certifying
-            // key compiles to the same active set here.
-            let ki = snap
+            // key compiles here too.
+            let ck = snap
                 .compiled
                 .keys
                 .iter()
-                .position(|k| k.name == *key)
+                .find(|k| k.name == *key)
                 .ok_or_else(|| format!("unknown key {key:?}"))?;
             if eq.union(ea, eb) {
                 ext_steps.push(ChaseStep {
                     pair: norm(ea, eb),
-                    key: ki,
+                    key: ck.id,
                 });
             }
         }
@@ -1029,10 +1066,10 @@ impl EmIndex {
             .map_err(|e| format!("compaction failed: {e}"))?;
         let snap = frz.snap;
         if !snap.graph.is_compact() {
-            // Reuse the materialized CSR — and the compile + remapped step
-            // log freeze_and already produced against it — as the new
-            // in-memory state: same logical graph and Eq, same version;
-            // only the layout moved.
+            // Reuse the materialized CSR — and the compile freeze_and
+            // already produced against it — as the new in-memory state:
+            // same logical graph, Eq and step log, same version; only the
+            // layout moved.
             self.stats.compactions.inc();
             self.stats.compact_micros.observe_micros(t0.elapsed());
             let g2 = OverlayGraph::from_arc(frz.graph, snap.graph.epoch() + 1);
@@ -1041,7 +1078,7 @@ impl EmIndex {
                 Arc::clone(&snap.keys),
                 frz.compiled,
                 snap.eq.clone(),
-                StepLog::from_steps(frz.steps),
+                snap.steps.clone(),
                 // Same logical graph, new layout: degrees carry over.
                 snap.degrees.clone(),
                 snap.version,
@@ -1084,12 +1121,22 @@ impl EmIndex {
         } else {
             Arc::new(snap.graph.materialize())
         };
-        // Recovery assumes the persisted steps are attributed against a
-        // compile of exactly the persisted graph — whose pruned interner
-        // can deactivate keys the overlay still compiled (their vocabulary
-        // may survive only in the base interner). Remap before writing.
+        // A snapshot names a step's key by its slot in a compile of exactly
+        // the persisted graph — whose pruned interner can deactivate keys
+        // the overlay still compiled (their vocabulary may survive only in
+        // the base interner).
         let compiled = snap.keys.compile(frozen.as_ref());
-        let steps = remap_steps(&snap.compiled, &compiled, snap.steps().to_vec());
+        let steps: Vec<StepRow> = snap
+            .steps
+            .iter()
+            .filter_map(|s| {
+                let slot = compiled.get(s.key)?.idx;
+                Some(StepRow {
+                    pair: s.pair,
+                    key: slot as u32,
+                })
+            })
+            .collect();
         let out = op(
             store,
             &SnapshotData {
@@ -1102,8 +1149,7 @@ impl EmIndex {
         )?;
         // WAL positions index the live log, and recovery rebuilds it from
         // this snapshot: the two must agree step for step. (A key has steps
-        // only while its vocabulary has live triples, so the remap drops
-        // none.)
+        // only while its vocabulary has live triples, so it stays active.)
         debug_assert_eq!(steps.len(), snap.steps().len());
         self.unlogged_from.store(ALL_LOGGED, Ordering::Relaxed);
         Ok((
@@ -1111,7 +1157,6 @@ impl EmIndex {
                 snap,
                 graph: frozen,
                 compiled,
-                steps,
             },
             out,
         ))
@@ -1267,7 +1312,7 @@ impl EmIndex {
         compile.finish();
         let log;
         let (start, op) = if deleting {
-            log = remap_steps(&snap.compiled, &compiled2, snap.steps.to_vec());
+            log = snap.steps.to_vec();
             let start = ChaseStart::Shrink {
                 prev: &snap.eq,
                 log: &log,
@@ -1338,12 +1383,12 @@ impl EmIndex {
         &self,
         op: WalOp,
         seq: u64,
-        outcome: impl FnOnce() -> Outcome,
+        outcome: impl FnOnce() -> Result<Outcome, String>,
     ) -> Result<u64, String> {
         let Some(store) = &self.store else {
             return Ok(0);
         };
-        let outcome = outcome();
+        let outcome = outcome()?;
         let t0 = Instant::now();
         let out = store
             .append_commit(&WalRecord { seq, op }, &outcome)
@@ -1379,19 +1424,10 @@ impl EmIndex {
         let _writer = self.ingest.lock();
         let snap = self.snapshot();
         let validate = span.child("validate");
-        let mut names: FxHashSet<&str> = snap.keys.keys().iter().map(|k| k.name.as_str()).collect();
-        for k in &new {
-            k.validate().map_err(|e| e.to_string())?;
-            if !names.insert(&k.name) {
-                return Err(format!("a key named {:?} already exists", k.name));
-            }
-        }
-        validate.count("keys", new.len() as u64);
+        let (count, dsl) = (new.len() as u64, write_keys(&new));
+        let keys2 = Arc::new(snap.keys.with_added(new).map_err(|e| e.to_string())?);
+        validate.count("keys", count);
         validate.finish();
-        let dsl = write_keys(&new);
-        let mut all: Vec<Key> = snap.keys.keys().to_vec();
-        all.extend(new.iter().cloned());
-        let keys2 = Arc::new(KeySet::new(all).map_err(|e| e.to_string())?);
         let compile = span.child("compile");
         let compiled2 = keys2.compile(&snap.graph);
         compile.finish();
@@ -1406,9 +1442,12 @@ impl EmIndex {
         // block-mates. Entities below the demand (and keys that did
         // not compile, which cannot match at all) are skipped instead of
         // seeding dead candidate pairs.
-        let prior_declared = snap.keys.cardinality();
         let mut touched: Vec<EntityId> = Vec::new();
-        for ck in compiled2.keys.iter().filter(|k| k.source >= prior_declared) {
+        let added = compiled2
+            .keys
+            .iter()
+            .filter(|k| snap.keys.position(k.id).is_none());
+        for ck in added {
             let req = ck.pattern.anchor_req();
             touched.extend(
                 snap.graph
@@ -1451,19 +1490,13 @@ impl EmIndex {
     pub fn drop_key_traced(&self, name: &str, span: &Span) -> Result<KeyChange, String> {
         let _writer = self.ingest.lock();
         let snap = self.snapshot();
-        let mut all: Vec<Key> = snap.keys.keys().to_vec();
-        let at = all
-            .iter()
-            .position(|k| k.name == name)
-            .ok_or_else(|| format!("no key named {name:?}"))?;
-        all.remove(at);
-        let keys2 = Arc::new(KeySet::new(all).map_err(|e| e.to_string())?);
+        let keys2 = Arc::new(snap.keys.without(name).map_err(|e| e.to_string())?);
         let compile = span.child("compile");
         let compiled2 = keys2.compile(&snap.graph);
         compile.finish();
-        // Shrinking, like deletion: the dropped key's steps have no image
-        // in the new compile, so the remap leaves them out of the seed.
-        let log = remap_steps(&snap.compiled, &compiled2, snap.steps.to_vec());
+        // Shrinking, like deletion: the dropped key's steps do not resolve
+        // in the new compile, so they cannot re-derive and leave the seed.
+        let log = snap.steps.to_vec();
         let start = ChaseStart::Shrink {
             prev: &snap.eq,
             log: &log,
@@ -1531,29 +1564,35 @@ impl EmIndex {
     /// The one commit path: makes `staged` plus the chased closure the
     /// next version of `snap`.
     ///
-    /// An incremental result reports only the new steps; the accumulated
-    /// log shares its prefix with the previous state. When the recompile
-    /// shifted active-key indices (a key activated on new vocabulary, or a
-    /// compaction pruned one), the prefix is remapped through the key names
-    /// first. A full or bounded re-chase replaces the log.
+    /// The next step log is [`apply`] of the commit's edit to the previous
+    /// one: an incremental result keeps the whole log (sharing it as the
+    /// prefix) and appends its new steps; a bounded re-chase keeps the old
+    /// steps it reports ([`ChaseResult::kept`]) and appends the rest; any
+    /// other re-chase replaces the log.
     ///
     /// Write-ahead: `op` must be on the log before the new state becomes
     /// visible, or a crash could lose an acknowledged update — so a failed
     /// append returns the error and changes nothing. The record carries
-    /// the log edit too ([`EmIndex::outcome`]), so recovery replays this
-    /// history instead of chasing a new one.
+    /// the same edit ([`EmIndex::outcome`]), so recovery replays this
+    /// history through the same [`apply`] instead of chasing a new one.
     fn commit(
         &self,
         snap: &IndexState,
         staged: Staged,
-        result: ChaseResult,
+        mut result: ChaseResult,
         mode: AdvanceMode,
         op: Option<WalOp>,
         span: &Span,
     ) -> Result<(), String> {
+        let kept = match mode {
+            AdvanceMode::Incremental => Kept::All,
+            _ => kept_of(snap.steps.len(), &result.kept),
+        };
+        let mut appended = std::mem::take(&mut result.steps);
+        appended.drain(..result.kept.len());
         if let Some(op) = op {
             let wal = span.child("wal_append");
-            let outcome = || self.outcome(snap, &staged.compiled, &result.steps, mode);
+            let outcome = || self.outcome(snap, &staged.keys, &kept, &appended, mode);
             let bytes = self.log_op(op, snap.version + 1, outcome)?;
             wal.count("bytes", bytes);
             wal.finish();
@@ -1563,12 +1602,7 @@ impl EmIndex {
             let from = snap.steps.len();
             self.unlogged_from.store(from, Ordering::Relaxed);
         }
-        let steps = match mode {
-            AdvanceMode::Incremental => {
-                remap_step_log(&snap.compiled, &staged.compiled, &snap.steps).appended(result.steps)
-            }
-            _ => StepLog::from_steps(result.steps),
-        };
+        let steps = apply(&snap.steps, &kept, appended)?;
         let next = IndexState::build(
             staged.graph,
             staged.keys,
@@ -1589,80 +1623,58 @@ impl EmIndex {
         Ok(())
     }
 
-    /// What a commit does to the step log, as the WAL records it, keys
-    /// named by declared-Σ position: an incremental result appends to the
-    /// whole previous log; a re-chase keeps a subsequence of it
-    /// ([`split_kept`]) and appends the rest. A shard's re-chase starts
-    /// from the identity and keeps nothing. The steps a shard absorbed
-    /// since its last record head what an incremental record appends, so
-    /// the WAL reproduces its log — in order, each step after the merges
-    /// its witness used — up to the absorptions since the last record,
-    /// which the coordinator re-ships after a restart.
+    /// A commit's edit of the step log as the WAL records it: `kept` and
+    /// the `appended` steps, keys named by their position in `keys`, Σ
+    /// after the commit. The steps a shard absorbed since its last record
+    /// head what an incremental record appends, so the WAL reproduces its
+    /// log — in order, each step after the merges its witness used — up to
+    /// the absorptions since the last record, which the coordinator
+    /// re-ships after a restart.
     fn outcome(
         &self,
         snap: &IndexState,
-        compiled: &CompiledKeySet,
-        steps: &[ChaseStep],
+        keys: &KeySet,
+        kept: &Kept,
+        appended: &[ChaseStep],
         mode: AdvanceMode,
-    ) -> Outcome {
-        let (kept, appended) = match mode {
-            AdvanceMode::Incremental => (Kept::All, steps),
-            _ if self.shard.is_some() => (Kept::Nothing, steps),
-            _ => split_kept(&snap.compiled, compiled, &snap.steps, steps),
-        };
-        let declared = |keys: &CompiledKeySet, s: &ChaseStep| ChaseStep {
-            pair: s.pair,
-            key: keys.keys[s.key].source,
-        };
-        // An incremental commit can only grow Σ, and ADDKEY appends: the
-        // declared positions of the unlogged steps' keys still hold.
+    ) -> Result<Outcome, String> {
         let unlogged = match (mode, self.unlogged_from.load(Ordering::Relaxed)) {
             (AdvanceMode::Incremental, from) if from != ALL_LOGGED => snap.steps.suffix(from),
             _ => Vec::new(),
         };
         let steps = unlogged
             .iter()
-            .map(|s| declared(&snap.compiled, s))
-            .chain(appended.iter().map(|s| declared(compiled, s)))
-            .collect();
-        Outcome { kept, steps }
+            .chain(appended)
+            .map(|s| match keys.position(s.key) {
+                Some(at) => Ok(StepRow {
+                    pair: s.pair,
+                    key: at as u32,
+                }),
+                None => Err(format!("step {:?} cites a key outside Σ", s.pair)),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Outcome {
+            kept: kept.clone(),
+            steps,
+        })
     }
 }
 
-/// Splits a re-chase's `new` log (attributed against `new_keys`) into what
-/// it kept of the `old` one (attributed against `old_keys`) and what it
-/// appended: `new`'s head is matched against `old` as a subsequence,
-/// greedily step by step, keys compared by name. Any such split is exact —
-/// the kept steps of `old` followed by the rest of `new` are `new` — and
-/// for a bounded re-chase, whose log is the old steps that still re-derive
-/// followed by the new ones, it finds O(change) edits.
-fn split_kept<'a>(
-    old_keys: &CompiledKeySet,
-    new_keys: &CompiledKeySet,
-    old: &StepLog,
-    new: &'a [ChaseStep],
-) -> (Kept, &'a [ChaseStep]) {
-    let image: Vec<Option<usize>> = old_keys
-        .keys
-        .iter()
-        .map(|k| new_keys.keys.iter().position(|n| n.name == k.name))
-        .collect();
-    let mut matched = 0;
-    let mut dropped: Vec<u32> = Vec::new();
-    for (i, s) in old.segments().into_iter().flatten().enumerate() {
-        match new.get(matched) {
-            Some(n) if n.pair == s.pair && image.get(s.key) == Some(&Some(n.key)) => matched += 1,
-            _ => dropped.push(i as u32),
-        }
-    }
-    let kept = if dropped.is_empty() {
+/// What a re-chase kept of an `old_len`-step log, given the ascending
+/// indices of the steps it kept.
+fn kept_of(old_len: usize, kept: &[usize]) -> Kept {
+    if kept.len() == old_len {
         Kept::All
-    } else if matched == 0 {
+    } else if kept.is_empty() {
         Kept::Nothing
     } else {
+        let mut kept = kept.iter().copied().peekable();
+        let dropped = (0..old_len)
+            .filter(|&i| kept.next_if_eq(&i).is_none())
+            .map(|i| i as u32)
+            .collect();
         Kept::AllBut(dropped)
-    };
-    (kept, &new[matched..])
+    }
 }
 
 /// Validates a batch's entity types against the graph and within the
@@ -1715,13 +1727,12 @@ struct Staged {
 }
 
 /// What [`EmIndex::freeze_and`] captured: the snapshot it froze, the
-/// frozen CSR, and Σ compiled + the step log remapped against that CSR —
-/// exactly what the store wrote, reusable for an in-memory epoch bump.
+/// frozen CSR and Σ compiled against it — reusable for an in-memory epoch
+/// bump.
 struct FrozenState {
     snap: Arc<IndexState>,
     graph: Arc<Graph>,
     compiled: CompiledKeySet,
-    steps: Vec<ChaseStep>,
 }
 
 /// The one compaction trigger, shared by the serving write path
@@ -1738,55 +1749,6 @@ fn fold_if_over_threshold(g: OverlayGraph, threshold: usize, stats: &IndexStats)
     } else {
         g
     }
-}
-
-/// Remaps a step log's key attribution from one compiled key set to
-/// another. Compiled indices are dense over the *active* keys, so a key
-/// activating (new vocabulary), deactivating (compaction pruned its
-/// vocabulary) or leaving Σ (`DROPKEY`, which also shifts the declared
-/// positions of every later key) moves indices; the key's name — unique in
-/// Σ, and what the wire and the merge exchange cite — bridges the two.
-/// Returns the log unchanged (shared, not copied) when the active sets
-/// coincide — the steady-state case.
-fn remap_step_log(old: &CompiledKeySet, new: &CompiledKeySet, log: &StepLog) -> StepLog {
-    if same_active_keys(old, new) {
-        return log.clone();
-    }
-    StepLog::from_steps(remap_steps(old, new, log.to_vec()))
-}
-
-/// Do two compiled key sets activate the same keys in the same order (⇔
-/// identical step attribution)?
-fn same_active_keys(old: &CompiledKeySet, new: &CompiledKeySet) -> bool {
-    old.keys.len() == new.keys.len()
-        && old
-            .keys
-            .iter()
-            .zip(&new.keys)
-            .all(|(a, b)| a.name == b.name)
-}
-
-/// [`remap_step_log`] on a materialized step vector. A step whose key has
-/// no image in `new` — a dropped key, or one whose vocabulary left the
-/// graph — is dropped: no index could attribute it.
-fn remap_steps(
-    old: &CompiledKeySet,
-    new: &CompiledKeySet,
-    steps: Vec<ChaseStep>,
-) -> Vec<ChaseStep> {
-    if same_active_keys(old, new) {
-        return steps;
-    }
-    let by_name: FxHashMap<&str, usize> =
-        new.keys.iter().map(|k| (k.name.as_str(), k.idx)).collect();
-    steps
-        .into_iter()
-        .filter_map(|s| {
-            let old_key = old.keys.get(s.key)?;
-            let key = *by_name.get(old_key.name.as_str())?;
-            Some(ChaseStep { pair: s.pair, key })
-        })
-        .collect()
 }
 
 /// Runs the startup chase and builds version 0 of the serving state. A
@@ -1865,7 +1827,7 @@ struct Replayed {
     keys: Arc<KeySet>,
     compiled: CompiledKeySet,
     eq: EqRel,
-    steps: Vec<ChaseStep>,
+    steps: StepLog,
     version: u64,
     key_epoch: u64,
     /// Whether a chase had to recompute the history.
@@ -1879,12 +1841,13 @@ struct Replayed {
 /// applies as O(batch) delta appends / tombstones — recovery never
 /// rebuilds the CSR, no matter how records interleave, and entity ids are
 /// allocated in the order the live server allocated them. Key-management
-/// records evolve Σ the same way: `ADDKEY` appends to the declared set,
-/// `DROPKEY` removes by name. Each record's [`Outcome`] then edits the step
-/// log rebuilt from the snapshot — the steps it kept, in order, then the
-/// ones it appended — and the final log regenerates `Eq`. No chase runs:
-/// the recovered log *is* the live history, so by Church–Rosser (Prop. 1)
-/// recovery reaches the same relation and the same `EXPLAIN` proofs.
+/// records evolve Σ through the same [`KeySet::with_added`] and
+/// [`KeySet::without`] the live server ran, so keys get their ids in the
+/// same order. Each record's [`Outcome`] then edits the step log rebuilt
+/// from the snapshot through the same [`apply`] the live commit ran, and
+/// the final log regenerates `Eq`. No chase runs: the recovered log *is*
+/// the live history, so by Church–Rosser (Prop. 1) recovery reaches the
+/// same relation and the same `EXPLAIN` proofs.
 ///
 /// A record without an outcome (a version-1 log, or one written by a bare
 /// [`Store::append`]) leaves the history unknown from there on, so the
@@ -1899,23 +1862,33 @@ fn replay(
     stats: &IndexStats,
     shard: Option<ShardRole>,
 ) -> Result<Replayed, String> {
-    let snapshot_keys = KeySet::parse(&rec.snapshot.keys_dsl)
+    let mut keys = KeySet::parse(&rec.snapshot.keys_dsl)
         .map_err(|e| format!("persisted key set does not parse: {e}"))?;
     let mut g = OverlayGraph::new(rec.snapshot.graph);
-    let mut declared: Vec<Key> = snapshot_keys.keys().to_vec();
     let mut key_epoch = rec.snapshot.key_epoch;
     let version = rec
         .wal
         .last()
         .map_or(rec.snapshot.seq, |r| r.seq.max(rec.snapshot.seq));
-    // The persisted steps are attributed against a compile of exactly the
-    // snapshot graph under the snapshot Σ; from here on the log names keys
-    // by name, which no later vocabulary or Σ change can shift.
-    let mut history = Some(History::from_snapshot(
-        &snapshot_keys.compile(&g),
-        &declared,
-        rec.snapshot.steps,
-    )?);
+    // The snapshot names a step's key by its slot in the snapshot Σ
+    // compiled against exactly the snapshot graph.
+    let compiled = keys.compile(&g);
+    let snapshot_steps = rec.snapshot.steps.iter().map(|s| {
+        let ck = compiled.keys.get(s.key as usize).ok_or_else(|| {
+            let n = compiled.keys.len();
+            format!(
+                "snapshot step {:?} cites compiled key {} of {n}",
+                s.pair, s.key
+            )
+        })?;
+        Ok(ChaseStep {
+            pair: s.pair,
+            key: ck.id,
+        })
+    });
+    let mut log = Some(StepLog::from_steps(
+        snapshot_steps.collect::<Result<_, String>>()?,
+    ));
 
     for (i, record) in rec.wal.iter().enumerate() {
         let replay_err =
@@ -1943,34 +1916,26 @@ fn replay(
             }
             WalOp::AddKey(dsl) => {
                 let new = parse_keys(dsl).map_err(|e| replay_err(e.to_string()))?;
-                for k in new {
-                    if declared.iter().any(|d| d.name == k.name) {
-                        return Err(replay_err(format!("duplicate key name {:?}", k.name)));
-                    }
-                    declared.push(k);
-                }
+                keys = keys
+                    .with_added(new)
+                    .map_err(|e| replay_err(e.to_string()))?;
                 key_epoch += 1;
             }
             WalOp::DropKey(name) => {
-                let at = declared
-                    .iter()
-                    .position(|d| &d.name == name)
-                    .ok_or_else(|| replay_err(format!("no key named {name:?}")))?;
-                declared.remove(at);
+                keys = keys.without(name).map_err(|e| replay_err(e.to_string()))?;
                 key_epoch += 1;
             }
         }
-        history = match (history, rec.outcomes.get(i).and_then(Option::as_ref)) {
-            (Some(mut h), Some(outcome)) => {
-                h.apply(outcome, &declared, g.num_entities())
-                    .map_err(replay_err)?;
-                Some(h)
+        log = match (log, rec.outcomes.get(i).and_then(Option::as_ref)) {
+            (Some(log), Some(outcome)) => {
+                let appended =
+                    logged_steps(outcome, &keys, g.num_entities()).map_err(replay_err)?;
+                Some(apply(&log, &outcome.kept, appended).map_err(replay_err)?)
             }
             // The history is unknown from here on: chase at the end.
             _ => None,
         };
     }
-    let keys = Arc::new(KeySet::new(declared).map_err(|e| e.to_string())?);
 
     // A long WAL suffix can leave a delta far past the configured
     // compaction threshold; fold it into a fresh base once, so the
@@ -1978,15 +1943,14 @@ fn replay(
     // oversized delta until the first accepted write.
     let g = fold_if_over_threshold(g, compact_threshold, stats);
     let compiled = keys.compile(&g);
-    let chased = history.is_none();
-    let (eq, steps) = match history {
-        Some(h) => {
-            let steps = h.attributed(&compiled);
+    let chased = log.is_none();
+    let (eq, steps) = match log {
+        Some(log) => {
             let mut eq = EqRel::identity(g.num_entities());
-            for s in &steps {
+            for s in log.iter() {
                 eq.union(s.pair.0, s.pair.1);
             }
-            (eq, steps)
+            (eq, log)
         }
         None => {
             // A recovering shard chases only its owned slice; the
@@ -1996,12 +1960,12 @@ fn replay(
             stats.startup_rounds.set(r.rounds as u64);
             stats.startup_iso_checks.set(r.iso_checks);
             stats.chase.record(&r);
-            (r.eq, r.steps)
+            (r.eq, StepLog::from_steps(r.steps))
         }
     };
     Ok(Replayed {
         graph: g,
-        keys,
+        keys: Arc::new(keys),
         compiled,
         eq,
         steps,
@@ -2011,75 +1975,20 @@ fn replay(
     })
 }
 
-/// The chase-step log while [`replay`] edits it. Each step's `key` is the
-/// id `ids` gave its key's name: a name — unique in Σ, and what the wire
-/// and the merge exchange cite — is the one attribution that no vocabulary
-/// or Σ change shifts.
-struct History {
-    steps: Vec<ChaseStep>,
-    ids: FxHashMap<String, usize>,
-}
-
-impl History {
-    /// The snapshot's log, attributed against `compiled`: the snapshot Σ
-    /// (`declared`) compiled against the snapshot graph.
-    fn from_snapshot(
-        compiled: &CompiledKeySet,
-        declared: &[Key],
-        steps: Vec<ChaseStep>,
-    ) -> Result<History, String> {
-        // Ids start in declared order, so a key's id is its declared
-        // position.
-        let ids = declared.iter().map(|k| k.name.clone()).zip(0..).collect();
-        let steps = steps
-            .into_iter()
-            .map(|s| match compiled.keys.get(s.key) {
-                Some(k) => Ok(ChaseStep {
-                    pair: s.pair,
-                    key: k.source,
-                }),
-                None => Err(format!(
-                    "snapshot step {:?} cites compiled key {} of {}",
-                    s.pair,
-                    s.key,
-                    compiled.keys.len()
-                )),
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(History { steps, ids })
-    }
-
-    /// Applies one commit's outcome: keep the steps it kept, then append
-    /// its steps, whose keys are positions in `declared` (Σ after the
-    /// commit) and whose entities are below `entities`. Anything out of
-    /// range is an error.
-    fn apply(
-        &mut self,
-        outcome: &Outcome,
-        declared: &[Key],
-        entities: usize,
-    ) -> Result<(), String> {
-        match &outcome.kept {
-            Kept::All => {}
-            Kept::Nothing => self.steps.clear(),
-            Kept::AllBut(dropped) => {
-                // Ascending by decode, so the last index bounds them all.
-                if let Some(&last) = dropped.last().filter(|&&i| i as usize >= self.steps.len()) {
-                    let len = self.steps.len();
-                    return Err(format!("outcome drops step {last} of a {len}-step log"));
-                }
-                let mut dropped = dropped.iter().copied().peekable();
-                let mut i = 0u32;
-                self.steps.retain(|_| {
-                    let gone = dropped.next_if_eq(&i).is_some();
-                    i += 1;
-                    !gone
-                });
-            }
-        }
-        for s in &outcome.steps {
-            let Some(key) = declared.get(s.key) else {
-                let n = declared.len();
+/// The steps an outcome appended, each key's declared position in `keys`
+/// (Σ after the commit) turned back into its id. A position past Σ or a
+/// pair outside the graph's `entities` is an error.
+fn logged_steps(
+    outcome: &Outcome,
+    keys: &KeySet,
+    entities: usize,
+) -> Result<Vec<ChaseStep>, String> {
+    outcome
+        .steps
+        .iter()
+        .map(|s| {
+            let Some(&key) = keys.ids().get(s.key as usize) else {
+                let n = keys.cardinality();
                 return Err(format!("outcome step cites key {} of {n} declared", s.key));
             };
             if s.pair.0.idx() >= entities || s.pair.1.idx() >= entities {
@@ -2088,40 +1997,9 @@ impl History {
                     s.pair
                 ));
             }
-            let key = self.name_id(&key.name);
-            self.steps.push(ChaseStep { pair: s.pair, key });
-        }
-        Ok(())
-    }
-
-    fn name_id(&mut self, name: &str) -> usize {
-        if let Some(&id) = self.ids.get(name) {
-            return id;
-        }
-        let id = self.ids.len();
-        self.ids.insert(name.to_string(), id);
-        id
-    }
-
-    /// The log attributed against `compiled`. A step whose key is not
-    /// active there has no index and drops, as the live remap drops it.
-    fn attributed(self, compiled: &CompiledKeySet) -> Vec<ChaseStep> {
-        let mut index: Vec<Option<usize>> = vec![None; self.ids.len()];
-        for k in &compiled.keys {
-            if let Some(&id) = self.ids.get(&k.name) {
-                index[id] = Some(k.idx);
-            }
-        }
-        self.steps
-            .into_iter()
-            .filter_map(|s| {
-                Some(ChaseStep {
-                    pair: s.pair,
-                    key: index[s.key]?,
-                })
-            })
-            .collect()
-    }
+            Ok(ChaseStep { pair: s.pair, key })
+        })
+        .collect()
 }
 
 /// Opens the durable store for a config, mapping errors to protocol text.
@@ -2136,7 +2014,7 @@ mod tests {
     fn step(i: u32) -> ChaseStep {
         ChaseStep {
             pair: (EntityId(i), EntityId(i + 1)),
-            key: 0,
+            key: gk_core::KeyId(0),
         }
     }
 
@@ -2161,31 +2039,62 @@ mod tests {
     }
 
     #[test]
-    fn remap_drops_the_steps_of_a_key_without_an_image() {
-        // Dropping Q1 shifts Q2 down to index 0. Q2's steps follow it; Q1's
-        // have no image and go, instead of keeping index 0 and citing Q2.
+    fn fold_keeps_ids_across_key_changes_and_recovery() {
+        // Dropping Q1 leaves Q2's steps under Q2's id and takes Q1's out;
+        // a re-added "Q1" is a new key with a fresh id; and the recovered
+        // log — the same folds replayed — explains byte-identically.
+        use gk_core::KeyId;
         let g = gk_graph::parse_graph(
             r#"
             a1:album name_of "X"
-            a1:album release_year "1996"
+            a2:album name_of "X"
+            a3:album release_year "1996"
+            a4:album release_year "1996"
             "#,
         )
         .unwrap();
         let q1 = r#"key "Q1" album(x) { x -name_of-> n*; }"#;
         let q2 = r#"key "Q2" album(x) { x -release_year-> y*; }"#;
-        let both = KeySet::parse(&format!("{q1}\n{q2}")).unwrap().compile(&g);
-        let without_q1 = KeySet::parse(q2).unwrap().compile(&g);
-        let on = |pair: (u32, u32), key| ChaseStep {
-            pair: (EntityId(pair.0), EntityId(pair.1)),
-            key,
+        let ks = KeySet::parse(&format!("{q1}\n{q2}")).unwrap();
+        let dir = std::env::temp_dir().join(format!("gk-index-fold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dur = Durability::in_dir(&dir);
+        let (idx, _) = EmIndex::open_durable(g, ks, ChaseEngine::default(), &dur).unwrap();
+        let keys_of = |idx: &EmIndex| -> Vec<KeyId> {
+            idx.snapshot()
+                .steps()
+                .to_vec()
+                .iter()
+                .map(|s| s.key)
+                .collect()
         };
-        let log = vec![on((0, 1), 0), on((2, 3), 1), on((0, 4), 0)];
-        assert_eq!(
-            remap_steps(&both, &without_q1, log.clone()),
-            [on((2, 3), 0)]
-        );
-        // Nothing moves when the active keys coincide.
-        assert_eq!(remap_steps(&both, &both, log.clone()), log);
+        assert_eq!(keys_of(&idx), [KeyId(0), KeyId(1)]);
+
+        idx.drop_key("Q1").unwrap();
+        assert_eq!(keys_of(&idx), [KeyId(1)]);
+        idx.add_keys(parse_keys(q1).unwrap()).unwrap();
+        assert_eq!(idx.keys().ids(), [KeyId(1), KeyId(2)]);
+        assert_eq!(keys_of(&idx), [KeyId(1), KeyId(2)]);
+
+        let live = crate::Server::from_index(idx);
+        let asks = ["EXPLAIN a1 a2", "EXPLAIN a3 a4"];
+        let want: Vec<String> = asks.iter().map(|a| live.handle(a)).collect();
+        assert!(want.iter().all(|w| w.starts_with("PROOF")), "{want:?}");
+        drop(live);
+        let (idx, report) = EmIndex::recover_durable(&dur, ChaseEngine::default())
+            .unwrap()
+            .unwrap();
+        assert!(!report.chased);
+        let recovered = crate::Server::from_index(idx);
+        let got: Vec<String> = asks.iter().map(|a| recovered.handle(a)).collect();
+        assert_eq!(got, want);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A drop past the log's end does not fold.
+        let log = StepLog::from_steps(vec![step(0)]);
+        assert!(apply(&log, &Kept::AllBut(vec![1]), Vec::new()).is_err());
+        let folded = apply(&log, &Kept::AllBut(vec![0]), vec![step(1)]).unwrap();
+        assert_eq!(folded.to_vec(), [step(1)]);
     }
 
     #[test]

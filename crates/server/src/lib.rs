@@ -704,12 +704,12 @@ mod tests {
         assert_eq!(snap.compiled.keys.len(), 1, "GOLD pruned at compaction");
         for st in snap.steps().to_vec() {
             assert!(
-                st.key < snap.compiled.keys.len(),
-                "step cites key index {} but only {} keys are active",
+                snap.compiled.get(st.key).is_some(),
+                "step cites key {:?} but only {} keys are active",
                 st.key,
                 snap.compiled.keys.len()
             );
-            assert_eq!(snap.compiled.keys[st.key].name, "Q2");
+            assert_eq!(snap.compiled.get(st.key).unwrap().name, "Q2");
         }
         assert!(s.handle("SAME alb1 alb2").starts_with("YES"));
     }
@@ -763,12 +763,12 @@ mod tests {
         assert_eq!(snap.compiled.keys.len(), 1, "GOLD pruned by the snapshot");
         for st in snap.steps().to_vec() {
             assert!(
-                st.key < snap.compiled.keys.len(),
-                "recovered step cites key index {} of {} active keys",
+                snap.compiled.get(st.key).is_some(),
+                "recovered step cites key {:?} of {} active keys",
                 st.key,
                 snap.compiled.keys.len()
             );
-            assert_eq!(snap.compiled.keys[st.key].name, "Q2");
+            assert_eq!(snap.compiled.get(st.key).unwrap().name, "Q2");
         }
         let a = snap.graph.entity_named("alb1").unwrap();
         let b = snap.graph.entity_named("alb2").unwrap();

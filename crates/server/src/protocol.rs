@@ -722,7 +722,10 @@ impl Server {
                     .map(|s| ProofLine {
                         a: snap.graph.entity_label(s.pair.0),
                         b: snap.graph.entity_label(s.pair.1),
-                        key: snap.compiled.keys[s.key].name.clone(),
+                        key: (snap.compiled.get(s.key))
+                            .expect("a verified proof cites compiled keys")
+                            .name
+                            .clone(),
                     })
                     .collect(),
             },

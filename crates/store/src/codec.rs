@@ -17,7 +17,6 @@
 //! and returns [`CodecError`], which recovery treats as "stop here" (WAL
 //! torn tail) or "try the previous file" (snapshot).
 
-use gk_core::ChaseStep;
 use gk_graph::{EntityId, Graph, GraphBuilder, Obj, ObjSpec, PredId, TripleSpec, TypeId, ValueId};
 
 /// A malformed or truncated byte sequence.
@@ -357,26 +356,37 @@ pub fn decode_graph(d: &mut Dec<'_>) -> Result<Graph, CodecError> {
 // Chase steps (the step → key attribution)
 // ---------------------------------------------------------------------------
 
-/// Encodes the accumulated chase steps: each identified pair with the
-/// index of the certifying compiled key.
-pub fn encode_steps(steps: &[ChaseStep], out: &mut Enc) {
+/// One persisted chase step: the identified pair and a number naming the
+/// certifying key. What the number means is the enclosing format's to say
+/// — a compiled slot in a snapshot's steps section, a declared-Σ position
+/// in a WAL outcome — and the server translates at that boundary.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepRow {
+    /// The identified pair (normalized).
+    pub pair: (EntityId, EntityId),
+    /// The certifying key, as the enclosing format numbers keys.
+    pub key: u32,
+}
+
+/// Encodes a step list: each identified pair with its key number.
+pub fn encode_steps(steps: &[StepRow], out: &mut Enc) {
     out.u64(steps.len() as u64);
     for s in steps {
         out.u32(s.pair.0 .0);
         out.u32(s.pair.1 .0);
-        out.u32(s.key as u32);
+        out.u32(s.key);
     }
 }
 
 /// Decodes a step list encoded by [`encode_steps`].
-pub fn decode_steps(d: &mut Dec<'_>) -> Result<Vec<ChaseStep>, CodecError> {
+pub fn decode_steps(d: &mut Dec<'_>) -> Result<Vec<StepRow>, CodecError> {
     let n = d.u64()?;
     let mut steps = Vec::with_capacity(d.count(n, 12)?);
     for _ in 0..n {
         let a = d.u32()?;
         let b = d.u32()?;
-        let key = d.u32()? as usize;
-        steps.push(ChaseStep {
+        let key = d.u32()?;
+        steps.push(StepRow {
             pair: (EntityId(a), EntityId(b)),
             key,
         });
@@ -620,11 +630,11 @@ mod tests {
     #[test]
     fn steps_roundtrip() {
         let steps = vec![
-            ChaseStep {
+            StepRow {
                 pair: (EntityId(0), EntityId(3)),
                 key: 1,
             },
-            ChaseStep {
+            StepRow {
                 pair: (EntityId(2), EntityId(7)),
                 key: 0,
             },

@@ -34,6 +34,7 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
+pub use codec::StepRow;
 pub use snapshot::{LoadedSnapshot, SnapshotData};
 pub use store::{CompactReport, Durability, Recovered, Store};
 pub use wal::{scan_wal, FsyncMode, Kept, Outcome, WalOp, WalRecord, WalScan, WAL_HEADER_LEN};

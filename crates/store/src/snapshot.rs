@@ -7,7 +7,13 @@
 //! "GKSNAP" magic · u8 version · u64 seq · u64 key_epoch · u32 crc   (v2)
 //! section 1: key set   — the Σ DSL text (UTF-8)
 //! section 2: graph     — interner tables, entity table, triples
-//! section 3: steps     — the chase's step → key attribution
+//! section 3: steps     — u64 m · m × (u32 a · u32 b · u32 key): the
+//!                        chase's merge log; `key` is the certifying key's
+//!                        slot in Σ compiled against *this file's* graph —
+//!                        not the server's in-memory key id, which is not
+//!                        persisted. The server translates id → slot when
+//!                        it freezes a snapshot and slot → id when it
+//!                        loads one
 //! ```
 //!
 //! The header CRC covers `seq` and `key_epoch` (v1 left them bare — a
@@ -39,8 +45,8 @@
 
 use crate::codec::{
     crc32, decode_graph, decode_steps, encode_graph, encode_steps, le_u32, le_u64, Dec, Enc,
+    StepRow,
 };
-use gk_core::ChaseStep;
 use gk_graph::Graph;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -60,13 +66,13 @@ pub struct SnapshotData<'a> {
     pub key_epoch: u64,
     /// Σ in its DSL text form (`gk_core::write_keys`); parsing it back
     /// and recompiling against the decoded graph reproduces the compiled
-    /// key set, including key indices.
+    /// key set, including its slots.
     pub keys_dsl: &'a str,
     /// The graph at version `seq`.
     pub graph: &'a Graph,
-    /// Accumulated chase steps: the `EqRel` merge log with key
-    /// attribution.
-    pub steps: &'a [ChaseStep],
+    /// Accumulated chase steps: the `EqRel` merge log, each key named by
+    /// its slot in Σ compiled against `graph`.
+    pub steps: &'a [StepRow],
 }
 
 /// A snapshot loaded back from disk.
@@ -80,8 +86,9 @@ pub struct LoadedSnapshot {
     pub keys_dsl: String,
     /// The decoded graph (ids preserved).
     pub graph: Graph,
-    /// The chase step log.
-    pub steps: Vec<ChaseStep>,
+    /// The chase step log, keys named by compiled slot (see
+    /// [`SnapshotData::steps`]).
+    pub steps: Vec<StepRow>,
 }
 
 fn frame(payload: &[u8], out: &mut Vec<u8>) {
@@ -246,7 +253,7 @@ mod tests {
         d
     }
 
-    fn fixture() -> (Graph, Vec<ChaseStep>) {
+    fn fixture() -> (Graph, Vec<StepRow>) {
         let g = parse_graph(
             r#"
             a1:album name_of "X"
@@ -256,7 +263,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let steps = vec![ChaseStep {
+        let steps = vec![StepRow {
             pair: (EntityId(0), EntityId(1)),
             key: 0,
         }];
@@ -381,7 +388,7 @@ mod tests {
         // union–find.
         let dir = tmpdir("oob-steps");
         let (g, _) = fixture();
-        let bogus = vec![ChaseStep {
+        let bogus = vec![StepRow {
             pair: (EntityId(0), EntityId(999)),
             key: 0,
         }];

@@ -342,7 +342,7 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::wal::WalOp;
-    use gk_core::ChaseStep;
+    use crate::StepRow;
     use gk_graph::{parse_graph, parse_triple_specs, EntityId, Graph};
 
     fn tmpdir(name: &str) -> PathBuf {
@@ -351,7 +351,7 @@ mod tests {
         d
     }
 
-    fn fixture() -> (Graph, Vec<ChaseStep>) {
+    fn fixture() -> (Graph, Vec<StepRow>) {
         let g = parse_graph(
             r#"
             a1:album name_of "X"
@@ -361,7 +361,7 @@ mod tests {
         .unwrap();
         (
             g,
-            vec![ChaseStep {
+            vec![StepRow {
                 pair: (EntityId(0), EntityId(1)),
                 key: 0,
             }],

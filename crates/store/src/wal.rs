@@ -16,7 +16,10 @@
 //!   kept 1 = all but the n listed indices (strictly ascending)
 //!   kept 2 = none survive
 //!   then the m steps the commit appended; `key` is the certifying key's
-//!   position in the declared Σ after the commit, never a compiled index
+//!   position in the declared Σ after the commit — neither a compiled slot
+//!   nor the server's in-memory key id, which is not persisted. The server
+//!   translates id → position when it logs a commit and position → id
+//!   (under the Σ its replay has rebuilt to that record) when it recovers
 //! ```
 //!
 //! Kinds 3/4 are the runtime key-management records: Σ changes made
@@ -51,8 +54,8 @@
 
 use crate::codec::{
     crc32, decode_spec, decode_steps, encode_spec, encode_steps, le_u32, CodecError, Dec, Enc,
+    StepRow,
 };
-use gk_core::ChaseStep;
 use gk_graph::TripleSpec;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -177,10 +180,9 @@ pub struct Outcome {
     /// The surviving steps of the previous log.
     pub kept: Kept,
     /// The steps the commit appended. Here `key` is the certifying key's
-    /// position in the declared Σ *after* the commit (`CompiledKey::source`),
-    /// not a compiled index: compiled indices shift whenever vocabulary
-    /// activates a key.
-    pub steps: Vec<ChaseStep>,
+    /// position in the declared Σ *after* the commit (see the module's
+    /// format table).
+    pub steps: Vec<StepRow>,
 }
 
 impl Outcome {
@@ -548,7 +550,7 @@ mod tests {
         let scan = scan_wal(&path).unwrap();
         assert_eq!(scan.version, 0, "a missing file has no version");
         let mut w = WalWriter::open(&path, FsyncMode::Always, &scan).unwrap();
-        let step = |a, b, key| ChaseStep {
+        let step = |a, b, key| StepRow {
             pair: (gk_graph::EntityId(a), gk_graph::EntityId(b)),
             key,
         };

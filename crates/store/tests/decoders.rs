@@ -7,12 +7,11 @@
 //! snapshot that decodes must be consistent, and a WAL scan stops at the
 //! first record that does not decode.
 
-use gk_core::ChaseStep;
 use gk_graph::{parse_graph, parse_triple_specs, EntityId};
 use gk_store::codec::{crc32, le_u32};
 use gk_store::snapshot::{load_snapshot, write_snapshot};
 use gk_store::wal::{scan_wal, FsyncMode, Kept, Outcome, WalOp, WalRecord, WalWriter};
-use gk_store::SnapshotData;
+use gk_store::{SnapshotData, StepRow};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,7 +104,7 @@ fn snapshot_bytes() -> Vec<u8> {
         "#,
     )
     .unwrap();
-    let steps = [ChaseStep {
+    let steps = [StepRow {
         pair: (EntityId(0), EntityId(2)),
         key: 0,
     }];
@@ -134,7 +133,7 @@ fn wal_bytes() -> Vec<u8> {
         seq: 1,
         op: WalOp::Insert(parse_triple_specs("a3:album name_of \"X\"\na3:album p b:t").unwrap()),
     };
-    let step = |a, b, key| ChaseStep {
+    let step = |a, b, key| StepRow {
         pair: (EntityId(a), EntityId(b)),
         key,
     };
@@ -245,7 +244,7 @@ fn a_snapshot_from_the_previous_build_loads_and_rewrites_identically() {
     assert_eq!(s.graph.num_entities(), 4);
     assert_eq!(s.graph.num_triples(), 8);
     assert_eq!(s.graph.entity_named("art2"), Some(EntityId(3)));
-    let step = |a, b, key| ChaseStep {
+    let step = |a, b, key| StepRow {
         pair: (EntityId(a), EntityId(b)),
         key,
     };

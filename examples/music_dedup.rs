@@ -77,7 +77,10 @@ fn main() {
             "  {} <=> {}   (by {})",
             g.entity_label(s.pair.0),
             g.entity_label(s.pair.1),
-            compiled.keys[s.key].name,
+            compiled
+                .get(s.key)
+                .expect("the chase cites compiled keys")
+                .name,
         );
     }
 

@@ -47,8 +47,9 @@ pub fn assert_explanations_agree(standalone: &IndexState, want: &str, got: &str)
                     .compiled
                     .keys
                     .iter()
-                    .position(|k| k.name == l.key)
-                    .unwrap_or_else(|| panic!("proof cites unknown key {:?}", l.key)),
+                    .find(|k| k.name == l.key)
+                    .unwrap_or_else(|| panic!("proof cites unknown key {:?}", l.key))
+                    .id,
             };
             for steps in [wanted, given] {
                 let lines: Vec<ChaseStep> = steps.iter().map(line).collect();

@@ -7,11 +7,12 @@
 //!
 //! Two property tests: a live one (after every accepted op the classes
 //! equal a from-scratch reference chase of the materialized graph under
-//! the current Σ) and a durable one (kill the server after the whole
+//! the current Σ, and the step log keeps its contract) and a durable one (kill the server after the whole
 //! stream, recover from snapshot + WAL, and require classes *and* the
 //! declared Σ to match, plus byte-identical `KEYS`/`DUPS` answers across
 //! the restart).
 
+use keys_for_graphs::core::proof::replay;
 use keys_for_graphs::core::{chase_reference, write_keys, ChaseEngine, ChaseOrder, KeySet};
 use keys_for_graphs::prelude::*;
 use proptest::prelude::*;
@@ -157,6 +158,17 @@ proptest! {
                 "divergence after {:?}",
                 op.line()
             );
+            // The log contract: every logged step's key resolves in the
+            // current compile, and each step re-derives under the steps
+            // before it.
+            let log = snap.steps().to_vec();
+            for s in &log {
+                prop_assert!(snap.compiled.get(s.key).is_some(), "{:?} after {:?}", s, op.line());
+            }
+            if let Some(last) = log.last() {
+                let replayed = replay(&snap.graph, &snap.compiled, &log, last.pair);
+                prop_assert!(replayed.is_ok(), "{:?} after {:?}", replayed.err(), op.line());
+            }
         }
     }
 

@@ -594,7 +594,7 @@ fn assert_explanations_slice_the_log(snap: &IndexState, sample: usize, front: &s
     let log = snap.steps().to_vec();
     let mut eq = EqRel::identity(g.num_entities());
     for (i, s) in log.iter().enumerate() {
-        let pattern = &keys.keys[s.key].pattern;
+        let pattern = &keys.get(s.key).unwrap().pattern;
         assert!(
             eval_pair(
                 g,
@@ -823,8 +823,8 @@ fn rekey(proof: Proof, from: &CompiledKeySet, to: &CompiledKeySet) -> Option<Pro
         .steps
         .into_iter()
         .map(|s| {
-            let name = &from.keys[s.key].name;
-            let key = to.keys.iter().position(|k| k.name == *name)?;
+            let name = &from.get(s.key)?.name;
+            let key = to.keys.iter().find(|k| k.name == *name)?.id;
             Some(ProofStep { key, ..s })
         })
         .collect::<Option<Vec<_>>>()?;

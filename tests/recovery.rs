@@ -701,9 +701,8 @@ fn shard_steps_resting_on_absorbed_merges_survive_restart() {
 /// Σ — make recovery refuse with an error, never panic.
 #[test]
 fn records_that_do_not_replay_are_refused_not_panics() {
-    use keys_for_graphs::core::ChaseStep;
-    use keys_for_graphs::store::{Kept, Outcome};
-    let step = |a, b, key| ChaseStep {
+    use keys_for_graphs::store::{Kept, Outcome, StepRow};
+    let step = |a, b, key| StepRow {
         pair: (EntityId(a), EntityId(b)),
         key,
     };
@@ -756,4 +755,31 @@ fn records_that_do_not_replay_are_refused_not_panics() {
         );
         let _ = std::fs::remove_dir_all(&dur.dir);
     }
+}
+
+/// A CRC-valid snapshot whose Σ repeats a key name makes recovery refuse
+/// with an error: the key set is checked where it enters, never asserted.
+#[test]
+fn a_snapshot_whose_keys_repeat_a_name_is_refused_not_a_panic() {
+    use keys_for_graphs::store::SnapshotData;
+    let dur = Durability::in_dir(casedir("dupkeys"));
+    let graph = parse_graph(BASE).unwrap();
+    let q2 = r#"key "Q2" album(x) { x -name_of-> n*; }"#;
+    let store = Store::open(&dur).unwrap();
+    store
+        .snapshot(&SnapshotData {
+            seq: 0,
+            key_epoch: 0,
+            keys_dsl: &format!("{q2}\n{q2}"),
+            graph: &graph,
+            steps: &[],
+        })
+        .unwrap();
+    drop(store);
+    let err = match EmIndex::recover_durable(&dur, ChaseEngine::default()) {
+        Err(e) => e,
+        Ok(_) => panic!("a Σ naming Q2 twice must not recover"),
+    };
+    assert!(err.contains(r#"a key named "Q2" already exists"#), "{err}");
+    let _ = std::fs::remove_dir_all(&dur.dir);
 }
