@@ -25,12 +25,8 @@ pub const USAGE: &str = "usage:
                      [--chain C] [--radius D] [--seed S] --out DIR
   graphkeys serve    <graph.triples> <keys.gk> [--port P] [--threads N]
                      [--engine reference|incremental|parallel]
-                     [--net-model epoll|threaded]  TCP front-end: nonblocking
-                     epoll event loop (default) or the deprecated blocking
-                     thread-per-connection pool
                      [--max-conns N]           admission bound on simultaneous
-                     connections; beyond it new ones get ERR busy (0 = off;
-                     epoll model only)
+                     connections; beyond it new ones get ERR busy (0 = off)
                      [--data-dir DIR] [--fsync always|batch|never]
                      [--compact-threshold N]   fold the delta overlay into a
                      fresh base CSR once delta+tombstones reach N (0 = off)
@@ -503,7 +499,6 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), String> {
             "slow-query-ms",
             "cache-entries",
             "trace-buffer",
-            "net-model",
             "max-conns",
             "shard-id",
         ],
@@ -577,23 +572,9 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), String> {
     server.set_cache_entries(cache_entries);
     server.set_trace_buffer(trace_buffer);
     let server = std::sync::Arc::new(server);
-    let model: gk_server::NetModel = match f.get("net-model") {
-        Some(m) => m.parse()?,
-        None => gk_server::NetModel::default(),
-    };
-    let max_conns = f.get_parse("max-conns", 0usize)?;
-    if max_conns > 0 && model == gk_server::NetModel::Threaded {
-        return Err(
-            "--max-conns needs --net-model epoll (the threaded pool's own size is its bound)"
-                .into(),
-        );
-    }
-    // The scrape endpoint rides the epoll reactor; under the threaded
-    // model serve_with spawns its dedicated sidecar thread.
     let opts = gk_server::ServeOptions {
         threads,
-        model,
-        max_conns,
+        max_conns: f.get_parse("max-conns", 0usize)?,
         metrics_addr: f.get("metrics-addr").map(str::to_string),
     };
     let handle = gk_server::serve_with(server, &format!("127.0.0.1:{port}"), &opts)
@@ -609,7 +590,7 @@ fn cmd_serve(args: &[String], out: &mut String) -> Result<(), String> {
     };
     let _ = writeln!(
         out,
-        "serving on {} with {threads} worker thread(s), engine={engine}, net-model={model}{role_note}",
+        "serving on {} with {threads} worker thread(s), engine={engine}{role_note}",
         handle.addr()
     );
     print!("{out}");
@@ -809,6 +790,11 @@ fn cmd_recover(args: &[String], out: &mut String) -> Result<(), String> {
     Ok(())
 }
 
+/// Deadline of a single `query`: the dial, and then the write plus the
+/// whole response read, must each finish within it, so a wedged or
+/// blackholed server fails the command instead of hanging it.
+const QUERY_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(2);
+
 fn cmd_query(args: &[String], out: &mut String) -> Result<(), String> {
     let f = Flags::parse_with_switches(args, &["depth"], &["stdin"])?;
     let [addr, verb_and_args @ ..] = f.positional.as_slice() else {
@@ -830,9 +816,20 @@ fn cmd_query(args: &[String], out: &mut String) -> Result<(), String> {
     // Parse client-side: a malformed request fails here with the same
     // usage message the server would answer, without a round trip.
     let req = gk_server::Request::parse(&line).map_err(|e| e.to_string())?;
-    let resp = gk_client::Client::lazy(addr)
-        .request(&req)
-        .map_err(|e| format!("cannot reach {addr}: {e}"))?;
+    let resp = gk_client::Client::connect_timeout(addr, QUERY_TIMEOUT)
+        .and_then(|mut client| {
+            client.set_deadline(Some(QUERY_TIMEOUT));
+            client.request(&req)
+        })
+        .map_err(|e| {
+            // A written update that timed out may still commit.
+            let note = if e.kind() == std::io::ErrorKind::TimedOut && req.is_update() {
+                " (the update may still be applied)"
+            } else {
+                ""
+            };
+            format!("cannot reach {addr}: {e}{note}")
+        })?;
     let _ = writeln!(out, "{}", resp.render());
     if resp.is_err() {
         return Err(format!("server answered: {}", resp.render()));

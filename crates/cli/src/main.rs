@@ -23,21 +23,19 @@
 //! Graphs use the triple text format of `gk-graph` (`entity:Type pred
 //! "value"` lines); keys use the DSL of `gk-core` (`key "Q" type(x) {...}`).
 
-mod cmd;
-
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match cmd::run(&args) {
+    match gk_cli::run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             // The usage dump helps with argument mistakes, not with errors
             // the running system answered.
-            if !cmd::is_runtime_error(&e) {
+            if !gk_cli::is_runtime_error(&e) {
                 eprintln!();
-                eprintln!("{}", cmd::USAGE);
+                eprintln!("{}", gk_cli::USAGE);
             }
             ExitCode::FAILURE
         }

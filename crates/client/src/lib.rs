@@ -131,10 +131,9 @@ impl Conn {
     /// Reads one response paragraph (without the terminating blank line).
     ///
     /// With a deadline, every socket refill is armed with what's *left*
-    /// of it — the same overall-deadline discipline as the server's
-    /// one-shot `request_with_timeout`: per-read timeouts alone would let
-    /// a slow-drip server extend the call arbitrarily, because each byte
-    /// resets a per-read timer.
+    /// of it, so the deadline bounds the whole read: per-read timeouts
+    /// alone would let a slow-drip server extend the call arbitrarily,
+    /// because each byte resets a per-read timer.
     fn read_paragraph(&mut self, deadline: Option<Instant>) -> std::io::Result<String> {
         let mut out = String::new();
         let mut line: Vec<u8> = Vec::new();
@@ -843,40 +842,57 @@ mod tests {
 
     #[test]
     fn deadlines_fail_fast_against_a_stalled_server() {
-        // A mock that accepts connections and then never answers a byte:
-        // without deadlines, metrics()/stats() would block forever.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
+        // Two mocks that accept connections and never finish a paragraph:
+        // one says nothing, the other drips one byte per 50 ms forever.
+        // Each drip resets a per-read timer, so only a true overall
+        // deadline ends a call against the dripper. Without deadlines,
+        // metrics()/stats() would block forever against either.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dripping = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = [silent.local_addr(), dripping.local_addr()].map(|a| a.unwrap().to_string());
         std::thread::spawn(move || {
             let mut held = Vec::new();
-            for conn in listener.incoming() {
+            for conn in silent.incoming() {
                 let Ok(conn) = conn else { break };
                 held.push(conn); // keep the socket open, say nothing
             }
         });
-        let mut c = Client::connect_timeout(&addr, std::time::Duration::from_secs(5)).unwrap();
-        // The configured deadline applies to the info conveniences (which
-        // would otherwise use their 5s default) and to plain requests.
-        c.set_deadline(Some(std::time::Duration::from_millis(200)));
-        let t0 = std::time::Instant::now();
-        for err in [
-            c.metrics()
-                .map(|_| ())
-                .expect_err("METRICS must hit the deadline"),
-            c.stats()
-                .map(|_| ())
-                .expect_err("STATS must hit the deadline"),
-            c.request(&Request::Ping)
-                .map(|_| ())
-                .expect_err("a stalled PING must time out"),
-        ] {
-            assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
+        std::thread::spawn(move || {
+            for conn in dripping.incoming() {
+                let Ok(mut conn) = conn else { break };
+                std::thread::spawn(move || {
+                    while conn.write_all(b"x").is_ok() {
+                        std::thread::sleep(Duration::from_millis(50));
+                    }
+                });
+            }
+        });
+        for addr in addrs {
+            let mut c = Client::connect_timeout(&addr, Duration::from_secs(5)).unwrap();
+            // The configured deadline applies to the info conveniences
+            // (which would otherwise use their 5s default) and to plain
+            // requests.
+            c.set_deadline(Some(Duration::from_millis(200)));
+            let t0 = Instant::now();
+            for err in [
+                c.metrics()
+                    .map(|_| ())
+                    .expect_err("METRICS must hit the deadline"),
+                c.stats()
+                    .map(|_| ())
+                    .expect_err("STATS must hit the deadline"),
+                c.request(&Request::Ping)
+                    .map(|_| ())
+                    .expect_err("a stalled PING must time out"),
+            ] {
+                assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{addr}: {err}");
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(3),
+                "{addr}: three stalled calls must each wait only the deadline, took {:?}",
+                t0.elapsed()
+            );
         }
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(3),
-            "three stalled calls must each wait only the deadline, took {:?}",
-            t0.elapsed()
-        );
     }
 
     #[test]

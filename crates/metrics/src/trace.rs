@@ -19,7 +19,7 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// A handle to one span of a request trace, or a disabled no-op.
@@ -39,6 +39,13 @@ struct SpanInner {
     children: Mutex<Vec<Arc<SpanInner>>>,
 }
 
+/// Locks a span's counters or children. A thread that panicked while
+/// holding the lock left a complete `Vec` behind (each critical section
+/// is one push or one in-place add), so poisoning is ignored.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl SpanInner {
     fn new(name: &'static str) -> SpanInner {
         SpanInner {
@@ -54,20 +61,11 @@ impl SpanInner {
         TraceNode {
             name: self.name.to_string(),
             micros: self.micros.load(Ordering::Acquire),
-            counters: self
-                .counters
-                .lock()
-                .expect("span counters lock")
+            counters: lock(&self.counters)
                 .iter()
                 .map(|&(k, v)| (k.to_string(), v))
                 .collect(),
-            children: self
-                .children
-                .lock()
-                .expect("span children lock")
-                .iter()
-                .map(|c| c.to_node())
-                .collect(),
+            children: lock(&self.children).iter().map(|c| c.to_node()).collect(),
         }
     }
 }
@@ -96,11 +94,7 @@ impl Span {
         match &self.0 {
             Some(inner) => {
                 let c = Arc::new(SpanInner::new(name));
-                inner
-                    .children
-                    .lock()
-                    .expect("span children lock")
-                    .push(c.clone());
+                lock(&inner.children).push(c.clone());
                 Span(Some(c))
             }
             None => Span(None),
@@ -114,7 +108,7 @@ impl Span {
         if n == 0 {
             return;
         }
-        let mut counters = inner.counters.lock().expect("span counters lock");
+        let mut counters = lock(&inner.counters);
         match counters.iter_mut().find(|(k, _)| *k == key) {
             Some((_, v)) => *v += n,
             None => counters.push((key, n)),
@@ -212,8 +206,12 @@ impl TraceNode {
     /// Parses a forest of sibling trees at exactly `depth`, consuming
     /// lines until one at a shallower depth (or the end) is reached.
     /// Returns the trees and the number of lines consumed, or `None`
-    /// on any malformed line.
+    /// on any malformed line or a span nested deeper than
+    /// [`MAX_SPAN_DEPTH`].
     pub fn parse_forest(lines: &[&str], depth: usize) -> Option<(Vec<TraceNode>, usize)> {
+        if depth > MAX_SPAN_DEPTH {
+            return None;
+        }
         let mut nodes = Vec::new();
         let mut i = 0;
         while i < lines.len() {
@@ -236,6 +234,12 @@ impl TraceNode {
         Some((nodes, i))
     }
 }
+
+/// The deepest span level [`TraceNode::parse_forest`] accepts. Parsing,
+/// rendering and dropping a tree all recurse once per level, so the
+/// bound keeps a hostile trace text from overflowing the stack; real
+/// span trees are a handful of levels deep.
+pub const MAX_SPAN_DEPTH: usize = 64;
 
 /// Depth of a span line (two spaces per level), or `None` if the line
 /// is not a span line.

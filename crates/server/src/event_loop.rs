@@ -1,17 +1,15 @@
 //! The epoll reactor: one nonblocking I/O thread serving thousands of
 //! connections, with request execution on a small worker pool.
 //!
-//! The threaded front-end in `net` pins one pool thread per *open*
-//! connection, so concurrency is capped at `--threads`, not at sockets.
-//! This module decouples the two:
+//! Concurrency is bounded by sockets, not by `--threads`:
 //!
 //! * **One reactor thread** owns every socket. Connections are
 //!   nonblocking and registered **edge-triggered** (`EPOLLET`); the
 //!   reactor drains each readiness edge completely (read until
 //!   `WouldBlock`, write until `WouldBlock` or empty) so no edge is ever
 //!   lost. Partial request lines accumulate in a growable per-connection
-//!   buffer over the same line/paragraph framing the threaded model
-//!   speaks — a slow-loris client costs one idle buffer, not a thread.
+//!   buffer over the line/paragraph framing of [`crate::net`] — a
+//!   slow-loris client costs one idle buffer, not a thread.
 //! * **A bounded ready queue** hands complete request lines to `threads`
 //!   worker threads, which run `Server::handle` (this can block on the
 //!   index write lock) and post the rendered response paragraph back to
@@ -29,7 +27,8 @@
 //! * **Admission control**: beyond `max_conns` line connections, an
 //!   accept is answered `ERR busy` and closed immediately
 //!   (`gk_conns_rejected_total`), bounding memory under connection
-//!   floods.
+//!   floods. Scrape connections have their own fixed bound
+//!   ([`MAX_SCRAPE_CONNS`]).
 //! * **Write stalls**: a response that does not fit the socket buffer
 //!   re-arms `EPOLLOUT` and continues on the writability edge
 //!   (`gk_conn_write_stalls_total` counts the stalls).
@@ -37,10 +36,9 @@
 //!   — no connect-to-self hack: the reactor wakes, closes every socket,
 //!   and drops the ready queue, which releases the workers.
 //!
-//! The `/metrics` HTTP listener can ride the same reactor (see
+//! The `/metrics` HTTP listener rides the same reactor (see
 //! [`crate::ServeOptions::metrics_addr`]): scrape connections are
-//! one-shot HTTP state machines multiplexed alongside the line protocol,
-//! retiring the dedicated sidecar thread.
+//! one-shot HTTP state machines multiplexed alongside the line protocol.
 
 use crate::http;
 use crate::net::{ServeOptions, MAX_REQUEST_LINE};
@@ -76,11 +74,16 @@ const MAX_WRITE_BUF: usize = 256 * 1024;
 const MAX_PENDING: usize = 256;
 /// An HTTP scrape head larger than this is dropped without an answer.
 const MAX_HTTP_HEAD: usize = 16 * 1024;
+/// Open scrape connections the reactor holds at once. A scraper that
+/// never completes its head holds its connection until it hangs up, so
+/// beyond this bound new scrape connections are accepted and closed
+/// unanswered; the line protocol's admission set is unaffected.
+pub(crate) const MAX_SCRAPE_CONNS: usize = 64;
 /// How many consecutive parsed requests from one connection ride in a
 /// single pool job. Batching amortizes the worker→eventfd→reactor
-/// handoff over a pipelined burst (per-request cost would otherwise
-/// floor deep pipelining well above the blocking model); responses stay
-/// in order because the batch executes sequentially on one worker.
+/// handoff over a pipelined burst instead of paying it per request;
+/// responses stay in order because the batch executes sequentially on
+/// one worker.
 const MAX_JOB_BATCH: usize = 64;
 
 /// Interest mask of a readable connection.
@@ -379,6 +382,7 @@ pub(crate) fn spawn(
             stop: reactor_stop,
             conns: FxHashMap::default(),
             line_conns: 0,
+            http_conns: 0,
             next_id: 0,
             ready_tx,
             done_rx,
@@ -449,6 +453,8 @@ struct Reactor {
     /// Open line-protocol connections (the `max_conns` admission set;
     /// HTTP scrapes are not counted).
     line_conns: usize,
+    /// Open scrape connections, bounded by [`MAX_SCRAPE_CONNS`].
+    http_conns: usize,
     next_id: u64,
     ready_tx: SyncSender<Job>,
     done_rx: Receiver<Done>,
@@ -542,6 +548,10 @@ impl Reactor {
             let _ = s.shutdown(Shutdown::Both);
             return;
         }
+        if kind == ConnKind::Http && self.http_conns >= MAX_SCRAPE_CONNS {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
         if set_nonblocking(stream.as_raw_fd()).is_err() {
             return;
         }
@@ -552,6 +562,8 @@ impl Reactor {
             self.server.net.connections_total.inc();
             self.server.net.connections_active.inc();
             self.line_conns += 1;
+        } else {
+            self.http_conns += 1;
         }
         let id = self.next_id;
         self.next_id += 1;
@@ -559,6 +571,8 @@ impl Reactor {
             if kind == ConnKind::Line {
                 self.server.net.connections_active.dec();
                 self.line_conns -= 1;
+            } else {
+                self.http_conns -= 1;
             }
             return;
         }
@@ -740,8 +754,7 @@ impl Reactor {
                             if line.len() > MAX_REQUEST_LINE {
                                 // Answered in order after any earlier
                                 // pipelined requests, then the connection
-                                // closes — matching the threaded model's
-                                // one-request-at-a-time behavior.
+                                // closes.
                                 self.server.net.read_errors.inc();
                                 conn.parse_done = true;
                                 conn.pending
@@ -777,8 +790,7 @@ impl Reactor {
                 }
                 conn.read_buf.drain(..consumed.min(conn.read_buf.len()));
                 // EOF mid-line: serve the unterminated tail as a request
-                // (legacy `printf 'PING' | nc` behavior, matching the
-                // threaded model).
+                // (`printf 'PING' | nc`-style clients without a newline).
                 if conn.read_closed
                     && !conn.parse_done
                     && !conn.read_buf.is_empty()
@@ -826,7 +838,9 @@ impl Reactor {
                         conn.read_buf.clear();
                         conn.pending.push_back(PendingReq::Http { method, path });
                     }
-                    None if conn.read_buf.len() > MAX_HTTP_HEAD => {
+                    // Oversized, or the scraper hung up before finishing
+                    // its head: nothing will complete it, free the slot.
+                    None if conn.read_buf.len() > MAX_HTTP_HEAD || conn.read_closed => {
                         self.close_conn(id);
                     }
                     None => {}
@@ -1004,6 +1018,8 @@ impl Reactor {
         if conn.kind == ConnKind::Line {
             self.server.net.connections_active.dec();
             self.line_conns -= 1;
+        } else {
+            self.http_conns -= 1;
         }
         self.ep.del(conn.stream.as_raw_fd());
         let _ = conn.stream.shutdown(Shutdown::Both);

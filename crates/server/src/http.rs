@@ -1,7 +1,8 @@
-//! Plain-HTTP sidecar endpoint: metrics scrapes, health checks, and
+//! The HTTP scrape endpoint: metrics scrapes, health checks, and
 //! flight-recorder dumps.
 //!
-//! One dedicated thread answers:
+//! The epoll reactor serves it on [`crate::ServeOptions::metrics_addr`],
+//! one `Connection: close` request per scrape connection:
 //!
 //! * `GET /metrics` — the text exposition
 //!   ([`gk_metrics::render_exposition`]), the shape every
@@ -15,114 +16,14 @@
 //! Any other `GET` path gets a 404; any other method gets a
 //! `405 Method Not Allowed` carrying an `Allow: GET` header. The
 //! endpoint is deliberately not the line protocol: probes and scrapers
-//! speak HTTP, and a separate listener keeps their traffic off the
-//! request worker pool.
+//! speak HTTP, and a separate listener keeps their traffic out of the
+//! line protocol's `--max-conns` admission set.
 
 use crate::proto::Request;
 use crate::protocol::Server;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// A running scrape endpoint. Dropping the handle without calling
-/// [`stop`](MetricsHandle::stop) leaves the daemon thread running.
-pub struct MetricsHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl MetricsHandle {
-    /// The bound address (useful with port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting scrapes and joins the endpoint thread.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Binds `addr` (port 0 for ephemeral) and serves `GET
-/// /metrics|/healthz|/traces` on a dedicated thread until
-/// [`MetricsHandle::stop`].
-pub fn serve_metrics_http(server: Arc<Server>, addr: &str) -> std::io::Result<MetricsHandle> {
-    serve_with_timeout(server, addr, SCRAPE_TIMEOUT)
-}
-
-/// [`serve_metrics_http`] with an explicit per-connection I/O timeout —
-/// the tests shrink it to keep the half-open-scraper case fast.
-fn serve_with_timeout(
-    server: Arc<Server>,
-    addr: &str,
-    timeout: Duration,
-) -> std::io::Result<MetricsHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let bound = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let thread = std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            if accept_stop.load(Ordering::SeqCst) {
-                break; // the stop() wake-up connection lands here
-            }
-            let Ok(conn) = conn else { continue };
-            answer_scrape(&server, conn, timeout);
-        }
-    });
-    Ok(MetricsHandle {
-        addr: bound,
-        stop,
-        thread: Some(thread),
-    })
-}
-
-/// How long a scrape connection may dawdle before the endpoint drops it.
-/// A single slow scraper must not wedge the (single-threaded) endpoint.
-const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Answers one scrape connection: request line + headers in, one
-/// `Connection: close` response out.
-fn answer_scrape(server: &Server, conn: TcpStream, timeout: Duration) {
-    let _ = conn.set_read_timeout(Some(timeout));
-    let _ = conn.set_write_timeout(Some(timeout));
-    let Ok(read_half) = conn.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = conn;
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() {
-        return;
-    }
-    // Drain the headers; the response does not depend on any of them.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => break,
-            Ok(_) if header.trim_end_matches(['\r', '\n']).is_empty() => break,
-            Ok(_) => {}
-        }
-    }
-    let mut parts = request_line.split_whitespace();
-    let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let _ = writer.write_all(render_http_response(server, method, path).as_bytes());
-    let _ = writer.shutdown(Shutdown::Both);
-}
 
 /// Renders one complete `Connection: close` HTTP response for a parsed
-/// request line. Shared by the sidecar thread above and the epoll
-/// reactor's multiplexed scrape connections.
+/// request line.
 pub(crate) fn render_http_response(server: &Server, method: &str, path: &str) -> String {
     let (status, extra, body) = route(server, method, path);
     let extra = extra.map_or(String::new(), |h| format!("{h}\r\n"));
@@ -176,10 +77,14 @@ fn route(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::event_loop::MAX_SCRAPE_CONNS;
+    use crate::{serve_with, ServeHandle, ServeOptions, Server};
     use gk_core::KeySet;
     use gk_graph::parse_graph;
-    use std::io::Read;
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     fn test_server(trace_buffer: usize) -> Arc<Server> {
         let g = parse_graph(
@@ -198,12 +103,31 @@ mod tests {
         Arc::new(s)
     }
 
+    /// Serves `server` with a scrape endpoint; returns the handle and the
+    /// endpoint's address.
+    fn serve_scrapes(server: Arc<Server>) -> (ServeHandle, SocketAddr) {
+        let h = serve_with(
+            server,
+            "127.0.0.1:0",
+            &ServeOptions {
+                threads: 2,
+                max_conns: 0,
+                metrics_addr: Some("127.0.0.1:0".to_string()),
+            },
+        )
+        .unwrap();
+        let maddr = h.metrics_addr().expect("metrics endpoint requested");
+        (h, maddr)
+    }
+
     /// One raw HTTP exchange: request bytes in, full response text out.
+    /// A refused scrape may be reset mid-exchange; it reads as empty.
     fn exchange(addr: SocketAddr, request: &str) -> String {
         let mut conn = TcpStream::connect(addr).unwrap();
-        conn.write_all(request.as_bytes()).unwrap();
         let mut resp = String::new();
-        conn.read_to_string(&mut resp).unwrap();
+        if conn.write_all(request.as_bytes()).is_ok() {
+            let _ = conn.read_to_string(&mut resp);
+        }
         resp
     }
 
@@ -215,12 +139,18 @@ mod tests {
     fn routes_answer_their_documented_statuses() {
         let server = test_server(4);
         let _ = server.handle("SAME a1 a2");
-        let h = serve_metrics_http(server, "127.0.0.1:0").unwrap();
-        let addr = h.addr();
+        let (h, addr) = serve_scrapes(server);
 
         let metrics = get(addr, "/metrics");
-        assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
+        assert!(metrics.starts_with("HTTP/1.1 200 OK\r\n"), "{metrics}");
         assert!(metrics.contains("gk_requests_same_total 1"), "{metrics}");
+        assert!(
+            metrics.contains("# TYPE gk_request_micros_same histogram"),
+            "{metrics}"
+        );
+        // The reactor's own series ride the same exposition.
+        assert!(metrics.contains("gk_eventloop_wakeups_total"), "{metrics}");
+        assert!(metrics.contains("gk_conns_rejected_total"), "{metrics}");
 
         let health = get(addr, "/healthz");
         assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
@@ -247,31 +177,57 @@ mod tests {
 
     #[test]
     fn traces_route_reports_tracing_off_without_a_recorder() {
-        let h = serve_metrics_http(test_server(0), "127.0.0.1:0").unwrap();
-        let traces = get(h.addr(), "/traces");
+        let (h, addr) = serve_scrapes(test_server(0));
+        let traces = get(addr, "/traces");
         assert!(traces.starts_with("HTTP/1.1 200 OK"), "{traces}");
         assert!(traces.contains("ERR tracing is off"), "{traces}");
         h.stop();
     }
 
     #[test]
-    fn half_open_scraper_times_out_without_wedging_the_endpoint() {
-        let h =
-            serve_with_timeout(test_server(0), "127.0.0.1:0", Duration::from_millis(100)).unwrap();
-        let addr = h.addr();
-        // A scraper that connects, sends half a request line and stalls:
-        // the endpoint must drop it at the read timeout instead of
-        // blocking its (single) accept thread forever.
-        let mut stalled = TcpStream::connect(addr).unwrap();
-        stalled.write_all(b"GET /met").unwrap();
-        // A well-behaved scrape right behind it still gets served. It
-        // queues behind the stalled connection for at most ~100ms.
+    fn half_open_scrapers_are_capped_without_wedging_the_endpoint() {
+        let (h, addr) = serve_scrapes(test_server(0));
+        // A scraper that connects, sends half a request line and stalls
+        // occupies one scrape slot and nothing else: a well-behaved scrape
+        // right behind it is answered at once.
+        let mut stalled = vec![TcpStream::connect(addr).unwrap()];
+        stalled[0].write_all(b"GET /met").unwrap();
+        let t0 = Instant::now();
         let metrics = get(addr, "/metrics");
         assert!(metrics.starts_with("HTTP/1.1 200 OK"), "{metrics}");
-        // The stalled connection was shut down, not answered.
-        let mut rest = String::new();
-        stalled.read_to_string(&mut rest).unwrap_or_default();
-        assert!(rest.is_empty(), "stalled scraper got: {rest}");
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "scrape stalled behind a half-open scraper: {:?}",
+            t0.elapsed()
+        );
+
+        // Fill every scrape slot with stalled scrapers: one more is
+        // closed unanswered, and the line port is unaffected.
+        while stalled.len() < MAX_SCRAPE_CONNS {
+            let mut conn = TcpStream::connect(addr).unwrap();
+            conn.write_all(b"GET /met").unwrap();
+            stalled.push(conn);
+        }
+        let refused = get(addr, "/metrics");
+        assert!(
+            refused.is_empty(),
+            "beyond the cap, a scrape was answered: {:?}",
+            refused.lines().next()
+        );
+        let line = TcpStream::connect(h.addr()).unwrap();
+        line.try_clone().unwrap().write_all(b"PING\n").unwrap();
+        let mut pong = String::new();
+        BufReader::new(line).read_line(&mut pong).unwrap();
+        assert_eq!(pong, "PONG\n");
+
+        // Closing the stalled scrapers frees their slots again; the
+        // reactor reaps the EOFs asynchronously, so retry briefly.
+        drop(stalled);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !get(addr, "/metrics").starts_with("HTTP/1.1 200 OK") {
+            assert!(Instant::now() < deadline, "scrape slots were never freed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
         h.stop();
     }
 }

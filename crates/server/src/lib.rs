@@ -27,7 +27,7 @@
 //! | [`EmIndex`] | `index` | snapshot-swapped `OverlayGraph` (shared base CSR + O(batch) delta) + a versioned Σ ([`EmIndex::add_keys`] / [`EmIndex::drop_key`] evolve it at runtime) + `EqRel` with rep map and duplicate clusters; threshold-compacted; optional write-through durability (`gk-store` WAL + snapshots, crash recovery) |
 //! | [`Request`] / [`Response`] | `proto` | the typed request/response surface with a lossless `parse`/`render` pair; [`VERBS`], one row per verb |
 //! | [`Server`] | `protocol` | [`Server::execute`] maps requests to responses; [`Server::handle`] is the line-protocol shim |
-//! | [`serve`] / [`serve_with`] | `net` + `event_loop` | TCP framing: a nonblocking epoll reactor + worker pool by default ([`NetModel::Epoll`]), or the legacy blocking thread-per-connection pool ([`NetModel::Threaded`]) |
+//! | [`serve`] / [`serve_with`] | `net` + `event_loop` + `http` | TCP framing: a nonblocking epoll reactor + worker pool, which also serves the HTTP scrape endpoint; `gk-client` is the client half |
 //!
 //! ## In-process use
 //!
@@ -66,15 +66,11 @@ mod net;
 mod proto;
 mod protocol;
 
-pub use http::{serve_metrics_http, MetricsHandle};
 pub use index::{
     AdvanceMode, AdvanceReport, EmIndex, IndexState, IndexStats, KeyChange, RecoveryReport,
     StepLog, DEFAULT_COMPACT_THRESHOLD,
 };
-pub use net::{
-    request, request_with_timeout, serve, serve_with, NetModel, ServeHandle, ServeOptions,
-    MAX_REQUEST_LINE,
-};
+pub use net::{serve, serve_with, NetModel, ServeHandle, ServeOptions, MAX_REQUEST_LINE};
 pub use proto::{
     Class, MergeEntry, ProofLine, RecordedTrace, Request, RequestError, Response, ResponseError,
     Verb, VERBS,
@@ -1123,65 +1119,5 @@ mod tests {
         assert_eq!(count(&m1, "gk_updates_incremental_total"), 1);
         assert_eq!(count(&m1, "gk_ingest_delta_chase_micros_count"), 1);
         assert!(count(&m1, "gk_chase_candidate_pairs_sum") >= 1, "{m1}");
-    }
-
-    #[test]
-    fn http_endpoint_serves_get_metrics_scrapes() {
-        use std::io::{Read as _, Write as _};
-        let s = Arc::new(server());
-        s.handle("SAME alb1 alb2");
-        let h = serve_metrics_http(Arc::clone(&s), "127.0.0.1:0").unwrap();
-        let scrape = |path: &str| -> String {
-            let mut conn = std::net::TcpStream::connect(h.addr()).unwrap();
-            conn.write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").as_bytes())
-                .unwrap();
-            let mut out = String::new();
-            conn.read_to_string(&mut out).unwrap();
-            out
-        };
-        let ok = scrape("/metrics");
-        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
-        assert!(ok.contains("gk_requests_same_total 1"), "{ok}");
-        assert!(
-            ok.contains("# TYPE gk_request_micros_same histogram"),
-            "{ok}"
-        );
-        let miss = scrape("/other");
-        assert!(miss.starts_with("HTTP/1.1 404 Not Found\r\n"), "{miss}");
-        h.stop();
-    }
-
-    #[test]
-    fn tcp_round_trip_with_worker_pool() {
-        let s = Arc::new(server());
-        let handle = serve(Arc::clone(&s), "127.0.0.1:0", 4).unwrap();
-        let addr = handle.addr().to_string();
-
-        assert!(request(&addr, "SAME alb1 alb2").unwrap().starts_with("YES"));
-        let proof = request(&addr, "EXPLAIN art1 art2").unwrap();
-        assert!(
-            proof.contains('\n'),
-            "multi-line response survives framing: {proof:?}"
-        );
-        let r = request(
-            &addr,
-            r#"INSERT alb3:album name_of "Anthology 2" ; alb3:album release_year "1996""#,
-        )
-        .unwrap();
-        assert!(r.contains("mode=incremental"), "{r}");
-        assert!(request(&addr, "SAME alb1 alb3").unwrap().starts_with("YES"));
-
-        // Parallel clients over the pool.
-        let clients: Vec<_> = (0..8)
-            .map(|_| {
-                let addr = addr.clone();
-                std::thread::spawn(move || request(&addr, "DUPS alb1").unwrap())
-            })
-            .collect();
-        for c in clients {
-            let resp = c.join().unwrap();
-            assert!(resp.starts_with("DUPS alb1:"), "{resp}");
-        }
-        handle.stop();
     }
 }

@@ -25,7 +25,7 @@ use parking_lot::Mutex;
 use rustc_hash::{FxHashMap, FxHasher};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,9 +46,9 @@ pub struct Server {
     /// Connection-lifecycle metrics, recorded by the TCP framing layer
     /// ([`crate::net`]) through the shared server handle.
     pub(crate) net: NetMetrics,
-    /// Which front-end serves this instance (0 = not serving, 1 = epoll,
-    /// 2 = threaded) — `STATS` reports `net_model=`.
-    net_model: AtomicU64,
+    /// Whether [`crate::serve_with`] serves this instance — `STATS`
+    /// reports `net_model=` as the epoll reactor's name or `none`.
+    serving: AtomicBool,
     /// The `--max-conns` admission bound (0 = unlimited) — `STATS`
     /// reports `max_conns=`.
     max_conns: AtomicU64,
@@ -434,7 +434,7 @@ impl Server {
         Server {
             verbs: VerbMetrics::register(reg),
             net: NetMetrics::register(reg),
-            net_model: AtomicU64::new(0),
+            serving: AtomicBool::new(false),
             max_conns: AtomicU64::new(0),
             cache: None,
             cache_metrics: CacheMetrics::register(reg),
@@ -453,16 +453,12 @@ impl Server {
         &self.index
     }
 
-    /// Records which front-end serves this instance and its admission
-    /// bound, for `STATS` (`net_model=`, `max_conns=`). Called by
-    /// [`crate::serve_with`]; an embedded (non-serving) server reports
+    /// Records that the epoll reactor serves this instance, and its
+    /// admission bound, for `STATS` (`net_model=`, `max_conns=`). Called
+    /// by [`crate::serve_with`]; an embedded (non-serving) server reports
     /// `net_model=none`.
-    pub(crate) fn note_net_config(&self, model: crate::net::NetModel, max_conns: usize) {
-        let code = match model {
-            crate::net::NetModel::Epoll => 1,
-            crate::net::NetModel::Threaded => 2,
-        };
-        self.net_model.store(code, Ordering::Relaxed);
+    pub(crate) fn note_net_config(&self, max_conns: usize) {
+        self.serving.store(true, Ordering::Relaxed);
         self.max_conns.store(max_conns as u64, Ordering::Relaxed);
     }
 
@@ -892,12 +888,11 @@ impl Server {
         );
         push(
             "net_model",
-            match self.net_model.load(Ordering::Relaxed) {
-                1 => "epoll",
-                2 => "threaded",
-                _ => "none",
-            }
-            .to_string(),
+            if self.serving.load(Ordering::Relaxed) {
+                crate::NetModel::Epoll.to_string()
+            } else {
+                "none".to_string()
+            },
         );
         push(
             "max_conns",

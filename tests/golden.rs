@@ -176,7 +176,7 @@ fn golden_net() {
     // oversized request line (both close the connection), and the
     // QUIT/BYE framing of a pipelined session. `<EOF>` marks where the
     // server hung up.
-    use keys_for_graphs::server::{serve_with, NetModel, ServeOptions};
+    use keys_for_graphs::server::{serve_with, ServeOptions};
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
 
@@ -186,7 +186,6 @@ fn golden_net() {
         "127.0.0.1:0",
         &ServeOptions {
             threads: 1,
-            model: NetModel::Epoll,
             max_conns: 1,
             metrics_addr: None,
         },
