@@ -230,12 +230,12 @@ fn cmd_validate(args: &[String], out: &mut String) -> Result<(), String> {
     let g = load_graph(gpath)?;
     let ks = load_keys(kpath)?;
     let compiled = ks.compile(&g);
-    if !compiled.skipped.is_empty() {
-        let _ = writeln!(
-            out,
-            "inactive keys (vocabulary not in graph): {:?}",
-            compiled.skipped
-        );
+    let inactive: Vec<&str> = (ks.keys().iter().zip(ks.ids()))
+        .filter(|&(_, &id)| compiled.get(id).is_none())
+        .map(|(k, _)| k.name.as_str())
+        .collect();
+    if !inactive.is_empty() {
+        let _ = writeln!(out, "inactive keys (vocabulary not in graph): {inactive:?}");
     }
     if satisfies(&g, &compiled) {
         let _ = writeln!(out, "OK: G |= Σ (no duplicates under these keys)");
@@ -929,6 +929,22 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("OK"), "{out}");
+        // A key whose names the file graph lacks is reported, not fatal.
+        write(
+            &format!("{d}/k2.gk"),
+            &format!("{K}\nkey \"Ghost\" u(x) {{ x -q-> n*; }}"),
+        );
+        let mut out = String::new();
+        let k2 = format!("{d}/k2.gk");
+        run_to(
+            &args(&["validate", &format!("{d}/g.triples"), &k2]),
+            &mut out,
+        )
+        .unwrap();
+        assert!(
+            out.starts_with("inactive keys (vocabulary not in graph): [\"Ghost\"]\n"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -178,22 +178,24 @@ impl KeySet {
         overall
     }
 
-    /// Compiles the whole set against a graph.
+    /// Compiles the whole set against a graph. A key whose
+    /// [vocabulary](Key::vocabulary) `g` does not intern is left out: it
+    /// cannot match there, and a frozen graph cannot take new names. A
+    /// graph that interns Σ's vocabulary compiles every key, each in the
+    /// slot of its declared position.
     pub fn compile<V: GraphView>(&self, g: &V) -> CompiledKeySet {
         let mut keys = Vec::new();
-        let mut skipped = Vec::new();
-        for (i, k) in self.keys.iter().enumerate() {
-            match k.compile(g) {
-                Some(pattern) => keys.push(CompiledKey {
+        for (k, &id) in self.keys.iter().zip(&self.ids) {
+            if let Some(pattern) = k.compile(g) {
+                keys.push(CompiledKey {
                     idx: keys.len(),
-                    id: self.ids[i],
+                    id,
                     name: k.name.clone(),
                     target_type: pattern.anchor_type(),
                     radius: pattern.radius(),
                     recursive: pattern.is_recursive(),
                     pattern,
-                }),
-                None => skipped.push(k.name.clone()),
+                });
             }
         }
         let mut by_type: FxHashMap<TypeId, Vec<usize>> = FxHashMap::default();
@@ -205,7 +207,6 @@ impl KeySet {
         }
         CompiledKeySet {
             keys,
-            skipped,
             by_type,
             radius_by_type,
         }
@@ -215,8 +216,10 @@ impl KeySet {
 /// One key compiled against a specific graph.
 #[derive(Clone, Debug)]
 pub struct CompiledKey {
-    /// Dense slot within the [`CompiledKeySet`]: the matcher's index,
-    /// which shifts whenever a recompile activates or drops a key.
+    /// Dense slot within the [`CompiledKeySet`]: the matcher's index.
+    /// Against a graph that interns Σ's vocabulary — the server's always
+    /// does — it is the key's declared position, so slots shift only
+    /// when Σ changes.
     pub idx: usize,
     /// The stable id of the originating [`Key`] in the source [`KeySet`].
     pub id: KeyId,
@@ -233,13 +236,11 @@ pub struct CompiledKey {
 }
 
 /// A key set compiled against a graph: only *active* keys (those whose
-/// vocabulary exists in the graph) plus per-type indexes.
+/// vocabulary the graph interns) plus per-type indexes.
 #[derive(Clone, Debug, Default)]
 pub struct CompiledKeySet {
     /// Active keys, in declared order.
     pub keys: Vec<CompiledKey>,
-    /// Names of keys skipped because their vocabulary is absent.
-    pub skipped: Vec<String>,
     by_type: FxHashMap<TypeId, Vec<usize>>,
     radius_by_type: FxHashMap<TypeId, usize>,
 }
@@ -385,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn compile_splits_active_and_skipped() {
+    fn compile_leaves_out_keys_the_graph_lacks() {
         let g = parse_graph(
             r#"
             a1:album name_of "X"
@@ -397,7 +398,6 @@ mod tests {
         // Q2 resolves; Q1/Q3 need recorded_by and artist, absent here.
         assert_eq!(cks.len(), 1);
         assert_eq!(cks.keys[0].name, "Q2");
-        assert_eq!(cks.skipped, vec!["Q1".to_string(), "Q3".to_string()]);
         let album = g.etype("album").unwrap();
         assert_eq!(cks.keys_on(album), &[0]);
         assert_eq!(cks.get(KeyId(1)).map(|k| k.idx), Some(0));

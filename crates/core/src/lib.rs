@@ -76,7 +76,7 @@ pub use incremental::chase_incremental;
 pub use keyset::{CompiledKey, CompiledKeySet, KeyId, KeySet};
 pub use metrics::ChaseMetrics;
 pub use parallel::{chase_parallel, ParallelOpts};
-pub use pattern::{Key, KeyBuilder, KeyError, KeyTriple, Term};
+pub use pattern::{Key, KeyBuilder, KeyError, KeyTriple, Term, Vocabulary};
 pub use prep::{prepare_base, prepare_opt, BasePrep, NeighborhoodCache, OptPrep};
 pub use product::ProductGraph;
 pub use proof::{prove, verify, Proof, ProofError, ProofStep};

@@ -110,6 +110,18 @@ pub struct KeyTriple {
     pub o: Term,
 }
 
+/// The names a key uses, grouped by the interner that resolves them (see
+/// [`Key::vocabulary`]). Repeats are kept; interning is idempotent.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Vocabulary<'a> {
+    /// The target type, then every entity-variable and wildcard type.
+    pub types: Vec<&'a str>,
+    /// Every predicate.
+    pub preds: Vec<&'a str>,
+    /// Every constant.
+    pub values: Vec<&'a str>,
+}
+
 /// A key for entities of a target type: a named, validated pattern `Q(x)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Key {
@@ -369,11 +381,32 @@ impl Key {
         self.triples.len()
     }
 
+    /// Every name [`Key::compile`] resolves against a graph. A graph that
+    /// interns all of them compiles the key, whether or not any triple
+    /// uses them.
+    pub fn vocabulary(&self) -> Vocabulary<'_> {
+        let mut v = Vocabulary {
+            types: vec![self.target_type.as_str()],
+            ..Vocabulary::default()
+        };
+        for t in &self.triples {
+            v.preds.push(&t.p);
+            for term in [&t.s, &t.o] {
+                match term {
+                    Term::EntityVar { ty, .. } | Term::Wildcard { ty, .. } => v.types.push(ty),
+                    Term::Const { value } => v.values.push(value),
+                    Term::X | Term::ValueVar { .. } => {}
+                }
+            }
+        }
+        v
+    }
+
     /// Compiles this key against a graph, resolving names to interned ids.
     ///
-    /// Returns `None` if some predicate, type or constant does not occur in
-    /// the graph at all — such a key can never match there (an *inactive*
-    /// key, not an error: keys are schema-level artifacts).
+    /// Returns `None` if some name of its [`vocabulary`](Key::vocabulary)
+    /// is not interned in the graph — such a key can never match there (an
+    /// *inactive* key, not an error: keys are schema-level artifacts).
     pub fn compile<V: GraphView>(&self, g: &V) -> Option<PairPattern> {
         let (terms, _) = self.term_graph();
         let target = g.etype(&self.target_type)?;
@@ -650,6 +683,34 @@ mod tests {
             .build()
             .unwrap();
         assert!(k.compile(&g).is_none());
+    }
+
+    #[test]
+    fn interning_the_vocabulary_compiles_a_key_without_triples() {
+        let k = Key::builder("K", "album")
+            .constant("tagged", "gold")
+            .triple(Term::x(), "by", Term::wildcard("w", "artist"))
+            .build()
+            .unwrap();
+        let v = k.vocabulary();
+        assert_eq!(v.types, ["album", "artist"]);
+        assert_eq!(v.preds, ["tagged", "by"]);
+        assert_eq!(v.values, ["gold"]);
+        let mut b = gk_graph::GraphBuilder::new();
+        b.entity("a1", "album");
+        assert!(k.compile(&b.freeze()).is_none());
+        let mut b = gk_graph::GraphBuilder::new();
+        b.entity("a1", "album");
+        for t in &v.types {
+            b.intern_type(t);
+        }
+        for p in &v.preds {
+            b.intern_pred(p);
+        }
+        for x in &v.values {
+            b.intern_value(x);
+        }
+        assert!(k.compile(&b.freeze()).is_some());
     }
 
     #[test]

@@ -125,13 +125,18 @@ impl GraphBuilder {
 
     /// The shared copy loop behind [`from_graph`](Self::from_graph),
     /// [`from_graph_filtered`](Self::from_graph_filtered) and
-    /// [`from_view`](Self::from_view): entity ids (and names) are always
-    /// preserved; only triples `keep` accepts are copied.
+    /// [`from_view`](Self::from_view): entity ids (and names) and type ids
+    /// are always preserved — so are types no entity has yet — and only
+    /// triples `keep` accepts are copied. Predicates and values are
+    /// interned afresh, in the order the kept triples use them.
     fn from_view_filtered<V: crate::GraphView>(
         v: &V,
         mut keep: impl FnMut(Triple) -> bool,
     ) -> Self {
         let mut b = GraphBuilder::new();
+        for t in 0..v.num_types() as u32 {
+            b.intern_type(v.type_str(TypeId(t)));
+        }
         for e in v.entities() {
             let ty = b.intern_type(v.type_str(v.entity_type(e)));
             let fresh = b.fresh_entity(ty);
@@ -614,6 +619,18 @@ mod tests {
         let mut b = GraphBuilder::new();
         b.entity("x", "t1");
         b.entity("x", "t2");
+    }
+
+    #[test]
+    fn reopen_keeps_type_ids_even_without_entities() {
+        // A type interned before any entity has it keeps its id, so state
+        // keyed by type (degree histograms) survives a rebuild.
+        let mut b = GraphBuilder::new();
+        let later = b.intern_type("later");
+        b.entity("a", "t");
+        let g = GraphBuilder::from_graph(&b.freeze()).freeze();
+        assert_eq!(g.etype("later"), Some(later));
+        assert_eq!(g.etype("t"), Some(TypeId(1)));
     }
 
     #[test]

@@ -318,7 +318,8 @@ impl OverlayGraph {
     // ---------------------------------------------------------------
 
     /// Folds base + delta into a fresh frozen CSR (the O(|G|) path that
-    /// rebuild-on-write used to pay per batch). Entity ids are preserved.
+    /// rebuild-on-write used to pay per batch). Entity and type ids are
+    /// preserved.
     pub fn materialize(&self) -> Graph {
         GraphBuilder::from_view(self).freeze()
     }

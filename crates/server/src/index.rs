@@ -13,18 +13,21 @@
 //! always sees either the complete pre-update or the complete post-update
 //! `Eq` — never a torn intermediate.
 //!
-//! ## The write path is O(batch), not O(|G|)
+//! ## The write path is O(batch + delta), not O(|G|)
 //!
 //! The served graph is an [`OverlayGraph`]: an immutable base CSR shared
 //! behind an `Arc` across versions plus a bounded delta segment (appended
 //! triples in sorted per-entity adjacency, tombstones for deletions,
 //! id-stable interner/entity extensions). An `INSERT` batch clones the
-//! delta (O(delta), never O(|G|)), appends, and runs the monotone delta
-//! chase; a `DELETE` tombstones and re-chases *through the view* without
-//! rebuilding the CSR. Once `delta_triples + tombstones` crosses the
-//! [compaction threshold](EmIndex::set_compact_threshold) — or when
-//! `COMPACT` runs — the delta is folded into a fresh base CSR (the only
-//! place the old rebuild-per-write cost survives, now amortized).
+//! delta (O(delta), bounded by the [compaction
+//! threshold](EmIndex::set_compact_threshold)), appends, and runs the
+//! monotone delta chase; a `DELETE` tombstones and re-chases *through the
+//! view*. Once `delta_triples + tombstones` reaches the threshold — or on
+//! `COMPACT` — the delta is folded into a fresh base CSR, amortized.
+//!
+//! Every graph version the index serves or persists interns Σ's
+//! vocabulary, so every declared key compiles whatever the layout, and Σ
+//! is compiled only when it changes or a fold renumbers ids.
 //!
 //! ## Durability
 //!
@@ -47,7 +50,8 @@ use gk_core::{
     ChaseStep, CompiledKeySet, EqRel, Key, KeySet, Proof, ProofError, ShardRole,
 };
 use gk_graph::{
-    DegreeBuckets, EntityId, Graph, GraphView, Obj, ObjSpec, OverlayGraph, Triple, TripleSpec,
+    DegreeBuckets, EntityId, Graph, GraphBuilder, GraphView, Obj, ObjSpec, OverlayGraph, Triple,
+    TripleSpec,
 };
 use gk_metrics::{Counter, Gauge, Histogram, Registry, Span};
 use gk_store::{
@@ -271,8 +275,9 @@ pub struct IndexState {
     /// swaps in a new graph — so a snapshot always pairs a graph with the
     /// Σ it was chased under.
     pub keys: Arc<KeySet>,
-    /// Σ compiled against [`IndexState::graph`].
-    pub compiled: CompiledKeySet,
+    /// Σ compiled against [`IndexState::graph`], which interns its names:
+    /// every declared key, shared until Σ changes or a fold renumbers ids.
+    pub compiled: Arc<CompiledKeySet>,
     /// The terminal `Eq` — `chase(G, Σ)`.
     pub eq: EqRel,
     /// Monotonically increasing version, bumped by every applied update.
@@ -299,7 +304,7 @@ impl IndexState {
     fn build(
         graph: OverlayGraph,
         keys: Arc<KeySet>,
-        compiled: CompiledKeySet,
+        compiled: Arc<CompiledKeySet>,
         eq: EqRel,
         steps: StepLog,
         degrees: DegreeBuckets,
@@ -553,10 +558,10 @@ pub struct EmIndex {
 /// extends) reproduces the whole step log.
 const ALL_LOGGED: usize = usize::MAX;
 
-/// Default [`EmIndex::set_compact_threshold`]: the delta stays small
-/// enough that per-batch clone cost is negligible while compactions stay
-/// rare on streaming workloads.
-pub const DEFAULT_COMPACT_THRESHOLD: usize = 1 << 16;
+/// Default [`EmIndex::set_compact_threshold`]. Every commit clones the
+/// delta and a fold costs O(|G|); streaming into the 9 980-entity serving
+/// fixture, their amortized sum is least at 1–2 K triples.
+pub const DEFAULT_COMPACT_THRESHOLD: usize = 1 << 11;
 
 impl EmIndex {
     /// Loads a graph and a key set, runs the startup chase with the default
@@ -621,13 +626,7 @@ impl EmIndex {
         compact_threshold: usize,
     ) -> Self {
         let stats = IndexStats::register(&registry);
-        let state = startup_chase(
-            OverlayGraph::new(graph),
-            Arc::new(keys),
-            engine,
-            &stats,
-            shard,
-        );
+        let state = startup_chase(graph, Arc::new(keys), engine, &stats, shard);
         EmIndex {
             engine,
             state: RwLock::new(Arc::new(state)),
@@ -1017,7 +1016,7 @@ impl EmIndex {
         let staged = Staged {
             graph: snap.graph.clone(),
             keys: Arc::clone(&snap.keys),
-            compiled: snap.compiled.clone(),
+            compiled: Arc::clone(&snap.compiled),
             degrees: snap.degrees.clone(),
             key_epoch: snap.key_epoch,
         };
@@ -1061,22 +1060,21 @@ impl EmIndex {
         let store = self.store_or_err()?;
         let _writer = self.ingest.lock();
         let t0 = Instant::now();
-        let (frz, report) = self
+        let (snap, frozen, report) = self
             .freeze_and(store, |store, data| store.compact(data))
             .map_err(|e| format!("compaction failed: {e}"))?;
-        let snap = frz.snap;
         if !snap.graph.is_compact() {
-            // Reuse the materialized CSR — and the compile freeze_and
-            // already produced against it — as the new in-memory state:
-            // same logical graph, Eq and step log, same version; only the
-            // layout moved.
+            // Reuse the folded CSR as the new in-memory state: same
+            // logical graph, Eq and step log, same version; only the
+            // layout moved — and with it the ids Σ compiles to.
             self.stats.compactions.inc();
             self.stats.compact_micros.observe_micros(t0.elapsed());
-            let g2 = OverlayGraph::from_arc(frz.graph, snap.graph.epoch() + 1);
+            let g2 = OverlayGraph::from_arc(frozen, snap.graph.epoch() + 1);
+            let compiled = Arc::new(snap.keys.compile(&g2));
             let next = IndexState::build(
                 g2,
                 Arc::clone(&snap.keys),
-                frz.compiled,
+                compiled,
                 snap.eq.clone(),
                 snap.steps.clone(),
                 // Same logical graph, new layout: degrees carry over.
@@ -1099,44 +1097,32 @@ impl EmIndex {
     ) -> Result<(u64, T), String> {
         let store = self.store_or_err()?;
         let _writer = self.ingest.lock();
-        let (frz, out) = self
+        let (snap, _, out) = self
             .freeze_and(store, op)
             .map_err(|e| format!("{what} failed: {e}"))?;
-        Ok((frz.snap.version, out))
+        Ok((snap.version, out))
     }
 
     /// The one place that decides what a snapshot captures: freezes the
     /// current state (sharing the base when the overlay is already
-    /// compact, materializing otherwise) and hands it to a store
-    /// operation. Call with the ingest lock held.
+    /// compact, [folding](fold) otherwise) and hands it to a store
+    /// operation. Returns the state it froze and the frozen CSR, reusable
+    /// for an in-memory epoch bump. Call with the ingest lock held.
     fn freeze_and<T>(
         &self,
         store: &Store,
         op: impl FnOnce(&Store, &SnapshotData<'_>) -> std::io::Result<T>,
-    ) -> std::io::Result<(FrozenState, T)> {
+    ) -> std::io::Result<(Arc<IndexState>, Arc<Graph>, T)> {
         let snap = self.snapshot();
         let dsl = write_keys(snap.keys.keys());
         let frozen = if snap.graph.is_compact() {
             Arc::clone(snap.graph.base())
         } else {
-            Arc::new(snap.graph.materialize())
+            Arc::new(fold(&snap.graph, &snap.keys))
         };
-        // A snapshot names a step's key by its slot in a compile of exactly
-        // the persisted graph — whose pruned interner can deactivate keys
-        // the overlay still compiled (their vocabulary may survive only in
-        // the base interner).
-        let compiled = snap.keys.compile(frozen.as_ref());
-        let steps: Vec<StepRow> = snap
-            .steps
-            .iter()
-            .filter_map(|s| {
-                let slot = compiled.get(s.key)?.idx;
-                Some(StepRow {
-                    pair: s.pair,
-                    key: slot as u32,
-                })
-            })
-            .collect();
+        // A step's key is persisted as its slot in Σ compiled against the
+        // frozen graph, which interns Σ: the slot is the declared position.
+        let steps = step_rows(&snap.keys, snap.steps.iter()).map_err(std::io::Error::other)?;
         let out = op(
             store,
             &SnapshotData {
@@ -1147,19 +1133,8 @@ impl EmIndex {
                 steps: &steps,
             },
         )?;
-        // WAL positions index the live log, and recovery rebuilds it from
-        // this snapshot: the two must agree step for step. (A key has steps
-        // only while its vocabulary has live triples, so it stays active.)
-        debug_assert_eq!(steps.len(), snap.steps().len());
         self.unlogged_from.store(ALL_LOGGED, Ordering::Relaxed);
-        Ok((
-            FrozenState {
-                snap,
-                graph: frozen,
-                compiled,
-            },
-            out,
-        ))
+        Ok((snap, frozen, out))
     }
 
     fn store_or_err(&self) -> Result<&Store, String> {
@@ -1183,9 +1158,9 @@ impl EmIndex {
     }
 
     /// [`EmIndex::insert`] recording phase spans (`validate`,
-    /// `apply_batch`, `compact`, `compile`, `delta_chase` /
-    /// `full_rechase`, `wal_append`) into `span`. The chase phase nests
-    /// the engine's own per-round spans.
+    /// `apply_batch`, `compact` and `compile` when a fold runs,
+    /// `delta_chase` / `full_rechase`, `wal_append`) into `span`. The
+    /// chase phase nests the engine's own per-round spans.
     pub fn insert_traced(
         &self,
         specs: &[TripleSpec],
@@ -1240,8 +1215,8 @@ impl EmIndex {
     }
 
     /// [`EmIndex::delete`] recording phase spans (`validate`,
-    /// `apply_batch`, `compact`, `compile`, `full_rechase`, `wal_append`)
-    /// into `span`.
+    /// `apply_batch`, `compact` and `compile` when a fold runs,
+    /// `full_rechase`, `wal_append`) into `span`.
     pub fn delete_traced(
         &self,
         specs: &[TripleSpec],
@@ -1286,9 +1261,10 @@ impl EmIndex {
     }
 
     /// The shared tail of `INSERT`/`DELETE` once the batch is applied to
-    /// `g2`: fold an oversized delta, advance the degree rows of `touched`
-    /// (the only ones that changed; new entities append their own),
-    /// recompile Σ, chase and commit. Inserts are monotone, so the previous
+    /// `g2`: fold an oversized delta (and only then recompile Σ: the batch
+    /// moves no id), advance the degree rows of `touched` (the only ones
+    /// that changed; new entities append their own), chase and commit.
+    /// Inserts are monotone, so the previous
     /// relation seeds the chase; a deletion can only shrink it, so the
     /// chase re-runs inside the previous classes, seeded by the steps of
     /// the previous log that still re-derive (a shard recomputes its owned
@@ -1304,12 +1280,18 @@ impl EmIndex {
         deleting: bool,
         span: &Span,
     ) -> Result<AdvanceReport, String> {
-        let g2 = self.maybe_compact_traced(g2, span);
+        let (threshold, stats) = (self.compact_threshold, &self.stats);
+        let (g2, folded) = fold_if_over_threshold(g2, &snap.keys, threshold, stats, span);
         let mut degrees2 = snap.degrees.clone();
         degrees2.update_entities(&g2, touched);
-        let compile = span.child("compile");
-        let compiled2 = snap.keys.compile(&g2);
-        compile.finish();
+        let compiled2 = if folded {
+            let compile = span.child("compile");
+            let compiled = Arc::new(snap.keys.compile(&g2));
+            compile.finish();
+            compiled
+        } else {
+            Arc::clone(&snap.compiled)
+        };
         let log;
         let (start, op) = if deleting {
             log = snap.steps.to_vec();
@@ -1357,22 +1339,6 @@ impl EmIndex {
             new_pairs: 0,
             rounds: 0,
             iso_checks: 0,
-        }
-    }
-
-    /// Folds the overlay's delta into a fresh base CSR when it crossed the
-    /// configured threshold (the only O(|G|) step on the write path,
-    /// amortized over the batches that filled the delta), recording a
-    /// `compact` span when the fold actually runs.
-    fn maybe_compact_traced(&self, g: OverlayGraph, span: &Span) -> OverlayGraph {
-        if self.compact_threshold > 0 && g.delta_size() >= self.compact_threshold {
-            let c = span.child("compact");
-            c.count("delta", g.delta_size() as u64);
-            let folded = fold_if_over_threshold(g, self.compact_threshold, &self.stats);
-            c.finish();
-            folded
-        } else {
-            g
         }
     }
 
@@ -1428,8 +1394,10 @@ impl EmIndex {
         let keys2 = Arc::new(snap.keys.with_added(new).map_err(|e| e.to_string())?);
         validate.count("keys", count);
         validate.finish();
+        let mut g2 = snap.graph.clone();
+        intern_vocabulary(&mut g2, &keys2.keys()[snap.keys.cardinality()..]);
         let compile = span.child("compile");
-        let compiled2 = keys2.compile(&snap.graph);
+        let compiled2 = Arc::new(keys2.compile(&g2));
         compile.finish();
 
         // Adding keys is monotone, so the previous relation seeds the
@@ -1439,8 +1407,7 @@ impl EmIndex {
         // identifies embeds the key's pattern — so both endpoints are of
         // the key's target type and meet its anchor slot's degree demand.
         // One woken endpoint suffices: the delta chase pairs it with its
-        // block-mates. Entities below the demand (and keys that did
-        // not compile, which cannot match at all) are skipped instead of
+        // block-mates. Entities below the demand are skipped instead of
         // seeding dead candidate pairs.
         let mut touched: Vec<EntityId> = Vec::new();
         let added = compiled2
@@ -1450,8 +1417,7 @@ impl EmIndex {
         for ck in added {
             let req = ck.pattern.anchor_req();
             touched.extend(
-                snap.graph
-                    .entities_of_type(ck.target_type)
+                g2.entities_of_type(ck.target_type)
                     .into_iter()
                     .filter(|&e| snap.degrees.satisfies(e, req)),
             );
@@ -1462,15 +1428,14 @@ impl EmIndex {
             prev: &snap.eq,
             touched: &touched,
         };
-        self.commit_keys(
-            &snap,
-            name,
-            keys2,
-            compiled2,
-            start,
-            WalOp::AddKey(dsl),
-            span,
-        )
+        let staged = Staged {
+            graph: g2,
+            keys: keys2,
+            compiled: compiled2,
+            degrees: snap.degrees.clone(),
+            key_epoch: snap.key_epoch + 1,
+        };
+        self.commit_keys(&snap, name, staged, start, WalOp::AddKey(dsl), span)
     }
 
     /// Removes the key named `name` from the live Σ at runtime.
@@ -1492,7 +1457,7 @@ impl EmIndex {
         let snap = self.snapshot();
         let keys2 = Arc::new(snap.keys.without(name).map_err(|e| e.to_string())?);
         let compile = span.child("compile");
-        let compiled2 = keys2.compile(&snap.graph);
+        let compiled2 = Arc::new(keys2.compile(&snap.graph));
         compile.finish();
         // Shrinking, like deletion: the dropped key's steps do not resolve
         // in the new compile, so they cannot re-derive and leave the seed.
@@ -1501,39 +1466,38 @@ impl EmIndex {
             prev: &snap.eq,
             log: &log,
         };
+        let staged = Staged {
+            graph: snap.graph.clone(),
+            keys: keys2,
+            compiled: compiled2,
+            degrees: snap.degrees.clone(),
+            key_epoch: snap.key_epoch + 1,
+        };
         let op = WalOp::DropKey(name.to_string());
-        self.commit_keys(&snap, name.to_string(), keys2, compiled2, start, op, span)
+        self.commit_keys(&snap, name.to_string(), staged, start, op, span)
     }
 
-    /// The shared tail of `ADDKEY`/`DROPKEY`: chase the unchanged graph
-    /// under the new Σ and commit the result with a bumped key epoch.
-    #[allow(clippy::too_many_arguments)]
+    /// The shared tail of `ADDKEY`/`DROPKEY`: chase the staged graph —
+    /// the same triples, at most with the new keys' names interned — under
+    /// the new Σ and commit the result.
     fn commit_keys(
         &self,
         snap: &IndexState,
         name: String,
-        keys: Arc<KeySet>,
-        compiled: CompiledKeySet,
+        staged: Staged,
         start: ChaseStart<'_>,
         op: WalOp,
         span: &Span,
     ) -> Result<KeyChange, String> {
-        let (result, mode) = self.chase(&snap.graph, &compiled, start, span);
+        let (result, mode) = self.chase(&staged.graph, &staged.compiled, start, span);
         let change = KeyChange {
             name,
-            keys: keys.cardinality(),
-            active_keys: compiled.len(),
-            key_epoch: snap.key_epoch + 1,
+            keys: staged.keys.cardinality(),
+            active_keys: staged.compiled.len(),
+            key_epoch: staged.key_epoch,
             identified_pairs: result.eq.num_identified_pairs(),
             rounds: result.rounds,
             iso_checks: result.iso_checks,
-        };
-        let staged = Staged {
-            graph: snap.graph.clone(),
-            keys,
-            compiled,
-            degrees: snap.degrees.clone(),
-            key_epoch: change.key_epoch,
         };
         self.commit(snap, staged, result, mode, Some(op), span)?;
         Ok(change)
@@ -1642,22 +1606,28 @@ impl EmIndex {
             (AdvanceMode::Incremental, from) if from != ALL_LOGGED => snap.steps.suffix(from),
             _ => Vec::new(),
         };
-        let steps = unlogged
-            .iter()
-            .chain(appended)
-            .map(|s| match keys.position(s.key) {
-                Some(at) => Ok(StepRow {
-                    pair: s.pair,
-                    key: at as u32,
-                }),
-                None => Err(format!("step {:?} cites a key outside Σ", s.pair)),
-            })
-            .collect::<Result<_, _>>()?;
         Ok(Outcome {
             kept: kept.clone(),
-            steps,
+            steps: step_rows(keys, unlogged.iter().chain(appended))?,
         })
     }
+}
+
+/// `steps` as the WAL and the snapshot persist them: each key named by its
+/// declared position in `keys`. A step citing a key outside Σ is an error.
+fn step_rows<'a>(
+    keys: &KeySet,
+    steps: impl Iterator<Item = &'a ChaseStep>,
+) -> Result<Vec<StepRow>, String> {
+    steps
+        .map(|s| match keys.position(s.key) {
+            Some(at) => Ok(StepRow {
+                pair: s.pair,
+                key: at as u32,
+            }),
+            None => Err(format!("step {:?} cites a key outside Σ", s.pair)),
+        })
+        .collect()
 }
 
 /// What a re-chase kept of an `old_len`-step log, given the ascending
@@ -1721,48 +1691,72 @@ fn check_entity_types(g: &OverlayGraph, specs: &[TripleSpec]) -> Result<(), Stri
 struct Staged {
     graph: OverlayGraph,
     keys: Arc<KeySet>,
-    compiled: CompiledKeySet,
+    compiled: Arc<CompiledKeySet>,
     degrees: DegreeBuckets,
     key_epoch: u64,
 }
 
-/// What [`EmIndex::freeze_and`] captured: the snapshot it froze, the
-/// frozen CSR and Σ compiled against it — reusable for an in-memory epoch
-/// bump.
-struct FrozenState {
-    snap: Arc<IndexState>,
-    graph: Arc<Graph>,
-    compiled: CompiledKeySet,
+/// The one compaction trigger, write path and replay alike: [`fold`] into
+/// a fresh base of the next epoch once `delta_triples + tombstones` reaches
+/// `threshold` (`0` disables), under a `compact` span. True when it ran.
+fn fold_if_over_threshold(
+    g: OverlayGraph,
+    keys: &KeySet,
+    threshold: usize,
+    stats: &IndexStats,
+    span: &Span,
+) -> (OverlayGraph, bool) {
+    if threshold == 0 || g.delta_size() < threshold {
+        return (g, false);
+    }
+    let c = span.child("compact");
+    c.count("delta", g.delta_size() as u64);
+    stats.compactions.inc();
+    let t0 = Instant::now();
+    let folded = OverlayGraph::from_arc(Arc::new(fold(&g, keys)), g.epoch() + 1);
+    stats.compact_micros.observe_micros(t0.elapsed());
+    c.finish();
+    (folded, true)
 }
 
-/// The one compaction trigger, shared by the serving write path
-/// ([`EmIndex::maybe_compact`]) and the recovery replay: fold the delta
-/// into a fresh base once `delta_triples + tombstones` reaches the
-/// threshold (`0` disables).
-fn fold_if_over_threshold(g: OverlayGraph, threshold: usize, stats: &IndexStats) -> OverlayGraph {
-    if threshold > 0 && g.delta_size() >= threshold {
-        stats.compactions.inc();
-        let t0 = Instant::now();
-        let folded = g.compacted();
-        stats.compact_micros.observe_micros(t0.elapsed());
-        folded
-    } else {
-        g
+/// The one fold — threshold, `COMPACT`, post-replay and snapshot alike:
+/// base + delta into a fresh CSR that interns `keys`' vocabulary, live
+/// triples or not, so a compact overlay's base always compiles all of Σ.
+/// It keeps entity and type ids and renumbers predicates and values.
+fn fold(g: &OverlayGraph, keys: &KeySet) -> Graph {
+    let mut b = GraphBuilder::from_view(g);
+    for v in keys.keys().iter().map(Key::vocabulary) {
+        v.types.iter().for_each(|t| _ = b.intern_type(t));
+        v.preds.iter().for_each(|p| _ = b.intern_pred(p));
+        v.values.iter().for_each(|x| _ = b.intern_value(x));
+    }
+    b.freeze()
+}
+
+/// Interns `keys`' vocabulary into `g` — id-stable extensions only — so
+/// they compile against it with no triple yet using their names.
+fn intern_vocabulary(g: &mut OverlayGraph, keys: &[Key]) {
+    for v in keys.iter().map(Key::vocabulary) {
+        v.types.iter().for_each(|t| _ = g.intern_type(t));
+        v.preds.iter().for_each(|p| _ = g.intern_pred(p));
+        v.values.iter().for_each(|x| _ = g.intern_value(x));
     }
 }
 
-/// Runs the startup chase and builds version 0 of the serving state. A
-/// sharded index chases only its owned candidate slice; the coordinator
-/// converges the cluster by exchanging merge logs afterwards.
+/// Interns Σ's vocabulary, runs the startup chase and builds version 0 of
+/// the serving state. A sharded index chases only its owned candidate
+/// slice; the coordinator converges the cluster by exchanging merge logs.
 fn startup_chase(
-    graph: OverlayGraph,
+    graph: Graph,
     keys: Arc<KeySet>,
     engine: ChaseEngine,
     stats: &IndexStats,
     shard: Option<ShardRole>,
 ) -> IndexState {
     let t0 = Instant::now();
-    let compiled = keys.compile(&graph);
+    let mut graph = OverlayGraph::new(graph);
+    intern_vocabulary(&mut graph, keys.keys());
+    let compiled = Arc::new(keys.compile(&graph));
     let (r, _) = engine.advance(
         &graph,
         &compiled,
@@ -1795,7 +1789,10 @@ fn entity_label<V: GraphView>(g: &V, e: EntityId) -> String {
 }
 
 /// Resolves a delete spec against the graph with the same type contract as
-/// insert — a spec carrying a wrong `:Type` annotation is a client bug.
+/// insert — a spec carrying a wrong `:Type` annotation is a client bug. A
+/// predicate or value the graph does not intern names no live triple, so
+/// it answers `no such triple` like any other miss: which names a fold
+/// pruned is layout, not state.
 fn resolve_triple<V: GraphView>(g: &V, spec: &TripleSpec) -> Result<Triple, String> {
     let resolve = |name: &str, ty: &str| -> Result<EntityId, String> {
         let e = g
@@ -1808,24 +1805,21 @@ fn resolve_triple<V: GraphView>(g: &V, spec: &TripleSpec) -> Result<Triple, Stri
         Ok(e)
     };
     let s = resolve(&spec.subject, &spec.subject_type)?;
-    let p = g
-        .pred(&spec.pred)
-        .ok_or_else(|| format!("unknown predicate {:?}", spec.pred))?;
     let o = match &spec.object {
-        ObjSpec::Entity { name, ty } => Obj::Entity(resolve(name, ty)?),
-        ObjSpec::Value(v) => Obj::Value(g.value(v).ok_or_else(|| format!("unknown value {v:?}"))?),
+        ObjSpec::Entity { name, ty } => Some(Obj::Entity(resolve(name, ty)?)),
+        ObjSpec::Value(v) => g.value(v).map(Obj::Value),
     };
-    if !g.has(s, p, o) {
-        return Err("no such triple".into());
+    match (g.pred(&spec.pred), o) {
+        (Some(p), Some(o)) if g.has(s, p, o) => Ok(Triple { s, p, o }),
+        _ => Err("no such triple".into()),
     }
-    Ok(Triple { s, p, o })
 }
 
 /// The serving state [`replay`] recovered, before the indexes are built.
 struct Replayed {
     graph: OverlayGraph,
     keys: Arc<KeySet>,
-    compiled: CompiledKeySet,
+    compiled: Arc<CompiledKeySet>,
     eq: EqRel,
     steps: StepLog,
     version: u64,
@@ -1870,8 +1864,9 @@ fn replay(
         .wal
         .last()
         .map_or(rec.snapshot.seq, |r| r.seq.max(rec.snapshot.seq));
-    // The snapshot names a step's key by its slot in the snapshot Σ
-    // compiled against exactly the snapshot graph.
+    // A snapshot names a step's key by its slot in Σ compiled against
+    // exactly its graph, before anything is interned: this build's files
+    // intern Σ (slot = position), older ones may have left a key out.
     let compiled = keys.compile(&g);
     let snapshot_steps = rec.snapshot.steps.iter().map(|s| {
         let ck = compiled.keys.get(s.key as usize).ok_or_else(|| {
@@ -1889,6 +1884,7 @@ fn replay(
     let mut log = Some(StepLog::from_steps(
         snapshot_steps.collect::<Result<_, String>>()?,
     ));
+    intern_vocabulary(&mut g, keys.keys());
 
     for (i, record) in rec.wal.iter().enumerate() {
         let replay_err =
@@ -1916,6 +1912,7 @@ fn replay(
             }
             WalOp::AddKey(dsl) => {
                 let new = parse_keys(dsl).map_err(|e| replay_err(e.to_string()))?;
+                intern_vocabulary(&mut g, &new);
                 keys = keys
                     .with_added(new)
                     .map_err(|e| replay_err(e.to_string()))?;
@@ -1941,8 +1938,8 @@ fn replay(
     // compaction threshold; fold it into a fresh base once, so the
     // recovered serving state starts compact instead of dragging the
     // oversized delta until the first accepted write.
-    let g = fold_if_over_threshold(g, compact_threshold, stats);
-    let compiled = keys.compile(&g);
+    let (g, _) = fold_if_over_threshold(g, &keys, compact_threshold, stats, &Span::disabled());
+    let compiled = Arc::new(keys.compile(&g));
     let chased = log.is_none();
     let (eq, steps) = match log {
         Some(log) => {
@@ -2095,6 +2092,44 @@ mod tests {
         assert!(apply(&log, &Kept::AllBut(vec![1]), Vec::new()).is_err());
         let folded = apply(&log, &Kept::AllBut(vec![0]), vec![step(1)]).unwrap();
         assert_eq!(folded.to_vec(), [step(1)]);
+    }
+
+    #[test]
+    fn writes_share_the_compile_until_sigma_or_the_ids_change() {
+        use gk_graph::{parse_graph, parse_triple_specs};
+        let mut idx = EmIndex::new(
+            parse_graph(
+                r#"
+                a1:album name_of "X"
+                a1:album release_year "1996"
+                a2:album name_of "X"
+                "#,
+            )
+            .unwrap(),
+            KeySet::parse(r#"key "Q" album(x) { x -name_of-> n*; }"#).unwrap(),
+        );
+        let compiled = |idx: &EmIndex| Arc::clone(&idx.snapshot().compiled);
+        let specs = |text: &str| parse_triple_specs(text).unwrap();
+        let first = compiled(&idx);
+        idx.insert(&specs(r#"a3:album name_of "X""#)).unwrap();
+        assert!(Arc::ptr_eq(&first, &compiled(&idx)), "INSERT shares it");
+        idx.delete(&specs(r#"a1:album release_year "1996""#))
+            .unwrap();
+        assert!(Arc::ptr_eq(&first, &compiled(&idx)), "DELETE shares it");
+
+        let ka = r#"key "KA" album(x) { x -release_year-> y*; }"#;
+        idx.add_keys(parse_keys(ka).unwrap()).unwrap();
+        let added = compiled(&idx);
+        assert!(!Arc::ptr_eq(&first, &added), "ADDKEY compiles");
+        assert_eq!(added.len(), 2, "KA compiles with no release_year triple");
+        idx.drop_key("KA").unwrap();
+        let dropped = compiled(&idx);
+        assert!(!Arc::ptr_eq(&added, &dropped), "DROPKEY compiles");
+
+        idx.set_compact_threshold(1);
+        idx.insert(&specs(r#"a4:album name_of "Y""#)).unwrap();
+        assert_eq!(idx.stats.compactions.get(), 1);
+        assert!(!Arc::ptr_eq(&dropped, &compiled(&idx)), "a fold compiles");
     }
 
     #[test]

@@ -657,15 +657,9 @@ mod tests {
         assert!(s2.handle("SAME alb1 alb2").starts_with("NO"));
     }
 
-    #[test]
-    fn compaction_remaps_step_attribution_when_keys_deactivate() {
-        // Regression: a Const key loses its vocabulary when the only
-        // triple carrying the constant is deleted; materialization prunes
-        // the interner, the recompile drops the key, and every later
-        // compiled index shifts. The step log kept across COMPACT must be
-        // remapped, not left citing stale indices.
-        use gk_core::ChaseEngine;
-        use gk_store::Durability;
+    /// A graph whose only `"gold"` triple a test deletes, and a Σ whose
+    /// first key cites that constant while the second does the merging.
+    fn gold_fixture() -> (gk_graph::Graph, KeySet) {
         let g = parse_graph(
             r#"
             special:album  tagged   "gold"
@@ -676,7 +670,6 @@ mod tests {
             "#,
         )
         .unwrap();
-        // Key 0 cites the constant "gold"; key 1 does the identifying.
         let ks = KeySet::parse(
             r#"
             key "GOLD" album(x) { x -tagged-> "gold"; x -name_of-> n*; }
@@ -684,91 +677,83 @@ mod tests {
             "#,
         )
         .unwrap();
-        let dur = Durability::in_dir(tmpdir("remap-steps"));
-        let (s, _) = Server::with_durability(g, ks, ChaseEngine::default(), &dur).unwrap();
-        {
-            let snap = s.index().snapshot();
-            assert_eq!(snap.compiled.keys.len(), 2, "both keys active");
-            assert!(!snap.steps().is_empty(), "Q2 merged the albums");
+        (g, ks)
+    }
+
+    /// GOLD compiled in its declared slot, and every step citing Q2.
+    fn assert_gold_compiled(snap: &IndexState, when: &str) {
+        let names: Vec<&str> = snap.compiled.keys.iter().map(|k| &*k.name).collect();
+        assert_eq!(names, ["GOLD", "Q2"], "{when}");
+        assert!(!snap.steps().is_empty(), "{when}: Q2 merged the albums");
+        for st in snap.steps().to_vec() {
+            let key = snap.compiled.get(st.key).map(|k| &*k.name);
+            assert_eq!(key, Some("Q2"), "{when}: step {st:?}");
         }
-        // Delete the only "gold" triple, then COMPACT: the materialized
-        // interner drops "gold" and the GOLD key deactivates.
+        let a = snap.graph.entity_named("alb1").unwrap();
+        let b = snap.graph.entity_named("alb2").unwrap();
+        assert!(snap.same(a, b), "{when}");
+    }
+
+    #[test]
+    fn compaction_keeps_a_key_whose_constant_lost_its_triple() {
+        // Deleting the only "gold" triple leaves GOLD nothing to match,
+        // but the fold keeps Σ's vocabulary interned: GOLD stays compiled
+        // in its slot across COMPACT, and the log still cites Q2.
+        use gk_core::ChaseEngine;
+        use gk_store::Durability;
+        let (g, ks) = gold_fixture();
+        let dur = Durability::in_dir(tmpdir("gold-compact"));
+        let (s, _) = Server::with_durability(g, ks, ChaseEngine::default(), &dur).unwrap();
+        assert_gold_compiled(&s.index().snapshot(), "startup");
         let r = s.handle(r#"DELETE special:album tagged "gold""#);
         assert!(r.starts_with("OK"), "{r}");
         assert!(s.handle("COMPACT").starts_with("OK"));
         let snap = s.index().snapshot();
-        assert_eq!(snap.compiled.keys.len(), 1, "GOLD pruned at compaction");
-        for st in snap.steps().to_vec() {
-            assert!(
-                snap.compiled.get(st.key).is_some(),
-                "step cites key {:?} but only {} keys are active",
-                st.key,
-                snap.compiled.keys.len()
-            );
-            assert_eq!(snap.compiled.get(st.key).unwrap().name, "Q2");
-        }
+        assert!(snap.graph.is_compact());
+        assert_gold_compiled(&snap, "after DELETE + COMPACT");
         assert!(s.handle("SAME alb1 alb2").starts_with("YES"));
     }
 
     #[test]
-    fn snapshot_after_vocab_tombstone_restores_consistent_attribution() {
-        // Regression: after deleting the only "gold" triple the GOLD key
-        // stays active in memory (the overlay's base interner still holds
-        // the constant) but compiles away against the materialized
-        // snapshot graph. SNAPSHOT must remap the persisted step log to
-        // the snapshot graph's compile, or the restarted index carries
-        // steps citing out-of-range key indices.
+    fn restart_keeps_a_key_whose_constant_lost_its_triple() {
+        // The snapshot written after the "gold" triple's deletion interns
+        // Σ too, so the restarted index compiles GOLD like the live one
+        // and reads every persisted step back as Q2's.
         use gk_core::ChaseEngine;
         use gk_store::Durability;
-        let g = parse_graph(
-            r#"
-            special:album  tagged   "gold"
-            alb1:album  name_of       "Anthology 2"
-            alb1:album  release_year  "1996"
-            alb2:album  name_of       "Anthology 2"
-            alb2:album  release_year  "1996"
-            "#,
-        )
-        .unwrap();
-        let ks = || {
-            KeySet::parse(
-                r#"
-                key "GOLD" album(x) { x -tagged-> "gold"; x -name_of-> n*; }
-                key "Q2" album(x) { x -name_of-> n*; x -release_year-> y*; }
-                "#,
-            )
-            .unwrap()
-        };
-        let dur = Durability::in_dir(tmpdir("snapshot-remap"));
-        let (s, _) = Server::with_durability(g, ks(), ChaseEngine::default(), &dur).unwrap();
+        let (g, ks) = gold_fixture();
+        let dur = Durability::in_dir(tmpdir("gold-snapshot"));
+        let (s, _) = Server::with_durability(g, ks, ChaseEngine::default(), &dur).unwrap();
         let r = s.handle(r#"DELETE special:album tagged "gold""#);
         assert!(r.starts_with("OK"), "{r}");
-        assert_eq!(
-            s.index().snapshot().compiled.keys.len(),
-            2,
-            "GOLD still active in memory: its constant survives in the base interner"
-        );
+        assert_gold_compiled(&s.index().snapshot(), "after DELETE");
         assert!(s.handle("SNAPSHOT").starts_with("OK"));
+        let keys = s.handle("KEYS");
         drop(s);
 
         let (idx, rep) = EmIndex::recover_durable(&dur, ChaseEngine::default())
             .unwrap()
             .expect("state persisted");
         assert!(rep.recovered);
-        let snap = idx.snapshot();
-        assert_eq!(snap.compiled.keys.len(), 1, "GOLD pruned by the snapshot");
-        for st in snap.steps().to_vec() {
-            assert!(
-                snap.compiled.get(st.key).is_some(),
-                "recovered step cites key {:?} of {} active keys",
-                st.key,
-                snap.compiled.keys.len()
-            );
-            assert_eq!(snap.compiled.get(st.key).unwrap().name, "Q2");
-        }
-        let a = snap.graph.entity_named("alb1").unwrap();
-        let b = snap.graph.entity_named("alb2").unwrap();
-        assert!(snap.same(a, b));
+        assert_gold_compiled(&idx.snapshot(), "after SNAPSHOT + restart");
+        assert_eq!(Server::from_index(idx).handle("KEYS"), keys);
+    }
+
+    #[test]
+    fn deleting_a_missing_triple_answers_alike_before_and_after_a_fold() {
+        // "Abbey Road" is no key's constant: once its only triple is gone,
+        // COMPACT's fold drops it from the interner. Deleting the triple
+        // again must answer the same error whichever layout serves it.
+        use gk_core::ChaseEngine;
+        use gk_store::Durability;
+        let dur = Durability::in_dir(tmpdir("delete-miss"));
+        let (g, ks) = (parse_graph(G).unwrap(), KeySet::parse(KEYS).unwrap());
+        let (s, _) = Server::with_durability(g, ks, ChaseEngine::default(), &dur).unwrap();
+        let del = r#"DELETE alb3:album name_of "Abbey Road""#;
+        assert!(s.handle(del).starts_with("OK"));
+        assert_eq!(s.handle(del), "ERR no such triple");
+        assert!(s.handle("COMPACT").starts_with("OK"));
+        assert_eq!(s.handle(del), "ERR no such triple");
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!                        loads one
 //! ```
 //!
+//! The server's graphs intern Σ's whole vocabulary, so in a file this
+//! build writes every key compiles and a step's slot is its key's declared
+//! position in section 1. A file an older build wrote may leave out a key
+//! whose names its graph lacked, shifting the slots after it; the loader
+//! maps slots through a compile of the loaded graph, so both read alike.
+//!
 //! The header CRC covers `seq` and `key_epoch` (v1 left them bare — a
 //! bit-flip in the version word went undetected until replay filtering
 //! misbehaved).

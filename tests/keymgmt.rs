@@ -172,54 +172,86 @@ proptest! {
         }
     }
 
+}
+
+proptest! {
+    // 480 cases is where the durable property found a `KEYS` answer that
+    // changed across a restart; debug builds run the tier-1 share.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 24 } else { 480 }))]
+
     /// Durable invariant: crash after the stream, recover, and the
     /// declared Σ, the classes and the protocol answers all survive.
     #[test]
     fn recovery_reproduces_interleaved_key_and_triple_history(ops in ops_strategy()) {
-        let dir = casedir("replay");
-        let dur = Durability::in_dir(&dir);
-        let (server, report) = Server::with_durability(
-            parse_graph(BASE).unwrap(),
-            KeySet::parse(KEYS).unwrap(),
-            ChaseEngine::default(),
-            &dur,
-        ).unwrap();
-        prop_assert!(!report.recovered);
-        for op in &ops {
-            let _ = server.handle(&op.line());
-        }
-        let live = server.index().snapshot();
-        let live_classes = live.eq.classes();
-        let live_keys = write_keys(live.keys.keys());
-        let live_epoch = live.key_epoch;
-        let keys_answer = server.handle("KEYS");
-        let dups_answers: Vec<String> =
-            (0..6).map(|i| server.handle(&format!("DUPS a{i}"))).collect();
-        drop(server);
-
-        // Recover purely from disk (snapshot + WAL suffix).
-        let (idx, rep) = EmIndex::recover_durable(&dur, ChaseEngine::default())
-            .unwrap()
-            .expect("state persisted");
-        prop_assert!(rep.recovered);
-        let rec = idx.snapshot();
-        prop_assert_eq!(&write_keys(rec.keys.keys()), &live_keys, "Σ must survive");
-        prop_assert_eq!(rec.key_epoch, live_epoch, "epoch must survive");
-        prop_assert_eq!(rec.eq.classes(), live_classes.clone(), "classes must survive");
-        prop_assert_eq!(
-            rec.eq.classes(),
-            oracle_classes(&rec),
-            "recovered state must equal a from-scratch chase under the final Σ"
-        );
-        // Protocol answers byte-identical across the restart.
-        let restarted = Server::from_index(idx);
-        prop_assert_eq!(restarted.handle("KEYS"), keys_answer);
-        for (i, want) in dups_answers.iter().enumerate() {
-            prop_assert_eq!(&restarted.handle(&format!("DUPS a{i}")), want);
-        }
-        drop(restarted);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_recovery_reproduces(&ops);
     }
+}
+
+/// Runs `ops` against a durable server, crashes it, recovers purely from
+/// disk and requires Σ, the epoch, the classes (equal to a from-scratch
+/// chase) and the `KEYS`/`DUPS` answers to survive byte for byte.
+fn assert_recovery_reproduces(ops: &[Op]) {
+    let dir = casedir("replay");
+    let dur = Durability::in_dir(&dir);
+    let (server, report) = Server::with_durability(
+        parse_graph(BASE).unwrap(),
+        KeySet::parse(KEYS).unwrap(),
+        ChaseEngine::default(),
+        &dur,
+    )
+    .unwrap();
+    assert!(!report.recovered);
+    for op in ops {
+        let _ = server.handle(&op.line());
+    }
+    let live = server.index().snapshot();
+    let live_classes = live.eq.classes();
+    let live_keys = write_keys(live.keys.keys());
+    let live_epoch = live.key_epoch;
+    let keys_answer = server.handle("KEYS");
+    let dups_answers: Vec<String> = (0..6)
+        .map(|i| server.handle(&format!("DUPS a{i}")))
+        .collect();
+    drop(server);
+
+    // Recover purely from disk (snapshot + WAL suffix).
+    let (idx, rep) = EmIndex::recover_durable(&dur, ChaseEngine::default())
+        .unwrap()
+        .expect("state persisted");
+    assert!(rep.recovered);
+    let rec = idx.snapshot();
+    assert_eq!(write_keys(rec.keys.keys()), live_keys, "Σ must survive");
+    assert_eq!(rec.key_epoch, live_epoch, "epoch must survive");
+    assert_eq!(rec.eq.classes(), live_classes, "classes must survive");
+    assert_eq!(
+        rec.eq.classes(),
+        oracle_classes(&rec),
+        "recovered state must equal a from-scratch chase under the final Σ"
+    );
+    // Protocol answers byte-identical across the restart.
+    let restarted = Server::from_index(idx);
+    assert_eq!(restarted.handle("KEYS"), keys_answer, "after {ops:?}");
+    for (i, want) in dups_answers.iter().enumerate() {
+        assert_eq!(&restarted.handle(&format!("DUPS a{i}")), want);
+    }
+    drop(restarted);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Case #54 of the durable property: the `DELETE` removes the only triple
+/// with `KE`'s constant `"y0"`. The live overlay still interned it, the
+/// snapshot's graph did not, and `KEYS` read `active=4` live against
+/// `active=3` recovered. Every served graph now interns Σ.
+#[test]
+fn a_key_whose_constant_lost_its_last_triple_stays_active_across_restart() {
+    assert_recovery_reproduces(&[
+        Op::Snapshot,
+        Op::AddKey(4),
+        Op::DelYear(0, 0),
+        Op::Snapshot,
+        Op::AddKey(3),
+        Op::Snapshot,
+    ]);
 }
 
 /// A deterministic worst case on top of the random streams: add, use,

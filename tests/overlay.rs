@@ -339,3 +339,24 @@ proptest! {
         }
     }
 }
+
+/// Sustained ingest at the default compaction threshold: a stream past it
+/// twice, one 16-triple `INSERT` at a time. Every commit clones the delta
+/// the previous one published, so that delta is what ingest costs; this
+/// bounds it, and raising the default past the bound fails here.
+#[test]
+fn sustained_ingest_bounds_the_delta_each_commit_clones() {
+    const BOUND: usize = 2_048;
+    let idx = EmIndex::new(GraphBuilder::new().freeze(), KeySet::parse(KEYS).unwrap());
+    let (mut triples, mut widest) = (0, 0);
+    while triples < 2 * BOUND + BOUND / 2 {
+        let batch: String = (triples..triples + 16)
+            .map(|i| format!("s{}:t{} p{} \"w{i}\"\n", i / 4, i / 4 % 3, i % 4))
+            .collect();
+        idx.insert(&parse_triple_specs(&batch).unwrap()).unwrap();
+        triples += 16;
+        widest = widest.max(idx.snapshot().graph.delta_size());
+    }
+    assert!(widest < BOUND, "a commit cloned a {widest}-triple delta");
+    assert!(idx.stats.compactions.get() >= 2, "the stream folded twice");
+}

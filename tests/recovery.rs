@@ -308,22 +308,26 @@ fn restart_answers_are_byte_identical_across_engines() {
     }
 }
 
-/// One op of the restart-anywhere stream: a triple update, a key change or
-/// a compaction.
+/// One op of the restart-anywhere stream: a triple update, a key change,
+/// a compaction or a snapshot.
 #[derive(Clone, Copy, Debug)]
 enum Step {
     Update(Op),
     AddKey(u8),
     DropKey(u8),
     Compact,
+    Snapshot,
 }
 
 /// Keys the stream adds, and the names it drops (the declared pair too).
-const EXTRA_KEYS: [&str; 2] = [
+/// `AC`'s constant `"y1"` is on one base triple, which `DELETE a1:album
+/// release_year "y1"` removes.
+const EXTRA_KEYS: [&str; 3] = [
     r#"key "AN" artist(x) { x -name_of-> n*; }"#,
     r#"key "AY" album(x) { x -release_year-> y*; }"#,
+    r#"key "AC" album(x) { x -release_year-> "y1"; x -name_of-> n*; }"#,
 ];
-const DROPPABLE: [&str; 4] = ["Q2", "Q3", "AN", "AY"];
+const DROPPABLE: [&str; 5] = ["Q2", "Q3", "AN", "AY", "AC"];
 
 impl Step {
     fn line(&self) -> String {
@@ -332,9 +336,10 @@ impl Step {
                 let verb = if op.is_delete() { "DELETE" } else { "INSERT" };
                 format!("{verb} {}", op.text().replace('\n', " ; "))
             }
-            Step::AddKey(k) => format!("ADDKEY {}", EXTRA_KEYS[k as usize % 2]),
-            Step::DropKey(k) => format!("DROPKEY {}", DROPPABLE[k as usize % 4]),
+            Step::AddKey(k) => format!("ADDKEY {}", EXTRA_KEYS[k as usize % EXTRA_KEYS.len()]),
+            Step::DropKey(k) => format!("DROPKEY {}", DROPPABLE[k as usize % DROPPABLE.len()]),
             Step::Compact => "COMPACT".into(),
+            Step::Snapshot => "SNAPSHOT".into(),
         }
     }
 }
@@ -343,19 +348,73 @@ impl Step {
 /// break duplicate pairs, and a deletion keeps part of a longer log.
 fn steps_strategy() -> impl Strategy<Value = Vec<Step>> {
     prop::collection::vec(
-        (0u8..9, 0u8..6, 0u8..4).prop_map(|(kind, i, v)| match kind {
+        (0u8..10, 0u8..6, 0u8..6).prop_map(|(kind, i, v)| match kind {
             6 => Step::AddKey(v),
             7 => Step::DropKey(v),
             8 => Step::Compact,
+            9 => Step::Snapshot,
             _ => Step::Update(Op::decode(kind, i, v % 2)),
         }),
         1..24,
     )
 }
 
+/// The `STATS` fields that describe the served state — the graph, Σ and
+/// the relation — which a restart or a `COMPACT` must not change.
+const STATE_STATS: [&str; 7] = [
+    "entities",
+    "triples",
+    "active_keys",
+    "key_epoch",
+    "clusters",
+    "identified_pairs",
+    "version",
+];
+/// Left out: how the graph is stored, which a restart or a `COMPACT`
+/// changes by design.
+const LAYOUT_STATS: [&str; 5] = [
+    "values",
+    "base_triples",
+    "delta_triples",
+    "tombstones",
+    "compactions",
+];
+/// Left out: configuration, counters since the process started, and the
+/// data directory's bookkeeping.
+const PROCESS_STATS: [&str; 27] = [
+    "engine",
+    "threads",
+    "role",
+    "shard_id",
+    "num_shards",
+    "queries",
+    "updates",
+    "connections_total",
+    "connections_active",
+    "net_model",
+    "max_conns",
+    "uptime_secs",
+    "incremental_advances",
+    "full_rechases",
+    "noops",
+    "update_rounds",
+    "startup_rounds",
+    "startup_iso",
+    "startup_micros",
+    "durability",
+    "wal_records",
+    "snapshot_seq",
+    "cache_capacity",
+    "cache_entries",
+    "cache_hits",
+    "cache_misses",
+    "traces_captured",
+];
+
 /// Every `(query, answer)` the restart tests compare: `SAME`/`EXPLAIN` for each
 /// pair of same-type names, `DUPS` for each name (unknown names answer
-/// `ERR`, and must do so identically).
+/// `ERR`, and must do so identically), `KEYS`, and each of
+/// [`STATE_STATS`]. Every other `STATS` field must be named as left out.
 fn probe(server: &Server) -> Vec<(String, String)> {
     let albums: Vec<String> = (0..8).map(|i| format!("a{i}")).collect();
     let artists: Vec<String> = (0..3).map(|i| format!("r{i}")).collect();
@@ -369,16 +428,28 @@ fn probe(server: &Server) -> Vec<(String, String)> {
             }
         }
     }
-    queries
+    queries.push("KEYS".into());
+    let mut answers: Vec<(String, String)> = queries
         .into_iter()
         .map(|q| {
             let answer = server.handle(&q);
             (q, answer)
         })
-        .collect()
+        .collect();
+    let stats = server.handle("STATS");
+    for field in stats.split_whitespace().skip(1) {
+        let (name, value) = field.split_once('=').expect("STATS fields are name=value");
+        if STATE_STATS.contains(&name) {
+            answers.push((format!("STATS {name}"), value.into()));
+        } else {
+            let named = LAYOUT_STATS.contains(&name) || PROCESS_STATS.contains(&name);
+            assert!(named, "STATS field {name} is neither compared nor left out");
+        }
+    }
+    answers
 }
 
-/// [`probe`] without `EXPLAIN`: the relation, whatever history made it.
+/// [`probe`] without `EXPLAIN`: the served state, whatever history made it.
 fn relation(server: &Server) -> Vec<(String, String)> {
     let mut answers = probe(server);
     answers.retain(|(q, _)| !q.starts_with("EXPLAIN"));
@@ -396,11 +467,13 @@ fn ids_by_name(index: &EmIndex) -> Vec<Option<EntityId>> {
 
 /// The restart-anywhere check: runs `steps` against a durable server at
 /// `engine` with a tiny compaction threshold (so folds land mid-stream,
-/// live and at replay), kills it after every step, recovers, and requires
-/// the recovered server to answer byte-identically, to allocate the same
-/// entity ids, and to have run no chase. The stream continues on the
+/// live and at replay) and `cache` answer-cache entries, kills it after
+/// every step, recovers, and requires the recovered server to answer
+/// byte-identically, to allocate the same entity ids, and to have run no
+/// chase. After every other step the recovered server also runs `COMPACT`
+/// and must answer identically again. The stream continues on the
 /// recovered server.
-fn restart_after_every_step(engine: ChaseEngine, steps: &[Step]) {
+fn restart_after_every_step(engine: ChaseEngine, cache: usize, steps: &[Step]) {
     const THRESHOLD: usize = 4;
     let dur = Durability::in_dir(casedir("anywhere"));
     let (mut server, _) = Server::with_durability_compacting(
@@ -411,6 +484,7 @@ fn restart_after_every_step(engine: ChaseEngine, steps: &[Step]) {
         THRESHOLD,
     )
     .unwrap();
+    server.set_cache_entries(cache);
     for (n, step) in steps.iter().enumerate() {
         server.handle(&step.line());
         let want = probe(&server);
@@ -422,8 +496,19 @@ fn restart_after_every_step(engine: ChaseEngine, steps: &[Step]) {
         assert!(!report.chased, "{engine} after step {n} {step:?}");
         assert_eq!(ids_by_name(&index), want_ids, "{engine} after {step:?}");
         server = Server::from_index(index);
-        for (w, g) in want.iter().zip(probe(&server)) {
-            assert_eq!(w, &g, "{engine} after step {n} {step:?} of {steps:?}");
+        server.set_cache_entries(cache);
+        assert_eq!(
+            probe(&server),
+            want,
+            "{engine} after step {n} {step:?} of {steps:?}"
+        );
+        if n % 2 == 1 {
+            assert!(server.handle("COMPACT").starts_with("OK"));
+            let compacted = probe(&server);
+            assert_eq!(
+                compacted, want,
+                "{engine}: COMPACT after step {n} of {steps:?}"
+            );
         }
     }
     drop(server);
@@ -431,19 +516,22 @@ fn restart_after_every_step(engine: ChaseEngine, steps: &[Step]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    // The release job runs enough cases to reach a deleted constant's
+    // `KEYS` answer (case #46 found it before Σ was always interned).
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 32 } else { 128 }))]
 
     /// Kill and recover after every op of a random
-    /// `INSERT`/`DELETE`/`ADDKEY`/`DROPKEY`/`COMPACT` stream: `SAME`,
-    /// `DUPS` and `EXPLAIN` are byte-identical at every engine.
+    /// `INSERT`/`DELETE`/`ADDKEY`/`DROPKEY`/`COMPACT`/`SNAPSHOT` stream:
+    /// `SAME`, `DUPS`, `EXPLAIN`, `KEYS` and the state's `STATS` fields are
+    /// byte-identical at every engine, with the answer cache off and on.
     #[test]
     fn restart_anywhere_serves_the_live_history(steps in steps_strategy()) {
-        for engine in [
-            ChaseEngine::Reference,
-            ChaseEngine::Incremental,
-            ChaseEngine::Parallel { threads: 2 },
+        for (engine, cache) in [
+            (ChaseEngine::Reference, 0),
+            (ChaseEngine::Incremental, 64),
+            (ChaseEngine::Parallel { threads: 2 }, 0),
         ] {
-            restart_after_every_step(engine, &steps);
+            restart_after_every_step(engine, cache, &steps);
         }
     }
 }
